@@ -43,9 +43,6 @@ from .deform import (
     horizontal_commutator,
     metric_of,
     ricci_frame,
-    ricci_horizontal,
-    ricci_mixed,
-    ricci_vertical,
     transformation_laws,
 )
 from .families import (

@@ -70,6 +70,8 @@ RESIDUAL_COLUMNS = [
     "res_34",
 ]
 
+FORMATS = ("csv", "json")
+
 EXAMPLE_NAMES = ["s2xs2", "h2xh2", "ricci-flat", "hyperbolic", "family-i", "family-ii"]
 
 
@@ -167,6 +169,8 @@ def _coerce(key: str, raw: str):
                 return True
             if low in ("0", "false", "no", "off"):
                 return False
+            raise ValueError(raw)
+        if key == "format" and raw not in FORMATS:
             raise ValueError(raw)
     except ValueError:
         raise UsageError(f"config value for {key!r} is invalid: {raw!r}") from None
@@ -279,25 +283,36 @@ def _deformation(cfg: RunConfig) -> DeformationPair:
 # Commands
 
 
+def _grid_scan(cfg: RunConfig, label: str, evaluate) -> tuple[list, float]:
+    """Rows (x1, x2, x3, x4, *evaluate(p)) over the grid, whose last value
+    is the point's maximum (printed as ``label``); returns the rows and
+    the grid maximum."""
+    rows = []
+    grid_max = 0.0
+    for p in _grid_points(cfg.grid):
+        values = evaluate(p)
+        top = values[-1]
+        grid_max = max(grid_max, top)
+        rows.append([p[0], p[1], p[2], p[3], *values])
+        print(
+            f"x=({_fmt(p[0])}, {_fmt(p[1])}, {_fmt(p[2])}, {_fmt(p[3])})"
+            f"  {label} = {top:.6e}"
+        )
+    return rows, grid_max
+
+
 def cmd_verify(cfg: RunConfig) -> int:
     tol = cfg.tol if cfg.tol is not None else 1e-4
     d = _deformation(cfg)
     g = metric_of(d)
-    points = _grid_points(cfg.grid)
-    rows = []
-    grid_max = 0.0
-    for p in points:
-        closed = frame_to_coords(ricci_frame(d, p), d, p)
-        fd = ricci_fd(g, p, h=cfg.h)
-        diff = float(np.max(np.abs(closed - fd)))
-        grid_max = max(grid_max, diff)
-        rows.append([p[0], p[1], p[2], p[3], diff])
-        print(
-            f"x=({_fmt(p[0])}, {_fmt(p[1])}, {_fmt(p[2])}, {_fmt(p[3])})"
-            f"  max|closed - fd| = {diff:.6e}"
-        )
+
+    def evaluate(p):
+        closed = frame_to_coords(ricci_frame(d, p))
+        return [float(np.max(np.abs(closed - ricci_fd(g, p, h=cfg.h))))]
+
+    rows, grid_max = _grid_scan(cfg, "max|closed - fd|", evaluate)
     passed = grid_max < tol
-    summary = {"grid_max": grid_max, "tol": tol, "pass": passed, "points": len(points)}
+    summary = {"grid_max": grid_max, "tol": tol, "pass": passed, "points": len(rows)}
     _emit(cfg, "points", ["x1", "x2", "x3", "x4", "max_abs_diff"], rows, summary)
     print(f"grid max |closed-form - FD| = {grid_max:.6e}  (tol {tol:g})")
     return 0 if passed else 3
@@ -307,27 +322,16 @@ def cmd_residual(cfg: RunConfig) -> int:
     tol = cfg.tol if cfg.tol is not None else 1e-8
     _require(cfg, "A")
     d = _deformation(cfg)
-    points = _grid_points(cfg.grid)
-    rows = []
-    grid_max = 0.0
-    for p in points:
+
+    def evaluate(p):
         res = einstein_residuals(d, cfg.A, p)
-        top = float(np.max(np.abs(res)))
-        grid_max = max(grid_max, top)
-        rows.append([p[0], p[1], p[2], p[3], *res, top])
-        print(
-            f"x=({_fmt(p[0])}, {_fmt(p[1])}, {_fmt(p[2])}, {_fmt(p[3])})"
-            f"  max|residual| = {top:.6e}"
-        )
+        return [*res, float(np.max(np.abs(res)))]
+
+    rows, grid_max = _grid_scan(cfg, "max|residual|", evaluate)
     passed = grid_max < tol
     summary = {"grid_max": grid_max, "tol": tol, "pass": passed, "A": cfg.A}
-    _emit(
-        cfg,
-        "points",
-        ["x1", "x2", "x3", "x4", *RESIDUAL_COLUMNS, "max_abs"],
-        rows,
-        summary,
-    )
+    header = ["x1", "x2", "x3", "x4", *RESIDUAL_COLUMNS, "max_abs"]
+    _emit(cfg, "points", header, rows, summary)
     print(f"grid max residual = {grid_max:.6e}  (tol {tol:g}, A = {cfg.A:g})")
     return 0 if passed else 3
 
@@ -474,32 +478,33 @@ def cmd_solve_warped(cfg: RunConfig) -> int:
 # Canned examples
 
 
+_PRODUCT_EXAMPLES = {
+    "s2xs2": dict(sigma="(1 + x1^2 + x2^2)/2", rho="(1 + x3^2 + x4^2)/2", A=1.0),
+    "h2xh2": dict(sigma="(1 - x1^2 - x2^2)/2", rho="(1 - x3^2 - x4^2)/2", A=-1.0),
+}
+_FAMILY_EXAMPLES = {
+    "family-i": dict(alpha=-1.0, beta=1.0, dt=1e-3, t_max=10.0),
+    "family-ii": dict(alpha=1.0, beta=-1.0, dt=1e-4, t_max=2.0),
+}
+
+
 def _run_example(cfg: RunConfig) -> int:
     name = cfg.name
-    if name == "s2xs2":
+    if name in _PRODUCT_EXAMPLES:
         sub = RunConfig(
             command="residual",
-            sigma="(1 + x1^2 + x2^2)/2",
-            rho="(1 + x3^2 + x4^2)/2",
-            A=1.0,
             grid="x1=-0.4:0.4:3,x2=-0.4:0.4:3,x3=-0.4:0.4:3,x4=-0.4:0.4:3",
             tol=cfg.tol,
             out=cfg.out,
             format=cfg.format,
+            **_PRODUCT_EXAMPLES[name],
         )
         return cmd_residual(sub)
-    if name == "h2xh2":
+    if name in _FAMILY_EXAMPLES:
         sub = RunConfig(
-            command="residual",
-            sigma="(1 - x1^2 - x2^2)/2",
-            rho="(1 - x3^2 - x4^2)/2",
-            A=-1.0,
-            grid="x1=-0.4:0.4:3,x2=-0.4:0.4:3,x3=-0.4:0.4:3,x4=-0.4:0.4:3",
-            tol=cfg.tol,
-            out=cfg.out,
-            format=cfg.format,
+            command="solve-family", b=1.0, out=cfg.out, format=cfg.format, **_FAMILY_EXAMPLES[name]
         )
-        return cmd_residual(sub)
+        return cmd_solve_family(sub)
     if name == "ricci-flat":
         tol = cfg.tol if cfg.tol is not None else 1e-5
         sigma, rho = ricci_flat_fields(1.0)
@@ -521,30 +526,6 @@ def _run_example(cfg: RunConfig) -> int:
             worst = max(worst, float(np.max(np.abs(res))))
         print(f"hyperbolic profile sigma = rho = t: max residual = {worst:.6e} (A = -3)")
         return 0 if worst < tol else 3
-    if name == "family-i":
-        sub = RunConfig(
-            command="solve-family",
-            alpha=-1.0,
-            beta=1.0,
-            b=1.0,
-            dt=1e-3,
-            t_max=10.0,
-            out=cfg.out,
-            format=cfg.format,
-        )
-        return cmd_solve_family(sub)
-    if name == "family-ii":
-        sub = RunConfig(
-            command="solve-family",
-            alpha=1.0,
-            beta=-1.0,
-            b=1.0,
-            dt=1e-4,
-            t_max=2.0,
-            out=cfg.out,
-            format=cfg.format,
-        )
-        return cmd_solve_family(sub)
     raise UsageError(f"unknown example {name!r}; names: {', '.join(EXAMPLE_NAMES)}")
 
 
@@ -575,7 +556,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="key = value config file")
     sub.add_argument("--tol", type=float, help="tolerance (BICONF_TOL overrides the default)")
     sub.add_argument("--out", help="output file path")
-    sub.add_argument("--format", choices=("csv", "json"), help="output format")
+    sub.add_argument("--format", choices=FORMATS, help="output format")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -644,10 +625,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         cfg = _resolve_config(args, args.command)
         return _COMMANDS[args.command](cfg)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ParseError as exc:
+    except (UsageError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NUMERICAL_ERRORS as exc:

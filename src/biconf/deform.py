@@ -7,9 +7,11 @@ The deformed metric is
 
 for positive scalar fields sigma, rho.  The adapted orthonormal frame is
 e_i = sigma d_i (i = 1, 2, horizontal) and e_r = rho d_r (r = 3, 4,
-vertical); all closed forms below produce frame components
-Ric(e_a, e_b), and a single converter owns the sigma^2 / sigma*rho /
-rho^2 factors back to coordinate components.
+vertical).  ``ricci_frame`` produces the frame components Ric(e_a, e_b)
+from one evaluation of both fields, and ``frame_to_coords`` owns the
+sigma^2 / sigma*rho / rho^2 factors back to coordinate components; the
+Einstein residuals in ``biconf.families`` are the same frame matrix,
+rescaled.
 
 Throughout, s_a / s_ab denote first / second partials of ln(sigma) and
 r_a / r_ab those of ln(rho), all with respect to the flat coordinates.
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import PositivityError, ScalarField, as_point
+from .fields import ScalarField
 from .oracle import MetricField
 
 __all__ = [
@@ -29,9 +31,6 @@ __all__ = [
     "FrameRicci",
     "TransformationLaws",
     "metric_of",
-    "ricci_horizontal",
-    "ricci_mixed",
-    "ricci_vertical",
     "ricci_frame",
     "frame_to_coords",
     "deformed_laplacian",
@@ -66,22 +65,21 @@ class DeformationPair:
         """(sigma, rho, grad ln sigma, Hess ln sigma, grad ln rho, Hess ln rho)."""
         sv, sg, sh = self.sigma.log_jet(p)
         rv, rg, rh = self.rho.log_jet(p)
-        if sv <= 0.0:
-            raise PositivityError(f"sigma must be positive, got {sv}")
-        if rv <= 0.0:
-            raise PositivityError(f"rho must be positive, got {rv}")
         return sv, rv, sg, sh, rg, rh
 
 
 @dataclass(frozen=True)
 class FrameRicci:
-    """Ricci components in the adapted orthonormal frame, as a 4x4 matrix.
+    """Ricci components in the adapted orthonormal frame, as a 4x4 matrix,
+    with the values of sigma and rho at the point they were built at.
 
     Rows/columns 0,1 are horizontal (e_1, e_2) and 2,3 vertical
     (e_3, e_4); symmetry holds by construction.
     """
 
     matrix: np.ndarray
+    sigma: float
+    rho: float
 
     @property
     def hh(self) -> np.ndarray:
@@ -129,96 +127,71 @@ def metric_of(d: DeformationPair) -> MetricField:
     return MetricField(value, partials)
 
 
-def ricci_horizontal(d: DeformationPair, p) -> np.ndarray:
-    """Frame components Ric(e_i, e_j), i, j in {1, 2}, as a 2x2 matrix."""
-    sv, rv, sg, sh, rg, rh = d.log_data(p)
-    k = (rv / sv) ** 2
-    common = sh[0, 0] + sh[1, 1] + k * (sh[2, 2] + sh[3, 3]) - 2.0 * k * (
+def ricci_frame(d: DeformationPair, p) -> FrameRicci:
+    """All frame Ricci components Ric(e_a, e_b) at p, from one evaluation
+    of both fields.  With kv = rho^2/sigma^2 and kh = sigma^2/rho^2:
+
+        HH  Ric(e_i, e_j) = sigma^2 { delta_ij [ s_11 + s_22 + kv (s_33 + s_44)
+                                                 - 2 kv (s_3^2 + s_4^2) ]
+                                      + 2 r_ij - 2 r_i r_j
+                                      + 2 (s_i r_j + r_i s_j) - 2 delta_ij s.r_H }
+        HV  Ric(e_j, e_s) = sigma*rho { s_js + r_js + 2 s_s r_j }
+        VV  Ric(e_r, e_s) = rho^2 { delta_rs [ kh (r_11 + r_22) + r_33 + r_44
+                                               - 2 kh (r_1^2 + r_2^2) ]
+                                    + 2 s_rs - 2 s_r s_s
+                                    + 2 (r_r s_s + s_r r_s) - 2 delta_rs s.r_V }
+
+    where s.r_H = s_1 r_1 + s_2 r_2 and s.r_V = s_3 r_3 + s_4 r_4.
+    """
+    sv, rv, *arrays = d.log_data(p)
+    sg, sh, rg, rh = (a.tolist() for a in arrays)  # plain floats index fast
+    s2, r2 = sv * sv, rv * rv
+    kv, kh = r2 / s2, s2 / r2
+    m = [[0.0] * 4 for _ in range(4)]
+
+    common = sh[0][0] + sh[1][1] + kv * (sh[2][2] + sh[3][3]) - 2.0 * kv * (
         sg[2] ** 2 + sg[3] ** 2
     )
-    s2 = sv * sv
-    r11 = s2 * (
-        common
-        - 2.0 * rg[0] ** 2
-        + 2.0 * rh[0, 0]
-        + 2.0 * sg[0] * rg[0]
-        - 2.0 * sg[1] * rg[1]
+    for i, j in ((0, 1), (1, 0)):
+        m[i][i] = s2 * (
+            common
+            - 2.0 * rg[i] ** 2
+            + 2.0 * rh[i][i]
+            + 2.0 * sg[i] * rg[i]
+            - 2.0 * sg[j] * rg[j]
+        )
+    m[0][1] = m[1][0] = (
+        2.0 * s2 * (rh[0][1] - rg[0] * rg[1] + sg[0] * rg[1] + rg[0] * sg[1])
     )
-    r22 = s2 * (
-        common
-        - 2.0 * rg[1] ** 2
-        + 2.0 * rh[1, 1]
-        + 2.0 * sg[1] * rg[1]
-        - 2.0 * sg[0] * rg[0]
-    )
-    r12 = (
-        2.0
-        * s2
-        * (rh[0, 1] - rg[0] * rg[1] + sg[0] * rg[1] + rg[0] * sg[1])
-    )
-    return np.array([[r11, r12], [r12, r22]])
 
+    for j in (0, 1):
+        for s in (2, 3):
+            m[j][s] = m[s][j] = sv * rv * (sh[j][s] + rh[j][s] + 2.0 * sg[s] * rg[j])
 
-def ricci_mixed(d: DeformationPair, p) -> np.ndarray:
-    """Frame components Ric(e_j, e_s), j in {1, 2}, s in {3, 4}:
-
-        Ric(e_j, e_s) = sigma*rho * { d^2 ln(sigma*rho)/dx_j dx_s
-                                       + 2 (d ln sigma/dx_s)(d ln rho/dx_j) }
-    """
-    sv, rv, sg, sh, rg, rh = d.log_data(p)
-    out = np.empty((2, 2))
-    for jj, j in enumerate((0, 1)):
-        for ss, s in enumerate((2, 3)):
-            out[jj, ss] = sv * rv * (sh[j, s] + rh[j, s] + 2.0 * sg[s] * rg[j])
-    return out
-
-
-def ricci_vertical(d: DeformationPair, p) -> np.ndarray:
-    """Frame components Ric(e_r, e_s), r, s in {3, 4}, as a 2x2 matrix."""
-    sv, rv, sg, sh, rg, rh = d.log_data(p)
-    k = (sv / rv) ** 2
     trace_br = (
-        k * (rh[0, 0] + rh[1, 1])
-        + rh[2, 2]
-        + rh[3, 3]
-        - 2.0 * k * (rg[0] ** 2 + rg[1] ** 2)
+        kh * (rh[0][0] + rh[1][1])
+        + rh[2][2]
+        + rh[3][3]
+        - 2.0 * kh * (rg[0] ** 2 + rg[1] ** 2)
         - 2.0 * (sg[2] * rg[2] + sg[3] * rg[3])
     )
-    r2 = rv * rv
-    out = np.empty((2, 2))
-    for rr, r in enumerate((2, 3)):
-        for ss, s in enumerate((2, 3)):
-            val = 2.0 * sh[r, s] + 2.0 * rg[r] * sg[s] + 2.0 * sg[r] * rg[s] - 2.0 * sg[
-                r
-            ] * sg[s]
+    for r in (2, 3):
+        for s in (r, 3):
+            val = 2.0 * (sh[r][s] + rg[r] * sg[s] + sg[r] * rg[s] - sg[r] * sg[s])
             if r == s:
                 val += trace_br
-            out[rr, ss] = r2 * val
-    return out
+            m[r][s] = m[s][r] = r2 * val
+    return FrameRicci(np.array(m), sv, rv)
 
 
-def ricci_frame(d: DeformationPair, p) -> FrameRicci:
-    """All frame Ricci components assembled into a symmetric 4x4."""
-    hh = ricci_horizontal(d, p)
-    hv = ricci_mixed(d, p)
-    vv = ricci_vertical(d, p)
-    m = np.empty((4, 4))
-    m[:2, :2] = hh
-    m[:2, 2:] = hv
-    m[2:, :2] = hv.T
-    m[2:, 2:] = vv
-    return FrameRicci(m)
-
-
-def frame_to_coords(fr: FrameRicci, d: DeformationPair, p) -> np.ndarray:
+def frame_to_coords(fr: FrameRicci) -> np.ndarray:
     """Convert frame components to coordinate components.
 
     The basis change is d_i = e_i/sigma, d_r = e_r/rho, so the HH block
-    divides by sigma^2, HV by sigma*rho and VV by rho^2.
+    divides by sigma^2, HV by sigma*rho and VV by rho^2; sigma and rho
+    are the values ``fr`` was built from.
     """
-    sv = d.sigma(p)
-    rv = d.rho(p)
-    w = np.array([1.0 / sv, 1.0 / sv, 1.0 / rv, 1.0 / rv])
+    w = np.array([1.0 / fr.sigma, 1.0 / fr.sigma, 1.0 / fr.rho, 1.0 / fr.rho])
     return fr.matrix * np.outer(w, w)
 
 
@@ -279,7 +252,6 @@ def horizontal_commutator(d: DeformationPair, p) -> np.ndarray:
     Its vertical part (components 3, 4) vanishes identically, matching
     the vanishing integrability form of the projection.
     """
-    as_point(p)
     sjet = d.sigma.jet(p)
     out = np.zeros(4)
     out[0] = -sjet.val * sjet.g[1]

@@ -17,10 +17,10 @@ Three layers:
   sigma = b rho |rho'|^(-1/2) and Einstein constant
   A = -3 b^2 e for rho' > 0 (+3 b^2 e for rho' < 0), e = -alpha beta^3.
 
-Integration is classical fixed-step RK4.  Blow-up of rho is detected at
-|rho| > 1e3 and the escape time is refined by bisection on the last
-step down to 1e-6 in t; warped states stop at |component| > 1e6 or when
-gamma crosses zero.
+Both systems are integrated by one classical fixed-step RK4 driver on
+plain floats.  Blow-up of rho is detected at |rho| > 1e3 and the escape
+time is refined by bisection on the last step down to 1e-6 in t; warped
+states stop at |component| > 1e6 or when gamma crosses zero.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .deform import DeformationPair, metric_of
+from .deform import DeformationPair, metric_of, ricci_frame
 from .expr import DomainError
-from .fields import ExpressionField, ProfileField, ScalarField
+from .fields import ExpressionField, ProfileField, ScalarField, require_positive
 from .oracle import MetricField
 
 __all__ = [
@@ -188,61 +188,25 @@ class EndDiagnostics:
 
 
 def einstein_residuals(d: DeformationPair, a_const: float, p) -> np.ndarray:
-    """Residuals of the ten pointwise Einstein equations at p.
+    """Residuals of the ten pointwise Einstein equations at p: the frame
+    Ricci matrix minus A times the identity, slot by slot.
 
-    Diagonal slots carry the sigma^2 / rho^2 prefactors of the equations;
-    off-diagonal slots are the bare brackets (the frame Ricci components
-    divided by 2 sigma^2, sigma rho and 2 rho^2 respectively), which
-    vanish together with them.
+    Diagonal slots carry the sigma^2 / rho^2 prefactors of the equations
+    (Ric(e_a, e_a) - A); off-diagonal slots are the bare brackets (the
+    frame Ricci components divided by 2 sigma^2, sigma rho and 2 rho^2
+    respectively), which vanish together with them.
     """
-    sv, rv, sg, sh, rg, rh = d.log_data(p)
-    s2, r2 = sv * sv, rv * rv
-    kv = r2 / s2
-    kh = s2 / r2
-
-    common_s = sh[0, 0] + sh[1, 1] + kv * (sh[2, 2] + sh[3, 3]) - 2.0 * kv * (
-        sg[2] ** 2 + sg[3] ** 2
+    fr = ricci_frame(d, p)
+    (m11, m12, m13, m14), (_, m22, m23, m24), (_, _, m33, m34), (_, _, _, m44) = (
+        fr.matrix.tolist()
     )
-    common_r = (
-        kh * (rh[0, 0] + rh[1, 1])
-        + rh[2, 2]
-        + rh[3, 3]
-        - 2.0 * kh * (rg[0] ** 2 + rg[1] ** 2)
-    )
-
-    res = np.empty(10)
-    for slot, (j, jp) in enumerate(((0, 1), (1, 0))):
-        res[slot] = (
-            s2
-            * (
-                common_s
-                + 2.0 * rh[j, j]
-                - 2.0 * rg[j] ** 2
-                + 2.0 * sg[j] * rg[j]
-                - 2.0 * sg[jp] * rg[jp]
-            )
-            - a_const
-        )
-    res[2] = rh[0, 1] + sg[0] * rg[1] + rg[0] * sg[1] - rg[0] * rg[1]
-    slot = 3
-    for j in (0, 1):
-        for s in (2, 3):
-            res[slot] = sh[j, s] + rh[j, s] + 2.0 * sg[s] * rg[j]
-            slot += 1
-    for slot, (s, sp) in enumerate(((2, 3), (3, 2)), start=7):
-        res[slot] = (
-            r2
-            * (
-                2.0 * sh[s, s]
-                - 2.0 * sg[s] ** 2
-                + 2.0 * sg[s] * rg[s]
-                - 2.0 * sg[sp] * rg[sp]
-                + common_r
-            )
-            - a_const
-        )
-    res[9] = sh[2, 3] + rg[2] * sg[3] + sg[2] * rg[3] - sg[2] * sg[3]
-    return res
+    hh, hv, vv = 2.0 * fr.sigma**2, fr.sigma * fr.rho, 2.0 * fr.rho**2
+    a = a_const
+    return np.array([
+        m11 - a, m22 - a, m12 / hh,
+        m13 / hv, m14 / hv, m23 / hv, m24 / hv,
+        m33 - a, m44 - a, m34 / vv,
+    ])
 
 
 def _vertical_curvature(beta: ScalarField, p) -> float:
@@ -281,25 +245,20 @@ def warped_residuals(
 
     sv, sg, sh = sigma.log_jet(p)
     av, ag, ah = alpha.log_jet(p)
-    bv, _, bh = beta.log_jet(p)
     s2 = sv * sv
     lap_s = sh[0, 0] + sh[1, 1]
 
     res = np.empty(4)
-    res[0] = (
-        s2
-        * (lap_s - 2.0 * ag[0] ** 2 + 2.0 * ah[0, 0] + 2.0 * sg[0] * ag[0] - 2.0 * sg[1] * ag[1])
-        - a_const
-    )
-    res[1] = (
-        s2
-        * (lap_s - 2.0 * ag[1] ** 2 + 2.0 * ah[1, 1] + 2.0 * sg[1] * ag[1] - 2.0 * sg[0] * ag[0])
-        - a_const
-    )
+    for i, j in ((0, 1), (1, 0)):
+        res[i] = (
+            s2
+            * (lap_s - 2.0 * ag[i] ** 2 + 2.0 * ah[i, i] + 2.0 * sg[i] * ag[i] - 2.0 * sg[j] * ag[j])
+            - a_const
+        )
     res[2] = ah[0, 1] + sg[0] * ag[1] + ag[0] * sg[1] - ag[0] * ag[1]
     res[3] = (
         s2 * (ah[0, 0] + ah[1, 1])
-        + (av * bv) ** 2 * (bh[2, 2] + bh[3, 3])
+        + av * av * _vertical_curvature(beta, p)
         - 2.0 * s2 * (ag[0] ** 2 + ag[1] ** 2)
         - a_const
     )
@@ -310,61 +269,99 @@ def single_param_residuals(
     sigma: ScalarField, rho: ScalarField, a_const: float, t: float
 ) -> np.ndarray:
     """Residuals of the three scalar equations obtained by substituting
-    sigma = sigma(t), rho = rho(t) into the ten-equation system:
+    sigma = sigma(t), rho = rho(t) into the ten-equation system, i.e.
+    slots (1,1), (2,2) and (3,3) of ``einstein_residuals`` at (t, 0, 0, 0):
 
         (1)  A = sigma^2 { (ln s)'' + 2 (ln s)'(ln r)' - 2 (ln r)'^2 + 2 (ln r)'' }
         (2)  A = sigma^2 { (ln s)'' - 2 (ln s)'(ln r)' }
         (3)  A = sigma^2 { (ln r)'' - 2 (ln r)'^2 }
     """
-    p = (t, 0.0, 0.0, 0.0)
-    sv, sg, sh = sigma.log_jet(p)
-    _, rg, rh = rho.log_jet(p)
-    s2 = sv * sv
-    sd, sdd = sg[0], sh[0, 0]
-    rd, rdd = rg[0], rh[0, 0]
-    return np.array(
-        [
-            s2 * (sdd + 2.0 * sd * rd - 2.0 * rd * rd + 2.0 * rdd) - a_const,
-            s2 * (sdd - 2.0 * sd * rd) - a_const,
-            s2 * (rdd - 2.0 * rd * rd) - a_const,
-        ]
-    )
+    res = einstein_residuals(DeformationPair(sigma, rho), a_const, (t, 0.0, 0.0, 0.0))
+    return res[[0, 1, 7]]
 
 
 # ---------------------------------------------------------------------------
 # RK4 and the warped first-order system
 
 
-def _rk4_step(f, y, dt):
-    k1 = f(y)
-    k2 = f(y + 0.5 * dt * k1)
-    k3 = f(y + 0.5 * dt * k2)
-    k4 = f(y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_step(rhs, y: list, dt: float) -> list:
+    """One classical RK4 step of y' = rhs(y) on a list of floats.  A float
+    overflow or division by zero inside the step yields an all-NaN state,
+    which every stop predicate rejects."""
+    try:
+        k1 = rhs(y)
+        k2 = rhs([a + 0.5 * dt * b for a, b in zip(y, k1)])
+        k3 = rhs([a + 0.5 * dt * b for a, b in zip(y, k2)])
+        k4 = rhs([a + dt * b for a, b in zip(y, k3)])
+    except ArithmeticError:
+        return [math.nan] * len(y)
+    return [
+        a + (dt / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+    ]
+
+
+def _integrate(rhs, y0: list, t0: float, t1: float, dt: float, stop, t_tol=None):
+    """Fixed-step RK4 from y0 at t0 towards t1.
+
+    ``stop(y)`` returns a termination name for a trial state that must
+    not be accepted, else None.  With ``t_tol`` set, a rejected step is
+    halved repeatedly down to ``t_tol``, keeping every accepted sub-step,
+    which brackets the escape time in [t_last, t_last + t_tol].
+
+    Returns (times, states, termination, escape time or None).
+    """
+    t, y = t0, y0
+    ts, ys = [t], [y]
+    while t < t1 - 1e-12:
+        step = min(dt, t1 - t)
+        trial = _rk4_step(rhs, y, step)
+        termination = stop(trial)
+        if termination is not None:
+            if t_tol is None:
+                return ts, ys, termination, None
+            while step > t_tol:
+                step *= 0.5
+                trial = _rk4_step(rhs, y, step)
+                if stop(trial) is None:
+                    t += step
+                    y = trial
+                    ts.append(t)
+                    ys.append(y)
+            return ts, ys, termination, t + step
+        t += step
+        y = trial
+        ts.append(t)
+        ys.append(y)
+    return ts, ys, REACHED_T_MAX, None
+
+
+def _warped_field(ctilde: float):
+    """y -> y' for y = [alpha, gamma, delta] of the warped system."""
+
+    def rhs(y):
+        a, g, d = y
+        return [g, d, 2.0 * g * d / a + d * d / g - 2.0 * ctilde * g * g]
+
+    return rhs
 
 
 def warped_rhs(s: WarpedState) -> np.ndarray:
     """Right-hand side (gamma, delta, 2 gamma delta/alpha + delta^2/gamma
     - 2 Ctilde gamma^2) of the warped first-order system."""
-    if s.alpha <= 0.0:
-        raise DomainError(f"alpha must be positive, got {s.alpha}")
-    if s.gamma == 0.0:
-        raise DomainError("gamma must be nonzero")
-    return _warped_rhs_raw(np.array([s.alpha, s.gamma, s.delta]), s.ctilde)
+    return np.array(_warped_field(s.ctilde)([s.alpha, s.gamma, s.delta]))
 
 
-def _warped_rhs_raw(y: np.ndarray, ctilde: float) -> np.ndarray:
-    a, g, d = y
-    return np.array([g, d, 2.0 * g * d / a + d * d / g - 2.0 * ctilde * g * g])
+def _integral(B, C, alpha, gamma, delta):
+    """A = C alpha^2 + (B alpha^2/gamma)(delta/alpha - 3 gamma^2/alpha^2),
+    elementwise for arrays."""
+    return C * alpha**2 + (B * alpha**2 / gamma) * (delta / alpha - 3.0 * gamma**2 / alpha**2)
 
 
 def warped_integral(s: WarpedState) -> float:
     """Conserved quantity A = C alpha^2 + (B alpha^2/gamma)
     (delta/alpha - 3 gamma^2/alpha^2) of the warped system."""
-    if s.gamma == 0.0:
-        raise DomainError("gamma must be nonzero")
-    a, g, d = s.alpha, s.gamma, s.delta
-    return s.C * a * a + (s.B * a * a / g) * (d / a - 3.0 * g * g / (a * a))
+    return float(_integral(s.B, s.C, s.alpha, s.gamma, s.delta))
 
 
 def integrate_warped(
@@ -385,42 +382,27 @@ def integrate_warped(
     t0, t1 = t_span
     if t1 <= t0:
         raise ValueError(f"t_span must be increasing, got {t_span}")
-    ctilde = s0.ctilde
-    rhs = lambda y: _warped_rhs_raw(y, ctilde)
     sign0 = math.copysign(1.0, s0.gamma)
 
-    y = np.array([s0.alpha, s0.gamma, s0.delta])
-    t = t0
-    ts, ys = [t], [y]
-    termination = REACHED_T_MAX
-    while t < t1 - 1e-12:
-        step = min(dt, t1 - t)
-        y_next = _rk4_step(rhs, y, step)
-        if not np.all(np.isfinite(y_next)) or np.max(np.abs(y_next)) > cap:
-            termination = BLOW_UP
-            break
-        if abs(y_next[1]) < gamma_tol or math.copysign(1.0, y_next[1]) != sign0:
-            termination = SINGULAR_GAMMA
-            break
-        t += step
-        y = y_next
-        ts.append(t)
-        ys.append(y)
+    def stop(y):
+        if not all(map(math.isfinite, y)) or max(map(abs, y)) > cap:
+            return BLOW_UP
+        if abs(y[1]) < gamma_tol or math.copysign(1.0, y[1]) != sign0:
+            return SINGULAR_GAMMA
+        return None
 
-    arr = np.array(ys)
-    alpha, gamma, delta = arr[:, 0], arr[:, 1], arr[:, 2]
-    sigma = np.sqrt(s0.B * alpha**2 / gamma)
-    a_int = s0.C * alpha**2 + (s0.B * alpha**2 / gamma) * (
-        delta / alpha - 3.0 * gamma**2 / alpha**2
+    ts, ys, termination, _ = _integrate(
+        _warped_field(s0.ctilde), [s0.alpha, s0.gamma, s0.delta], t0, t1, dt, stop
     )
+    alpha, gamma, delta = np.array(ys).T
     return Trajectory(
         t=np.array(ts),
         columns={
             "alpha": alpha,
             "gamma": gamma,
             "delta": delta,
-            "sigma": sigma,
-            "A_integral": a_int,
+            "sigma": np.sqrt(s0.B * alpha**2 / gamma),
+            "A_integral": _integral(s0.B, s0.C, alpha, gamma, delta),
         },
         dt=dt,
         termination=termination,
@@ -433,7 +415,8 @@ def integrate_warped(
 
 def rho_rhs(fp: FamilyParams, rho: float) -> float:
     """Right-hand side alpha (rho^3 - beta^3) of the profile equation;
-    equal to (2c/3) rho^3 + e with c = 3 alpha/2, e = -alpha beta^3."""
+    equal to (2c/3) rho^3 + e with c = 3 alpha/2, e = -alpha beta^3.
+    Elementwise for an array of rho values."""
     return fp.alpha * (rho**3 - fp.beta**3)
 
 
@@ -454,35 +437,15 @@ def integrate_rho(
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    f = lambda r: fp.alpha * (r**3 - fp.beta**3)
 
-    t, rho = 0.0, float(rho0)
-    ts, rhos = [t], [rho]
-    termination = REACHED_T_MAX
-    blow_up_time = None
-    while t < t_max - 1e-12:
-        step = min(dt, t_max - t)
-        trial = _rk4_step(f, rho, step)
-        if not math.isfinite(trial) or abs(trial) > cap:
-            # refine: halve the step, keeping every in-range sub-step
-            while step > t_tol:
-                step *= 0.5
-                trial = _rk4_step(f, rho, step)
-                if math.isfinite(trial) and abs(trial) <= cap:
-                    t += step
-                    rho = trial
-                    ts.append(t)
-                    rhos.append(rho)
-            termination = BLOW_UP
-            blow_up_time = t + step
-            break
-        t += step
-        rho = trial
-        ts.append(t)
-        rhos.append(rho)
+    def stop(y):
+        return None if math.isfinite(y[0]) and abs(y[0]) <= cap else BLOW_UP
 
-    rho_arr = np.array(rhos)
-    prime = fp.alpha * (rho_arr**3 - fp.beta**3)
+    ts, ys, termination, blow_up_time = _integrate(
+        lambda y: [rho_rhs(fp, y[0])], [float(rho0)], 0.0, t_max, dt, stop, t_tol
+    )
+    rho_arr = np.array([y[0] for y in ys])
+    prime = rho_rhs(fp, rho_arr)
     with np.errstate(divide="ignore", invalid="ignore"):
         sigma = np.where(
             prime != 0.0, fp.b * rho_arr * np.abs(prime) ** -0.5, np.nan
@@ -594,64 +557,31 @@ def family_fields(fp: FamilyParams, traj: Trajectory) -> tuple[ScalarField, Scal
     alpha, c, b = fp.alpha, fp.c, fp.b
     sgn = math.copysign(1.0, prime[0])
 
-    def rho_val(t):
-        return interp.rho_at(t)
+    # Each closure interpolates rho once (the interpolant raises outside
+    # the trajectory range).  The log-derivatives are exact: near the
+    # collapsed end rho' -> 0 the quotient form f''/f - (f'/f)^2 cancels
+    # catastrophically, while (ln sigma)'' = -(rho'/rho)^2 stays accurate.
+    def state(t):
+        r = require_positive(interp.rho_at(t))
+        return r, rho_rhs(fp, r)
 
-    def rho_d1(t):
-        r = interp.rho_at(t)
-        return alpha * (r**3 - fp.beta**3)
+    def rho_profile(t):
+        r, f = state(t)
+        return r, f, 3.0 * alpha * r * r * f, f / r, 3.0 * alpha * r * f - (f / r) ** 2
 
-    def rho_d2(t):
-        r = interp.rho_at(t)
-        return 3.0 * alpha * r * r * (alpha * (r**3 - fp.beta**3))
+    def sigma_profile(t):
+        r, f = state(t)
+        root = math.sqrt(sgn * f)
+        sv = b * r / root
+        return (
+            sv,
+            b * (f - c * r**3) / root,
+            sv * c * r * (c * r**3 - 2.0 * f),
+            f / r - c * r * r,
+            -((f / r) ** 2),
+        )
 
-    def sigma_val(t):
-        r = interp.rho_at(t)
-        f = alpha * (r**3 - fp.beta**3)
-        return b * r / math.sqrt(sgn * f)
-
-    def sigma_d1(t):
-        r = interp.rho_at(t)
-        f = alpha * (r**3 - fp.beta**3)
-        return b * (f - c * r**3) / math.sqrt(sgn * f)
-
-    def sigma_d2(t):
-        r = interp.rho_at(t)
-        f = alpha * (r**3 - fp.beta**3)
-        return (b * r / math.sqrt(sgn * f)) * c * r * (c * r**3 - 2.0 * f)
-
-    # Exact log-derivative closures: near the collapsed end rho' -> 0 the
-    # quotient form f''/f - (f'/f)^2 cancels catastrophically while these
-    # stay fully accurate ((ln sigma)'' = -(rho'/rho)^2 along solutions).
-    def rho_log_d1(t):
-        r = interp.rho_at(t)
-        return alpha * (r**3 - fp.beta**3) / r
-
-    def rho_log_d2(t):
-        r = interp.rho_at(t)
-        f = alpha * (r**3 - fp.beta**3)
-        return 3.0 * alpha * r * f - (f / r) ** 2
-
-    def sigma_log_d1(t):
-        r = interp.rho_at(t)
-        f = alpha * (r**3 - fp.beta**3)
-        return f / r - c * r * r
-
-    def sigma_log_d2(t):
-        r = interp.rho_at(t)
-        f = alpha * (r**3 - fp.beta**3)
-        return -((f / r) ** 2)
-
-    # the interpolant raises outside the trajectory range by itself
-    rho_field = ProfileField(
-        rho_val, rho_d1, rho_d2, positive=True,
-        log_deriv1=rho_log_d1, log_deriv2=rho_log_d2,
-    )
-    sigma_field = ProfileField(
-        sigma_val, sigma_d1, sigma_d2, positive=True,
-        log_deriv1=sigma_log_d1, log_deriv2=sigma_log_d2,
-    )
-    return sigma_field, rho_field
+    return ProfileField(sigma_profile, positive=True), ProfileField(rho_profile, positive=True)
 
 
 def family_metric(fp: FamilyParams, traj: Trajectory) -> MetricField:
@@ -713,33 +643,23 @@ def end_diagnostics(
     sigma_slope = _fit_slope_through_origin(t[small], sigma[small])
     small_end = "hyperbolic-type" if rho_slope > 0.0 and sigma_slope > 0.0 else "undetermined"
 
-    if traj.termination == BLOW_UP:
-        return EndDiagnostics(
-            rho_slope=rho_slope,
-            sigma_slope=sigma_slope,
-            rho_limit=float(rho[-1]),
-            inv_sigma_limit=float(1.0 / sigma[-1]),
-            small_end=small_end,
-            large_end=BLOW_UP,
-            blow_up_time=traj.blow_up_time,
-        )
-
-    t_end = t[-1]
-    large = t >= (1.0 - large_fraction) * t_end
-    if int(np.sum(large)) < 10:
-        raise ValueError(
-            f"trajectory too short to fit: {int(np.sum(large))} samples in the large-t regime"
-        )
-    rho_limit = float(rho[-1])
-    inv_sigma_limit = float(1.0 / sigma[-1])
-    settled = abs(traj["rho_prime"][-1]) < 1e-2 and abs(inv_sigma_limit) < 1e-2
-    large_end = "r2-end" if settled else "undetermined"
+    blow_up = traj.termination == BLOW_UP
+    if blow_up:
+        large_end = BLOW_UP
+    else:
+        large = t >= (1.0 - large_fraction) * t[-1]
+        if int(np.sum(large)) < 10:
+            raise ValueError(
+                f"trajectory too short to fit: {int(np.sum(large))} samples in the large-t regime"
+            )
+        settled = abs(traj["rho_prime"][-1]) < 1e-2 and abs(1.0 / sigma[-1]) < 1e-2
+        large_end = "r2-end" if settled else "undetermined"
     return EndDiagnostics(
         rho_slope=rho_slope,
         sigma_slope=sigma_slope,
-        rho_limit=rho_limit,
-        inv_sigma_limit=inv_sigma_limit,
+        rho_limit=float(rho[-1]),
+        inv_sigma_limit=float(1.0 / sigma[-1]),
         small_end=small_end,
         large_end=large_end,
-        blow_up_time=None,
+        blow_up_time=traj.blow_up_time if blow_up else None,
     )

@@ -5,16 +5,19 @@ Three backings are provided:
 * ``ExpressionField`` -- parsed expression, exact derivatives via jets;
 * ``CallableField``   -- black-box function, centered finite differences
   (h = 1e-4 for first, 1e-3 for second partials);
-* ``ProfileField``    -- function of t = x1 alone with caller-supplied
-  value/derivative closures (used for ODE-generated profiles).
+* ``ProfileField``    -- function of t = x1 alone with one caller-supplied
+  profile closure (used for ODE-generated profiles).
 
 Fields are immutable after construction and safe to evaluate from any
-thread.  A field constructed with ``positive=True`` raises
-``PositivityError`` whenever an evaluation returns a non-positive value.
+thread.  Positive means finite and > 0 (``require_positive``): a field
+constructed with ``positive=True`` raises ``PositivityError`` whenever an
+evaluation returns anything else, NaN and inf included, and the log
+derivatives require it of every field.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,6 +26,7 @@ from .expr import DomainError, Expr, Jet, eval_jet, eval_value, parse_expr
 
 __all__ = [
     "PositivityError",
+    "require_positive",
     "Point",
     "as_point",
     "ScalarField",
@@ -36,7 +40,17 @@ Point = Sequence[float]
 
 
 class PositivityError(DomainError):
-    """A field declared positive evaluated to a non-positive value."""
+    """A field required to be positive evaluated to a non-positive or
+    non-finite value."""
+
+
+def require_positive(value: float, p: Point | None = None) -> float:
+    """Return ``value`` if it is finite and > 0, else raise PositivityError
+    (naming the point ``p`` when given).  NaN fails the comparison."""
+    if 0.0 < value < math.inf:
+        return value
+    where = "" if p is None else f" at {tuple(map(float, p))}"
+    raise PositivityError(f"field must be finite and positive, got {value}{where}")
 
 
 def as_point(p: Point) -> np.ndarray:
@@ -65,21 +79,14 @@ class ScalarField:
     def __call__(self, p: Point) -> float:
         arr = as_point(p)
         value = self._raw_value(arr)
-        if self.positive and value <= 0.0:
-            raise PositivityError(
-                f"field must be positive, got {value} at {tuple(map(float, arr))}"
-            )
+        if self.positive:
+            require_positive(value, arr)
         return value
-
-    def eval(self, p: Point) -> float:
-        return self(p)
 
     def jet(self, p: Point) -> Jet:
         jet = self._raw_jet(as_point(p))
-        if self.positive and jet.val <= 0.0:
-            raise PositivityError(
-                f"field must be positive, got {jet.val} at {tuple(p)}"
-            )
+        if self.positive:
+            require_positive(jet.val, p)
         return jet
 
     def partial(self, p: Point, i: int) -> float:
@@ -97,18 +104,15 @@ class ScalarField:
     def grad_ln(self, p: Point) -> np.ndarray:
         """Gradient of ln(f): component a is (d_a f)/f.  Requires f > 0."""
         jet = self.jet(p)
-        if jet.val <= 0.0:
-            raise DomainError(f"grad_ln requires a positive value, got {jet.val}")
-        return jet.g / jet.val
+        return jet.g / require_positive(jet.val, p)
 
     def log_jet(self, p: Point):
         """(f, grad ln f, Hessian of ln f) at p; requires f > 0."""
         jet = self.jet(p)
-        if jet.val <= 0.0:
-            raise DomainError(f"log_jet requires a positive value, got {jet.val}")
-        lg = jet.g / jet.val
-        lh = jet.h / jet.val - np.outer(lg, lg)
-        return jet.val, lg, lh
+        value = require_positive(jet.val, p)
+        lg = jet.g / value
+        lh = jet.h / value - np.outer(lg, lg)
+        return value, lg, lh
 
 
 class ExpressionField(ScalarField):
@@ -156,94 +160,71 @@ class CallableField(ScalarField):
     def _raw_jet(self, p: np.ndarray) -> Jet:
         f = self.func
         h1, h2 = self.h1, self.h2
+        e1, e2 = np.eye(4) * h1, np.eye(4) * h2
         value = float(f(p))
-        g = np.zeros(4)
-        for a in range(4):
-            e = np.zeros(4)
-            e[a] = h1
-            g[a] = (f(p + e) - f(p - e)) / (2.0 * h1)
+        g = np.array([(f(p + e) - f(p - e)) / (2.0 * h1) for e in e1])
         h = np.zeros((4, 4))
-        for a in range(4):
-            e = np.zeros(4)
-            e[a] = h2
-            h[a, a] = (f(p + e) - 2.0 * value + f(p - e)) / (h2 * h2)
-        for a in range(4):
+        for a, ea in enumerate(e2):
+            h[a, a] = (f(p + ea) - 2.0 * value + f(p - ea)) / (h2 * h2)
             for b in range(a + 1, 4):
-                ea = np.zeros(4)
-                eb = np.zeros(4)
-                ea[a] = h2
-                eb[b] = h2
-                mixed = (
+                eb = e2[b]
+                h[a, b] = h[b, a] = (
                     f(p + ea + eb) - f(p + ea - eb) - f(p - ea + eb) + f(p - ea - eb)
                 ) / (4.0 * h2 * h2)
-                h[a, b] = mixed
-                h[b, a] = mixed
         return Jet(value, g, h)
 
 
 class ProfileField(ScalarField):
-    """Field depending on t = x1 only, with supplied derivative closures.
+    """Field depending on t = x1 only, given by one profile closure
 
-    ``domain`` restricts t to the open interval (lo, hi); use ``None``
-    for an unbounded side.  When the caller can evaluate (ln f)' and
-    (ln f)'' in closed form, passing ``log_deriv1``/``log_deriv2``
-    sidesteps the cancellation in f''/f - (f'/f)^2 for profiles whose
+        profile(t) -> (f, f', f'', (ln f)', (ln f)'').
+
+    The log-derivatives are taken from the closure rather than from
+    f''/f - (f'/f)^2, which cancels catastrophically for profiles whose
     log-derivatives are many orders smaller than the quotient terms.
+    ``domain`` restricts t to the open interval (lo, hi); use ``None``
+    for an unbounded side.
     """
 
     def __init__(
         self,
-        value: Callable[[float], float],
-        deriv1: Callable[[float], float],
-        deriv2: Callable[[float], float],
+        profile: Callable[[float], tuple[float, float, float, float, float]],
         domain: tuple[float | None, float | None] = (None, None),
         positive: bool = False,
-        log_deriv1: Callable[[float], float] | None = None,
-        log_deriv2: Callable[[float], float] | None = None,
     ):
         super().__init__(positive)
-        self.value_fn = value
-        self.deriv1_fn = deriv1
-        self.deriv2_fn = deriv2
+        self.profile = profile
         self.domain = domain
-        self.log_deriv1_fn = log_deriv1
-        self.log_deriv2_fn = log_deriv2
 
-    def log_jet(self, p):
-        if self.log_deriv1_fn is None or self.log_deriv2_fn is None:
-            return super().log_jet(p)
-        q = as_point(p)
-        t = q[0]
-        self._check_domain(t)
-        value = float(self.value_fn(t))
-        if value <= 0.0:
-            raise DomainError(f"log_jet requires a positive value, got {value}")
-        lg = np.zeros(4)
-        lg[0] = self.log_deriv1_fn(t)
-        lh = np.zeros((4, 4))
-        lh[0, 0] = self.log_deriv2_fn(t)
-        return value, lg, lh
-
-    def _check_domain(self, t: float) -> None:
+    def _at(self, p) -> tuple[float, float, float, float, float]:
+        t = p[0]
         lo, hi = self.domain
         if lo is not None and t <= lo:
             raise DomainError(f"profile defined for t > {lo}, got t = {t}")
         if hi is not None and t >= hi:
             raise DomainError(f"profile defined for t < {hi}, got t = {t}")
+        return self.profile(t)
 
     def _raw_value(self, p: np.ndarray) -> float:
-        t = p[0]
-        self._check_domain(t)
-        return float(self.value_fn(t))
+        return float(self._at(p)[0])
 
     def _raw_jet(self, p: np.ndarray) -> Jet:
-        t = p[0]
-        self._check_domain(t)
-        g = np.zeros(4)
-        g[0] = self.deriv1_fn(t)
-        h = np.zeros((4, 4))
-        h[0, 0] = self.deriv2_fn(t)
-        return Jet(float(self.value_fn(t)), g, h)
+        f, d1, d2, _, _ = self._at(p)
+        return Jet(float(f), *_t_only(d1, d2))
+
+    def log_jet(self, p):
+        q = as_point(p)
+        f, _, _, l1, l2 = self._at(q)
+        return (require_positive(float(f), q), *_t_only(l1, l2))
+
+
+def _t_only(d1: float, d2: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and Hessian of a function of t = x1 alone."""
+    g = np.zeros(4)
+    g[0] = d1
+    h = np.zeros((4, 4))
+    h[0, 0] = d2
+    return g, h
 
 
 def constant_field(value: float, positive: bool = False) -> ScalarField:

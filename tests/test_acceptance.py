@@ -89,7 +89,7 @@ def test_criterion_3_oracle_equivalence():
         g = metric_of(d).without_partials()
         for _ in range(10):
             p = random_point(rng, 0.4)
-            closed = frame_to_coords(ricci_frame(d, p), d, p)
+            closed = frame_to_coords(ricci_frame(d, p))
             fd = ricci_fd(g, p)
             diff = float(np.max(np.abs(closed - fd)))
             worst = max(worst, diff)

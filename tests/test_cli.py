@@ -1,11 +1,14 @@
 """CLI behavior: exit-code contract, deterministic output, config precedence."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import biconf
 from biconf.cli import EXAMPLE_NAMES, main
 
 S2_SIGMA = "(1 + x1^2 + x2^2)/2"
@@ -249,6 +252,15 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     assert main(["residual", "--config", str(cfg), "--A", "0"]) == 3
 
 
+def test_config_format_uses_the_flag_choices(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "out.xml"
+    cfg.write_text(f"sigma = {S2_SIGMA}\nrho = {S2_RHO}\nA = 1\ngrid = x1=0:0:1\nformat = xml\n")
+    assert main(["residual", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "'format'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_env_var_overrides_default_tolerance(monkeypatch, capsys):
     base = ["residual", "--sigma", S2_SIGMA, "--rho", S2_RHO, "--A", "0", "--grid", "x1=0:0:1"]
     monkeypatch.setenv("BICONF_TOL", "10.0")
@@ -273,10 +285,14 @@ def test_invalid_numeric_settings(capsys):
 
 
 def test_console_script_entry_point():
+    # the child imports the same biconf as this process, installed or not
+    src = str(Path(biconf.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "biconf.cli", "examples", "list"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.split() == EXAMPLE_NAMES

@@ -13,15 +13,13 @@ from biconf import (
     PositivityError,
     conformal_ricci_coords,
     deformed_laplacian,
+    einstein_residuals,
     frame_to_coords,
     horizontal_commutator,
     laplace_beltrami_fd,
     metric_of,
     ricci_fd,
     ricci_frame,
-    ricci_horizontal,
-    ricci_mixed,
-    ricci_vertical,
     transformation_laws,
 )
 from helpers import hyperbolic_pair, random_pair, random_point, sphere_pair
@@ -53,30 +51,30 @@ def test_metric_positivity_guard():
 
 
 def test_horizontal_block():
-    assert np.max(np.abs(ricci_horizontal(UNIT_PAIR, ORIGIN))) == 0.0
-    assert np.allclose(ricci_horizontal(sphere_pair(), ORIGIN), np.eye(2), atol=1e-14)
+    assert np.max(np.abs(ricci_frame(UNIT_PAIR, ORIGIN).hh)) == 0.0
+    assert np.allclose(ricci_frame(sphere_pair(), ORIGIN).hh, np.eye(2), atol=1e-14)
 
     # H^2 x R^2: horizontal Gaussian curvature -1, flat vertical factor
     d = DeformationPair.from_exprs("(1 - x1^2 - x2^2)/2", "1")
-    hh = ricci_horizontal(d, ORIGIN)
+    hh = ricci_frame(d, ORIGIN).hh
     assert np.allclose(hh, -np.eye(2), atol=1e-14)
-    assert np.max(np.abs(ricci_vertical(d, ORIGIN))) < 1e-14
+    assert np.max(np.abs(ricci_frame(d, ORIGIN).vv)) < 1e-14
     # confirm the product computation against the oracle
     fd = ricci_fd(metric_of(d), ORIGIN)
-    closed = frame_to_coords(ricci_frame(d, ORIGIN), d, ORIGIN)
+    closed = frame_to_coords(ricci_frame(d, ORIGIN))
     assert np.max(np.abs(closed - fd)) < 1e-5
 
 
 def test_vertical_block():
-    assert np.max(np.abs(ricci_vertical(UNIT_PAIR, ORIGIN))) == 0.0
-    assert np.allclose(ricci_vertical(sphere_pair(), ORIGIN), np.eye(2), atol=1e-14)
+    assert np.max(np.abs(ricci_frame(UNIT_PAIR, ORIGIN).vv)) == 0.0
+    assert np.allclose(ricci_frame(sphere_pair(), ORIGIN).vv, np.eye(2), atol=1e-14)
 
     # R^2 x H^2
     d = DeformationPair.from_exprs("1", "(1 - x3^2 - x4^2)/2")
-    vv = ricci_vertical(d, ORIGIN)
+    vv = ricci_frame(d, ORIGIN).vv
     assert np.allclose(vv, -np.eye(2), atol=1e-14)
     fd = ricci_fd(metric_of(d), ORIGIN)
-    closed = frame_to_coords(ricci_frame(d, ORIGIN), d, ORIGIN)
+    closed = frame_to_coords(ricci_frame(d, ORIGIN))
     assert np.max(np.abs(closed - fd)) < 1e-5
 
 
@@ -90,7 +88,7 @@ def test_mixed_block_vanishes_for_separated_pairs():
     rng = np.random.default_rng(8)
     for d in pairs:
         for _ in range(3):
-            hv = ricci_mixed(d, random_point(rng, 0.3))
+            hv = ricci_frame(d, random_point(rng, 0.3)).hv
             assert np.max(np.abs(hv)) == 0.0
 
 
@@ -98,19 +96,19 @@ def test_mixed_block_cross_dependencies():
     # sigma = exp(x3), rho = exp(x1): entry (j=1, s=3) is 2 at the origin,
     # everything else vanishes; confirmed against the FD oracle below.
     d = DeformationPair.from_exprs("exp(x3)", "exp(x1)")
-    hv = ricci_mixed(d, ORIGIN)
+    hv = ricci_frame(d, ORIGIN).hv
     assert np.allclose(hv, [[2.0, 0.0], [0.0, 0.0]])
-    closed = frame_to_coords(ricci_frame(d, ORIGIN), d, ORIGIN)
+    closed = frame_to_coords(ricci_frame(d, ORIGIN))
     fd = ricci_fd(metric_of(d), ORIGIN)
     assert np.max(np.abs(closed - fd)) < 1e-5
 
     # sigma = rho = exp(x1*x4... use x1*x3): mixed second derivative of
     # ln(sigma*rho) is 2, log-gradients vanish at the origin.
     d2 = DeformationPair.from_exprs("exp(x1*x3)", "exp(x1*x3)")
-    hv2 = ricci_mixed(d2, ORIGIN)
+    hv2 = ricci_frame(d2, ORIGIN).hv
     assert np.allclose(hv2, [[2.0, 0.0], [0.0, 0.0]])
     p = (0.12, -0.07, 0.2, 0.977)
-    closed2 = frame_to_coords(ricci_frame(d2, p), d2, p)
+    closed2 = frame_to_coords(ricci_frame(d2, p))
     fd2 = ricci_fd(metric_of(d2), p)
     assert np.max(np.abs(closed2 - fd2)) < 1e-4
 
@@ -136,11 +134,46 @@ def test_frame_ricci_blocks_accessors():
 def test_frame_to_coords():
     d = sphere_pair()
     fr = ricci_frame(d, ORIGIN)
-    assert np.allclose(frame_to_coords(fr, d, ORIGIN), np.diag([4.0, 4.0, 4.0, 4.0]))
+    assert np.allclose(frame_to_coords(fr), np.diag([4.0, 4.0, 4.0, 4.0]))
 
     dx = DeformationPair.from_exprs("exp(x3)", "exp(x1)")
-    coords = frame_to_coords(ricci_frame(dx, ORIGIN), dx, ORIGIN)
+    coords = frame_to_coords(ricci_frame(dx, ORIGIN))
     assert abs(coords[0, 2] - 2.0) < 1e-14  # sigma(0) = rho(0) = 1
+
+
+class CountingField(ExpressionField):
+    """Expression field that counts its value and jet evaluations."""
+
+    def __init__(self, source):
+        super().__init__(source, positive=True)
+        self.values = self.jets = 0
+
+    def _raw_value(self, p):
+        self.values += 1
+        return super()._raw_value(p)
+
+    def _raw_jet(self, p):
+        self.jets += 1
+        return super()._raw_jet(p)
+
+
+def test_closed_forms_evaluate_each_field_once_per_point():
+    """Coordinate Ricci and the ten residuals cost one jet of each field
+    per point and no value evaluations."""
+    sigma = CountingField("exp(0.2*x1 - 0.1*x3*x4 + 0.05*x2^2)")
+    rho = CountingField("(1.2 + 0.3*x1^2 + 0.2*x4^2)/2")
+    d = DeformationPair(sigma, rho)
+    rng = np.random.default_rng(17)
+    closed_forms = (
+        lambda p: frame_to_coords(ricci_frame(d, p)),
+        lambda p: einstein_residuals(d, 0.5, p),
+    )
+    for closed_form in closed_forms:
+        for _ in range(3):
+            sigma.values = sigma.jets = rho.values = rho.jets = 0
+            closed_form(random_point(rng, 0.4))
+            assert (sigma.jets, rho.jets) == (1, 1)
+            assert (sigma.values, rho.values) == (0, 0)
 
 
 def test_oracle_agreement_random_corpus():
@@ -152,7 +185,7 @@ def test_oracle_agreement_random_corpus():
         g = metric_of(d)
         for _ in range(10):
             p = random_point(rng, 0.4)
-            closed = frame_to_coords(ricci_frame(d, p), d, p)
+            closed = frame_to_coords(ricci_frame(d, p))
             fd = ricci_fd(g, p)
             worst = max(worst, float(np.max(np.abs(closed - fd))))
     print("oracle agreement worst:", worst)
@@ -167,7 +200,7 @@ def test_conformal_reduction():
     d = DeformationPair(sigma, sigma)
     for _ in range(10):
         p = random_point(rng, 0.5)
-        closed = frame_to_coords(ricci_frame(d, p), d, p)
+        closed = frame_to_coords(ricci_frame(d, p))
         remark = conformal_ricci_coords(sigma, p)
         assert np.max(np.abs(closed - remark)) < 1e-8
 

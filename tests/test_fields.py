@@ -7,6 +7,7 @@ import pytest
 
 from biconf import (
     CallableField,
+    DeformationPair,
     DomainError,
     ExpressionField,
     PositivityError,
@@ -95,6 +96,25 @@ def test_positivity_flag():
         f.jet(ORIGIN)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_positivity_rejects_nan_and_inf(bad):
+    """Positive means finite and > 0: NaN and inf fail every check."""
+    f = CallableField(lambda p: bad, positive=True)
+    with pytest.raises(PositivityError):
+        f(ORIGIN)
+    with pytest.raises(PositivityError):
+        f.jet(ORIGIN)
+    with pytest.raises(PositivityError):
+        f.log_jet(ORIGIN)
+    with pytest.raises(PositivityError):
+        DeformationPair(f, constant_field(1.0, positive=True)).log_data(ORIGIN)
+    # the log derivatives require positivity of any field
+    with pytest.raises(PositivityError):
+        CallableField(lambda p: bad).grad_ln(ORIGIN)
+    with pytest.raises(PositivityError):
+        ProfileField(lambda t: (bad, 0.0, 0.0, 0.0, 0.0)).log_jet(ORIGIN)
+
+
 def test_callable_field_matches_expression_twin():
     expr = ExpressionField("exp(0.4*x1 - 0.3*x2^2 + 0.2*x3*x4)")
     black = CallableField(lambda p: expr(p))
@@ -112,9 +132,7 @@ def test_callable_field_matches_expression_twin():
 
 def test_profile_field():
     prof = ProfileField(
-        value=lambda t: t * t,
-        deriv1=lambda t: 2.0 * t,
-        deriv2=lambda t: 2.0,
+        lambda t: (t * t, 2.0 * t, 2.0, 2.0 / t, -2.0 / (t * t)),
         domain=(0.0, None),
         positive=True,
     )
@@ -129,11 +147,13 @@ def test_profile_field():
 
 def test_profile_log_derivative_override():
     prof = ProfileField(
-        value=lambda t: math.exp(2.0 * t),
-        deriv1=lambda t: 2.0 * math.exp(2.0 * t),
-        deriv2=lambda t: 4.0 * math.exp(2.0 * t),
-        log_deriv1=lambda t: 2.0,
-        log_deriv2=lambda t: 0.0,
+        lambda t: (
+            math.exp(2.0 * t),
+            2.0 * math.exp(2.0 * t),
+            4.0 * math.exp(2.0 * t),
+            2.0,
+            0.0,
+        )
     )
     v, lg, lh = prof.log_jet((0.7, 0, 0, 0))
     assert math.isclose(v, math.exp(1.4))
