@@ -10,21 +10,26 @@ Subcommands:
     examples      list or run the named canned verifications
 
 Exit codes: 0 success, 1 validation/parse failure, 2 numerical failure
-(singular metric, domain error), 3 tolerance exceeded.
+(singular metric, domain error, float overflow in a field, a warped
+trajectory stopped before t-max), 3 tolerance exceeded.
 
-Option precedence: command-line flags override the config file (plain
-``key = value`` lines) which overrides built-in defaults; the env var
-BICONF_TOL replaces the built-in default tolerance only.  CSV output is
-deterministic: fixed headers, 17-significant-digit floats, LF endings.
+Each option is declared once, in ``build_parser()``.  A ``--config`` file
+of ``key = value`` lines names flags (``t_max`` or ``t-max``) and goes
+through their own converters and choices; keys of another subcommand
+are ignored, other keys are errors.  Flags override the config file,
+which overrides BICONF_TOL (tolerance only), which overrides the
+parser's defaults.  CSV output is deterministic: fixed headers,
+17-significant-digit floats, LF endings.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
+import shlex
 import sys
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -33,7 +38,7 @@ from .deform import DeformationPair, frame_to_coords, metric_of, ricci_frame
 from .expr import DomainError, ParseError
 from .families import (
     BLOW_UP,
-    SINGULAR_GAMMA,
+    REACHED_T_MAX,
     FamilyParams,
     WarpedState,
     einstein_constant,
@@ -70,8 +75,6 @@ RESIDUAL_COLUMNS = [
     "res_34",
 ]
 
-FORMATS = ("csv", "json")
-
 EXAMPLE_NAMES = ["s2xs2", "h2xh2", "ricci-flat", "hyperbolic", "family-i", "family-ii"]
 
 
@@ -83,60 +86,26 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-@dataclass
-class RunConfig:
-    """Resolved settings for one command invocation."""
-
-    command: str
-    sigma: str | None = None
-    rho: str | None = None
-    A: float | None = None
-    grid: str = "x1=-0.3:0.3:3,x2=-0.3:0.3:3,x3=-0.3:0.3:3,x4=-0.3:0.3:3"
-    h: float = DEFAULT_GAMMA_STEP
-    alpha: float | None = None
-    beta: float | None = None
-    b: float = 1.0
-    B: float = 1.0
-    C: float | None = None
-    Ctilde: float | None = None
-    alpha0: float | None = None
-    gamma0: float | None = None
-    delta0: float | None = None
-    rho0: float = 0.0
-    dt: float = 1e-3
-    t_max: float = 10.0
-    t_min: float = 0.5
-    tol: float | None = None
-    out: str | None = None
-    format: str = "csv"
-    expect_complete: bool = False
-    ricci_flat: bool = False
-    a: float = 1.0
-    fd_every: int = 0
-    name: str | list | None = None  # examples positional words
+def positive(text: str) -> float:
+    """Flag type: a finite float > 0."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise ValueError(text)
+    return value
 
 
-_FLOAT_KEYS = {
-    "A",
-    "h",
-    "alpha",
-    "beta",
-    "b",
-    "B",
-    "C",
-    "Ctilde",
-    "alpha0",
-    "gamma0",
-    "delta0",
-    "rho0",
-    "dt",
-    "t_max",
-    "t_min",
-    "tol",
-    "a",
+def count(text: str) -> int:
+    """Flag type: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
+_BOOL_WORDS = {
+    **dict.fromkeys(("1", "true", "yes", "on"), True),
+    **dict.fromkeys(("0", "false", "no", "off"), False),
 }
-_BOOL_KEYS = {"expect_complete", "ricci_flat"}
-_INT_KEYS = {"fd_every"}
 
 
 def _read_config_file(path: str) -> dict:
@@ -157,57 +126,57 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-def _coerce(key: str, raw: str):
+def _config_value(action: argparse.Action, key: str, raw: str):
+    """``raw`` converted and checked as the flag of ``action`` would be;
+    a store-true flag takes the words of _BOOL_WORDS."""
     try:
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _BOOL_KEYS:
-            low = raw.lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
+        if action.nargs == 0:
+            return _BOOL_WORDS[raw.lower()]
+        value = action.type(raw) if action.type else raw
+        if action.choices is not None and value not in action.choices:
             raise ValueError(raw)
-        if key == "format" and raw not in FORMATS:
-            raise ValueError(raw)
-    except ValueError:
+        return value
+    except (KeyError, ValueError):
         raise UsageError(f"config value for {key!r} is invalid: {raw!r}") from None
-    return raw
 
 
-def _resolve_config(args: argparse.Namespace, command: str) -> RunConfig:
-    """Merge flags > config file > BICONF_TOL (for tol) > defaults."""
-    cfg = RunConfig(command=command)
-    file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
+def _config_defaults(parser: argparse.ArgumentParser, command: str, path: str) -> dict:
+    """The settings of config file ``path`` that apply to ``command``.
+    A key is the dest of a flag; one naming a flag of another subcommand
+    is ignored, one naming no flag is an error."""
+    options = {
+        name: {
+            a.dest: a for a in sub._actions if a.option_strings and a.dest not in ("help", "config")
+        }
+        for name, sub in parser.commands.items()
+    }
+    defaults = {}
+    for key, raw in _read_config_file(path).items():
+        if key in options[command]:
+            defaults[key] = _config_value(options[command][key], key, raw)
+        elif not any(key in opts for opts in options.values()):
+            raise UsageError(f"unknown config key {key!r}")
+    return defaults
+
+
+def resolve_args(argv: list[str] | None) -> argparse.Namespace:
+    """Parse ``argv``, then parse it again with BICONF_TOL and the --config
+    file installed as defaults of the subcommand's parser."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    defaults = {}
     env_tol = os.environ.get("BICONF_TOL")
     if env_tol is not None:
         try:
-            cfg.tol = float(env_tol)
+            defaults["tol"] = positive(env_tol)
         except ValueError:
-            raise UsageError(f"BICONF_TOL is not a number: {env_tol!r}") from None
-    for key, raw in file_values.items():
-        if not hasattr(cfg, key) or key == "command":
-            raise UsageError(f"unknown config key {key!r}")
-        setattr(cfg, key, _coerce(key, raw))
-    for key in vars(cfg):
-        if key == "command":
-            continue
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            setattr(cfg, key, flag_value)
-    if cfg.dt <= 0.0:
-        raise UsageError(f"dt must be positive, got {cfg.dt}")
-    if cfg.t_max <= 0.0:
-        raise UsageError(f"t-max must be positive, got {cfg.t_max}")
-    if cfg.tol is not None and cfg.tol <= 0.0:
-        raise UsageError(f"tolerance must be positive, got {cfg.tol}")
-    if cfg.h <= 0.0:
-        raise UsageError(f"h must be positive, got {cfg.h}")
-    if cfg.fd_every < 0:
-        raise UsageError(f"fd-every must be >= 0, got {cfg.fd_every}")
-    return cfg
+            raise UsageError(f"BICONF_TOL is not a positive number: {env_tol!r}") from None
+    if args.config:
+        defaults.update(_config_defaults(parser, args.command, args.config))
+    if not defaults:
+        return args
+    parser.commands[args.command].set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def _parse_grid(spec: str) -> list[np.ndarray]:
@@ -236,11 +205,6 @@ def _parse_grid(spec: str) -> list[np.ndarray]:
     return [axes[f"x{i}"] for i in range(1, 5)]
 
 
-def _grid_points(spec: str):
-    ax1, ax2, ax3, ax4 = _parse_grid(spec)
-    return [np.array(p) for p in product(ax1, ax2, ax3, ax4)]
-
-
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
@@ -259,37 +223,37 @@ def _write_json(path: str, key: str, header: list[str], rows: list[list], summar
         fh.write("\n")
 
 
-def _emit(cfg: RunConfig, key: str, header: list[str], rows: list[list], summary: dict) -> None:
-    if cfg.out is None:
+def _emit(args: argparse.Namespace, key: str, header: list[str], rows: list, summary: dict) -> None:
+    if args.out is None:
         return
-    if cfg.format == "csv":
-        _write_csv(cfg.out, header, rows)
+    if args.format == "csv":
+        _write_csv(args.out, header, rows)
     else:
-        _write_json(cfg.out, key, header, rows, summary)
+        _write_json(args.out, key, header, rows, summary)
 
 
-def _require(cfg: RunConfig, *keys: str) -> None:
+def _require(args: argparse.Namespace, *keys: str) -> None:
     for key in keys:
-        if getattr(cfg, key) is None:
+        if getattr(args, key) is None:
             raise UsageError(f"--{key.replace('_', '-')} is required for this command")
 
 
-def _deformation(cfg: RunConfig) -> DeformationPair:
-    _require(cfg, "sigma", "rho")
-    return DeformationPair.from_exprs(cfg.sigma, cfg.rho)
+def _deformation(args: argparse.Namespace) -> DeformationPair:
+    _require(args, "sigma", "rho")
+    return DeformationPair.from_exprs(args.sigma, args.rho)
 
 
 # ---------------------------------------------------------------------------
 # Commands
 
 
-def _grid_scan(cfg: RunConfig, label: str, evaluate) -> tuple[list, float]:
+def _grid_scan(args: argparse.Namespace, label: str, evaluate) -> tuple[list, float]:
     """Rows (x1, x2, x3, x4, *evaluate(p)) over the grid, whose last value
     is the point's maximum (printed as ``label``); returns the rows and
     the grid maximum."""
     rows = []
     grid_max = 0.0
-    for p in _grid_points(cfg.grid):
+    for p in map(np.array, product(*_parse_grid(args.grid))):
         values = evaluate(p)
         top = values[-1]
         grid_max = max(grid_max, top)
@@ -301,46 +265,44 @@ def _grid_scan(cfg: RunConfig, label: str, evaluate) -> tuple[list, float]:
     return rows, grid_max
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    tol = cfg.tol if cfg.tol is not None else 1e-4
-    d = _deformation(cfg)
+def cmd_verify(args: argparse.Namespace) -> int:
+    d = _deformation(args)
     g = metric_of(d)
 
     def evaluate(p):
         closed = frame_to_coords(ricci_frame(d, p))
-        return [float(np.max(np.abs(closed - ricci_fd(g, p, h=cfg.h))))]
+        return [float(np.max(np.abs(closed - ricci_fd(g, p, h=args.h))))]
 
-    rows, grid_max = _grid_scan(cfg, "max|closed - fd|", evaluate)
-    passed = grid_max < tol
-    summary = {"grid_max": grid_max, "tol": tol, "pass": passed, "points": len(rows)}
-    _emit(cfg, "points", ["x1", "x2", "x3", "x4", "max_abs_diff"], rows, summary)
-    print(f"grid max |closed-form - FD| = {grid_max:.6e}  (tol {tol:g})")
+    rows, grid_max = _grid_scan(args, "max|closed - fd|", evaluate)
+    passed = grid_max < args.tol
+    summary = {"grid_max": grid_max, "tol": args.tol, "pass": passed, "points": len(rows)}
+    _emit(args, "points", ["x1", "x2", "x3", "x4", "max_abs_diff"], rows, summary)
+    print(f"grid max |closed-form - FD| = {grid_max:.6e}  (tol {args.tol:g})")
     return 0 if passed else 3
 
 
-def cmd_residual(cfg: RunConfig) -> int:
-    tol = cfg.tol if cfg.tol is not None else 1e-8
-    _require(cfg, "A")
-    d = _deformation(cfg)
+def cmd_residual(args: argparse.Namespace) -> int:
+    _require(args, "A")
+    d = _deformation(args)
 
     def evaluate(p):
-        res = einstein_residuals(d, cfg.A, p)
+        res = einstein_residuals(d, args.A, p)
         return [*res, float(np.max(np.abs(res)))]
 
-    rows, grid_max = _grid_scan(cfg, "max|residual|", evaluate)
-    passed = grid_max < tol
-    summary = {"grid_max": grid_max, "tol": tol, "pass": passed, "A": cfg.A}
+    rows, grid_max = _grid_scan(args, "max|residual|", evaluate)
+    passed = grid_max < args.tol
+    summary = {"grid_max": grid_max, "tol": args.tol, "pass": passed, "A": args.A}
     header = ["x1", "x2", "x3", "x4", *RESIDUAL_COLUMNS, "max_abs"]
-    _emit(cfg, "points", header, rows, summary)
-    print(f"grid max residual = {grid_max:.6e}  (tol {tol:g}, A = {cfg.A:g})")
+    _emit(args, "points", header, rows, summary)
+    print(f"grid max residual = {grid_max:.6e}  (tol {args.tol:g}, A = {args.A:g})")
     return 0 if passed else 3
 
 
-def _family_rows(cfg, sigma, rho, a_const, samples, t_lo, t_hi):
+def _family_rows(args, sigma, rho, a_const, samples, t_lo, t_hi):
     """Rows (t, rho, rho_prime, sigma, proj_residual_max, fd_einstein_residual)."""
     metric = metric_of(DeformationPair(sigma, rho))
     rows = []
-    margin = 2.0 * cfg.h
+    margin = 2.0 * args.h
     for k, (t, rv, rp, sv) in enumerate(samples):
         proj = None
         try:
@@ -348,23 +310,21 @@ def _family_rows(cfg, sigma, rho, a_const, samples, t_lo, t_hi):
         except NUMERICAL_ERRORS:
             pass
         fd = None
-        if cfg.fd_every > 0 and k % cfg.fd_every == 0 and t_lo + margin < t < t_hi - margin:
+        if args.fd_every > 0 and k % args.fd_every == 0 and t_lo + margin < t < t_hi - margin:
             try:
-                fd = einstein_residual_fd(metric, a_const, (t, 0.0, 0.0, 0.0), h=cfg.h)
+                fd = einstein_residual_fd(metric, a_const, (t, 0.0, 0.0, 0.0), h=args.h)
             except NUMERICAL_ERRORS:
                 pass
         rows.append([t, rv, rp, sv, proj, fd])
     return rows
 
 
-def cmd_solve_family(cfg: RunConfig) -> int:
+def cmd_solve_family(args: argparse.Namespace) -> int:
     header = ["t", "rho", "rho_prime", "sigma", "proj_residual_max", "fd_einstein_residual"]
-    if cfg.ricci_flat:
-        if cfg.a <= 0.0:
-            raise UsageError(f"--a must be positive, got {cfg.a}")
-        sigma, rho = ricci_flat_fields(cfg.a)
+    if args.ricci_flat:
+        sigma, rho = ricci_flat_fields(args.a)
         a_const = 0.0
-        ts = np.arange(cfg.t_min, cfg.t_max + 0.5 * cfg.dt, cfg.dt)
+        ts = np.arange(args.t_min, args.t_max + 0.5 * args.dt, args.dt)
         samples = [
             (
                 float(t),
@@ -374,19 +334,19 @@ def cmd_solve_family(cfg: RunConfig) -> int:
             )
             for t in ts
         ]
-        rows = _family_rows(cfg, sigma, rho, a_const, samples, cfg.t_min, cfg.t_max)
-        summary = {"A": a_const, "profile": "ricci-flat", "a": cfg.a}
-        _emit(cfg, "samples", header, rows, summary)
-        print(f"Ricci-flat profile sigma = a t^(1/4), rho = t^(-1/2), a = {cfg.a:g}")
+        rows = _family_rows(args, sigma, rho, a_const, samples, args.t_min, args.t_max)
+        summary = {"A": a_const, "profile": "ricci-flat", "a": args.a}
+        _emit(args, "samples", header, rows, summary)
+        print(f"Ricci-flat profile sigma = a t^(1/4), rho = t^(-1/2), a = {args.a:g}")
         print(f"A = {a_const:g}")
         return 0
 
-    _require(cfg, "alpha", "beta")
+    _require(args, "alpha", "beta")
     try:
-        fp = FamilyParams(alpha=cfg.alpha, beta=cfg.beta, b=cfg.b)
+        fp = FamilyParams(alpha=args.alpha, beta=args.beta, b=args.b)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    traj = integrate_rho(fp, cfg.rho0, cfg.dt, cfg.t_max)
+    traj = integrate_rho(fp, args.rho0, args.dt, args.t_max)
     prime0 = traj["rho_prime"][0]
     if prime0 == 0.0:
         raise UsageError("initial state is an equilibrium (rho' = 0); sigma undefined")
@@ -399,7 +359,7 @@ def cmd_solve_family(cfg: RunConfig) -> int:
         pass
     samples = list(zip(traj.t, traj["rho"], traj["rho_prime"], traj["sigma"]))
     if sigma is not None:
-        rows = _family_rows(cfg, sigma, rho, a_const, samples, traj.t[0], traj.t[-1])
+        rows = _family_rows(args, sigma, rho, a_const, samples, traj.t[0], traj.t[-1])
     else:
         rows = [[t, rv, rp, sv, None, None] for t, rv, rp, sv in samples]
 
@@ -427,49 +387,43 @@ def cmd_solve_family(cfg: RunConfig) -> int:
         summary["ends"] = [diag.small_end, diag.large_end]
     except ValueError as exc:
         print(f"end diagnostics unavailable: {exc}")
-    _emit(cfg, "samples", header, rows, summary)
-    if cfg.expect_complete and traj.termination == BLOW_UP:
+    _emit(args, "samples", header, rows, summary)
+    if args.expect_complete and traj.termination == BLOW_UP:
         print("numerical failure: blow-up but --expect-complete was set", file=sys.stderr)
         return 2
     return 0
 
 
-def cmd_solve_warped(cfg: RunConfig) -> int:
-    _require(cfg, "alpha0", "gamma0", "delta0")
-    if cfg.C is not None and cfg.Ctilde is not None and cfg.C != cfg.Ctilde * cfg.B:
+def cmd_solve_warped(args: argparse.Namespace) -> int:
+    _require(args, "alpha0", "gamma0", "delta0")
+    if args.C is not None and args.Ctilde is not None and args.C != args.Ctilde * args.B:
         raise UsageError("--C and --Ctilde are inconsistent; give one of them")
-    c_const = cfg.C if cfg.C is not None else (cfg.Ctilde or 0.0) * cfg.B
+    c_const = args.C if args.C is not None else (args.Ctilde or 0.0) * args.B
     try:
-        state = WarpedState(cfg.alpha0, cfg.gamma0, cfg.delta0, B=cfg.B, C=c_const)
+        state = WarpedState(args.alpha0, args.gamma0, args.delta0, B=args.B, C=c_const)
     except ValueError as exc:
         raise UsageError(f"invalid initial state: {exc}") from None
-    traj = integrate_warped(state, cfg.dt, (0.0, cfg.t_max))
+    traj = integrate_warped(state, args.dt, (0.0, args.t_max))
     a_int = traj["A_integral"]
     drift = float(np.max(np.abs(a_int - a_int[0])))
     span = float(traj.t[-1] - traj.t[0]) if len(traj) > 1 else 1.0
-    rows = [
-        [t, al, ga, de, si, ai]
-        for t, al, ga, de, si, ai in zip(
-            traj.t,
-            traj["alpha"],
-            traj["gamma"],
-            traj["delta"],
-            traj["sigma"],
-            a_int,
-        )
-    ]
+    header = ["t", "alpha", "gamma", "delta", "sigma", "A_integral"]
+    rows = list(zip(*(traj[name] for name in header)))
     summary = {
         "A0": float(a_int[0]),
         "max_drift": drift,
         "drift_per_unit_time": drift / span if span > 0 else drift,
         "termination": traj.termination,
     }
-    _emit(cfg, "samples", ["t", "alpha", "gamma", "delta", "sigma", "A_integral"], rows, summary)
+    _emit(args, "samples", header, rows, summary)
     print(f"A(0) = {_fmt(a_int[0])}")
     print(f"|A drift| = {drift:.6e} over t span {span:g} ({drift / max(span, 1e-300):.6e} per unit time)")
     print(f"termination: {traj.termination}")
-    if traj.termination == SINGULAR_GAMMA:
-        print("numerical failure: gamma became singular", file=sys.stderr)
+    if traj.termination != REACHED_T_MAX:
+        print(
+            f"numerical failure: {traj.termination} at t = {_fmt(traj.t[-1])} before t-max",
+            file=sys.stderr,
+        )
         return 2
     return 0
 
@@ -478,35 +432,26 @@ def cmd_solve_warped(cfg: RunConfig) -> int:
 # Canned examples
 
 
-_PRODUCT_EXAMPLES = {
-    "s2xs2": dict(sigma="(1 + x1^2 + x2^2)/2", rho="(1 + x3^2 + x4^2)/2", A=1.0),
-    "h2xh2": dict(sigma="(1 - x1^2 - x2^2)/2", rho="(1 - x3^2 - x4^2)/2", A=-1.0),
-}
-_FAMILY_EXAMPLES = {
-    "family-i": dict(alpha=-1.0, beta=1.0, dt=1e-3, t_max=10.0),
-    "family-ii": dict(alpha=1.0, beta=-1.0, dt=1e-4, t_max=2.0),
+# example name -> the command line it runs, with the --tol, --out and
+# --format of the examples command
+EXAMPLE_COMMANDS = {
+    "s2xs2": 'residual --sigma "(1 + x1^2 + x2^2)/2" --rho "(1 + x3^2 + x4^2)/2" --A 1'
+    " --grid x1=-0.4:0.4:3,x2=-0.4:0.4:3,x3=-0.4:0.4:3,x4=-0.4:0.4:3",
+    "h2xh2": 'residual --sigma "(1 - x1^2 - x2^2)/2" --rho "(1 - x3^2 - x4^2)/2" --A -1'
+    " --grid x1=-0.4:0.4:3,x2=-0.4:0.4:3,x3=-0.4:0.4:3,x4=-0.4:0.4:3",
+    "family-i": "solve-family --alpha -1 --beta 1 --dt 1e-3 --t-max 10",
+    "family-ii": "solve-family --alpha 1 --beta -1 --dt 1e-4 --t-max 2",
 }
 
 
-def _run_example(cfg: RunConfig) -> int:
-    name = cfg.name
-    if name in _PRODUCT_EXAMPLES:
-        sub = RunConfig(
-            command="residual",
-            grid="x1=-0.4:0.4:3,x2=-0.4:0.4:3,x3=-0.4:0.4:3,x4=-0.4:0.4:3",
-            tol=cfg.tol,
-            out=cfg.out,
-            format=cfg.format,
-            **_PRODUCT_EXAMPLES[name],
-        )
-        return cmd_residual(sub)
-    if name in _FAMILY_EXAMPLES:
-        sub = RunConfig(
-            command="solve-family", b=1.0, out=cfg.out, format=cfg.format, **_FAMILY_EXAMPLES[name]
-        )
-        return cmd_solve_family(sub)
+def _run_example(args: argparse.Namespace, name: str) -> int:
+    if name in EXAMPLE_COMMANDS:
+        sub = build_parser().parse_args(shlex.split(EXAMPLE_COMMANDS[name]))
+        sub.out, sub.format = args.out, args.format
+        sub.tol = sub.tol if args.tol is None else args.tol
+        return _COMMANDS[sub.command](sub)
     if name == "ricci-flat":
-        tol = cfg.tol if cfg.tol is not None else 1e-5
+        tol = args.tol if args.tol is not None else 1e-5
         sigma, rho = ricci_flat_fields(1.0)
         metric = metric_of(DeformationPair(sigma, rho))
         worst = 0.0
@@ -518,7 +463,7 @@ def _run_example(cfg: RunConfig) -> int:
         print("A = 0")
         return 0 if worst < tol else 3
     if name == "hyperbolic":
-        tol = cfg.tol if cfg.tol is not None else 1e-8
+        tol = args.tol if args.tol is not None else 1e-8
         sigma, rho = hyperbolic_fields()
         worst = 0.0
         for t in np.linspace(0.5, 2.0, 7):
@@ -529,8 +474,8 @@ def _run_example(cfg: RunConfig) -> int:
     raise UsageError(f"unknown example {name!r}; names: {', '.join(EXAMPLE_NAMES)}")
 
 
-def cmd_examples(cfg: RunConfig) -> int:
-    words = cfg.name or ["list"]
+def cmd_examples(args: argparse.Namespace) -> int:
+    words = args.name or ["list"]
     if words == ["list"]:
         for name in EXAMPLE_NAMES:
             print(name)
@@ -539,8 +484,7 @@ def cmd_examples(cfg: RunConfig) -> int:
         words = words[1:]
     if len(words) != 1:
         raise UsageError("usage: biconf examples [list | run NAME | NAME]")
-    cfg.name = words[0]
-    return _run_example(cfg)
+    return _run_example(args, words[0])
 
 
 # ---------------------------------------------------------------------------
@@ -554,53 +498,76 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="key = value config file")
-    sub.add_argument("--tol", type=float, help="tolerance (BICONF_TOL overrides the default)")
+    sub.add_argument("--tol", type=positive, help="tolerance (BICONF_TOL overrides the default)")
     sub.add_argument("--out", help="output file path")
-    sub.add_argument("--format", choices=FORMATS, help="output format")
+    sub.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
+
+
+def _add_pair(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--sigma", help="expression for sigma")
+    sub.add_argument("--rho", help="expression for rho")
+    sub.add_argument(
+        "--grid",
+        default="x1=-0.3:0.3:3,x2=-0.3:0.3:3,x3=-0.3:0.3:3,x4=-0.3:0.3:3",
+        help="grid spec x1=lo:hi:n,...",
+    )
+
+
+def _add_steps(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--dt", type=positive, default=1e-3)
+    sub.add_argument("--t-max", type=positive, default=10.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The one table of options: each flag's type, choices, range and
+    default.  A --config key is a flag's name and is converted by it."""
     parser = _Parser(prog="biconf", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
+    parser.commands = subs.choices  # subcommand name -> its parser
 
     p = subs.add_parser("verify", help="closed-form Ricci vs FD oracle on a grid")
-    p.add_argument("--sigma", help="expression for sigma")
-    p.add_argument("--rho", help="expression for rho")
-    p.add_argument("--grid", help="grid spec x1=lo:hi:n,...")
-    p.add_argument("--h", type=float, help="FD step for Christoffel derivatives")
+    _add_pair(p)
+    p.add_argument(
+        "--h", type=positive, default=DEFAULT_GAMMA_STEP, help="FD step for Christoffel derivatives"
+    )
     _add_common(p)
+    p.set_defaults(tol=1e-4)
 
     p = subs.add_parser("residual", help="ten-equation Einstein residuals on a grid")
-    p.add_argument("--sigma", help="expression for sigma")
-    p.add_argument("--rho", help="expression for rho")
+    _add_pair(p)
     p.add_argument("--A", type=float, help="Einstein constant")
-    p.add_argument("--grid", help="grid spec x1=lo:hi:n,...")
     _add_common(p)
+    p.set_defaults(tol=1e-8)
 
     p = subs.add_parser("solve-family", help="integrate a single-parameter family")
     p.add_argument("--alpha", type=float)
     p.add_argument("--beta", type=float)
-    p.add_argument("--b", type=float)
-    p.add_argument("--rho0", type=float, help="initial rho (default 0)")
-    p.add_argument("--dt", type=float)
-    p.add_argument("--t-max", type=float, dest="t_max")
-    p.add_argument("--t-min", type=float, dest="t_min", help="start of the ricci-flat sample range")
-    p.add_argument("--h", type=float, help="FD step for the sparse FD residual column")
-    p.add_argument("--fd-every", type=int, dest="fd_every", help="FD residual every N samples (0 = off)")
-    p.add_argument("--expect-complete", action="store_true", default=None, dest="expect_complete")
-    p.add_argument("--ricci-flat", action="store_true", default=None, dest="ricci_flat")
-    p.add_argument("--a", type=float, help="scale of the ricci-flat sigma profile")
+    p.add_argument("--b", type=float, default=1.0)
+    p.add_argument("--rho0", type=float, default=0.0, help="initial rho (default 0)")
+    _add_steps(p)
+    p.add_argument("--t-min", type=float, default=0.5, help="start of the ricci-flat sample range")
+    p.add_argument(
+        "--h",
+        type=positive,
+        default=DEFAULT_GAMMA_STEP,
+        help="FD step for the sparse FD residual column",
+    )
+    p.add_argument(
+        "--fd-every", type=count, default=0, help="FD residual every N samples (0 = off)"
+    )
+    p.add_argument("--expect-complete", action="store_true")
+    p.add_argument("--ricci-flat", action="store_true")
+    p.add_argument("--a", type=positive, default=1.0, help="scale of the ricci-flat sigma profile")
     _add_common(p)
 
     p = subs.add_parser("solve-warped", help="integrate the warped first-order system")
     p.add_argument("--alpha0", type=float)
     p.add_argument("--gamma0", type=float)
     p.add_argument("--delta0", type=float)
-    p.add_argument("--B", type=float)
+    p.add_argument("--B", type=float, default=1.0)
     p.add_argument("--C", type=float)
     p.add_argument("--Ctilde", type=float)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--t-max", type=float, dest="t_max")
+    _add_steps(p)
     _add_common(p)
 
     p = subs.add_parser("examples", help="list or run canned verifications")
@@ -620,11 +587,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        cfg = _resolve_config(args, args.command)
-        return _COMMANDS[args.command](cfg)
+        args = resolve_args(argv)
+        return _COMMANDS[args.command](args)
     except (UsageError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

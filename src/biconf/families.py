@@ -69,6 +69,9 @@ RHO_BLOW_UP_CAP = 1e3
 WARPED_COMPONENT_CAP = 1e6
 GAMMA_SINGULAR_TOL = 1e-8
 BLOW_UP_TIME_TOL = 1e-6
+VERTICAL_CURVATURE_TOL = 1e-6  # spread of beta's curvature in warped_residuals
+SMALL_T_WINDOW = 0.1  # end_diagnostics fits small-t slopes over 0 < t <= this
+LARGE_T_FRACTION = 0.1  # ... and large-t limits over this last fraction of t
 
 
 # ---------------------------------------------------------------------------
@@ -217,19 +220,14 @@ def _vertical_curvature(beta: ScalarField, p) -> float:
 
 
 def warped_residuals(
-    sigma: ScalarField,
-    alpha: ScalarField,
-    beta: ScalarField,
-    a_const: float,
-    p,
-    curvature_tol: float = 1e-6,
+    sigma: ScalarField, alpha: ScalarField, beta: ScalarField, a_const: float, p
 ) -> np.ndarray:
     """Residuals of the four warped-product Einstein equations at p.
 
     The metric is (dx1^2+dx2^2)/sigma^2 + (dx3^2+dx4^2)/(alpha^2 beta^2)
     with sigma, alpha functions of (x1, x2) and beta of (x3, x4); beta
     must give the vertical surface constant Gaussian curvature, which is
-    checked on a small sample stencil around p.
+    checked to VERTICAL_CURVATURE_TOL on a small sample stencil around p.
     """
     p = np.asarray(p, dtype=float)
     ks = []
@@ -238,7 +236,7 @@ def warped_residuals(
             q = p.copy()
             q[axis] += off
             ks.append(_vertical_curvature(beta, q))
-    if max(ks) - min(ks) > curvature_tol:
+    if max(ks) - min(ks) > VERTICAL_CURVATURE_TOL:
         raise DomainError(
             f"beta does not have constant vertical curvature: spread {max(ks) - min(ks):.3e}"
         )
@@ -365,17 +363,13 @@ def warped_integral(s: WarpedState) -> float:
 
 
 def integrate_warped(
-    s0: WarpedState,
-    dt: float,
-    t_span: tuple[float, float] = (0.0, 1.0),
-    cap: float = WARPED_COMPONENT_CAP,
-    gamma_tol: float = GAMMA_SINGULAR_TOL,
+    s0: WarpedState, dt: float, t_span: tuple[float, float] = (0.0, 1.0)
 ) -> Trajectory:
     """RK4 trajectory of the warped system from state s0 over t_span.
 
-    Halts with SINGULAR_GAMMA when |gamma| drops below ``gamma_tol`` (or
-    gamma changes sign), with BLOW_UP when any component exceeds ``cap``
-    in magnitude or turns non-finite.
+    Halts with SINGULAR_GAMMA when |gamma| drops below GAMMA_SINGULAR_TOL
+    (or gamma changes sign), with BLOW_UP when any component exceeds
+    WARPED_COMPONENT_CAP in magnitude or turns non-finite.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -385,9 +379,9 @@ def integrate_warped(
     sign0 = math.copysign(1.0, s0.gamma)
 
     def stop(y):
-        if not all(map(math.isfinite, y)) or max(map(abs, y)) > cap:
+        if not all(map(math.isfinite, y)) or max(map(abs, y)) > WARPED_COMPONENT_CAP:
             return BLOW_UP
-        if abs(y[1]) < gamma_tol or math.copysign(1.0, y[1]) != sign0:
+        if abs(y[1]) < GAMMA_SINGULAR_TOL or math.copysign(1.0, y[1]) != sign0:
             return SINGULAR_GAMMA
         return None
 
@@ -420,29 +414,23 @@ def rho_rhs(fp: FamilyParams, rho: float) -> float:
     return fp.alpha * (rho**3 - fp.beta**3)
 
 
-def integrate_rho(
-    fp: FamilyParams,
-    rho0: float,
-    dt: float,
-    t_max: float,
-    cap: float = RHO_BLOW_UP_CAP,
-    t_tol: float = BLOW_UP_TIME_TOL,
-) -> Trajectory:
+def integrate_rho(fp: FamilyParams, rho0: float, dt: float, t_max: float) -> Trajectory:
     """RK4 trajectory of rho' = alpha (rho^3 - beta^3) from rho(0) = rho0.
 
-    When |rho| exceeds ``cap`` the escape time is bracketed by repeated
-    step halving from the last in-range state down to ``t_tol``; the
-    accepted sub-steps are appended to the trajectory, so samples stay
-    consistent with the equation all the way to the cap.
+    When |rho| exceeds RHO_BLOW_UP_CAP the escape time is bracketed by
+    repeated step halving from the last in-range state down to
+    BLOW_UP_TIME_TOL; the accepted sub-steps are appended to the
+    trajectory, so samples stay consistent with the equation all the way
+    to the cap.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
 
     def stop(y):
-        return None if math.isfinite(y[0]) and abs(y[0]) <= cap else BLOW_UP
+        return None if math.isfinite(y[0]) and abs(y[0]) <= RHO_BLOW_UP_CAP else BLOW_UP
 
     ts, ys, termination, blow_up_time = _integrate(
-        lambda y: [rho_rhs(fp, y[0])], [float(rho0)], 0.0, t_max, dt, stop, t_tol
+        lambda y: [rho_rhs(fp, y[0])], [float(rho0)], 0.0, t_max, dt, stop, BLOW_UP_TIME_TOL
     )
     rho_arr = np.array([y[0] for y in ys])
     prime = rho_rhs(fp, rho_arr)
@@ -616,28 +604,24 @@ def _fit_slope_through_origin(t: np.ndarray, y: np.ndarray) -> float:
     return float(np.dot(t, y) / np.dot(t, t))
 
 
-def end_diagnostics(
-    fp: FamilyParams,
-    traj: Trajectory,
-    small_window: float = 0.1,
-    large_fraction: float = 0.1,
-) -> EndDiagnostics:
+def end_diagnostics(fp: FamilyParams, traj: Trajectory) -> EndDiagnostics:
     """Fitted small-t slopes of rho and sigma, large-t limits of rho and
     1/sigma, and an end classification.
 
     Small-t slopes are least-squares fits through the origin over
-    samples with 0 < t <= ``small_window`` (the family starts at
-    rho(0) = 0, where rho ~ e t and sigma ~ b sqrt(e) t).  Requires at
-    least 10 samples in each regime.
+    samples with 0 < t <= SMALL_T_WINDOW (the family starts at
+    rho(0) = 0, where rho ~ e t and sigma ~ b sqrt(e) t); large-t limits
+    are read over the last LARGE_T_FRACTION of the time span.  Requires
+    at least 10 samples in each regime.
     """
     t = traj.t
     rho = traj["rho"]
     sigma = traj["sigma"]
 
-    small = (t > 0.0) & (t <= small_window)
+    small = (t > 0.0) & (t <= SMALL_T_WINDOW)
     if int(np.sum(small)) < 10:
         raise ValueError(
-            f"trajectory too short to fit: {int(np.sum(small))} samples with t <= {small_window}"
+            f"trajectory too short to fit: {int(np.sum(small))} samples with t <= {SMALL_T_WINDOW}"
         )
     rho_slope = _fit_slope_through_origin(t[small], rho[small])
     sigma_slope = _fit_slope_through_origin(t[small], sigma[small])
@@ -647,7 +631,7 @@ def end_diagnostics(
     if blow_up:
         large_end = BLOW_UP
     else:
-        large = t >= (1.0 - large_fraction) * t[-1]
+        large = t >= (1.0 - LARGE_T_FRACTION) * t[-1]
         if int(np.sum(large)) < 10:
             raise ValueError(
                 f"trajectory too short to fit: {int(np.sum(large))} samples in the large-t regime"

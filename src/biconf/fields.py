@@ -4,7 +4,7 @@ Three backings are provided:
 
 * ``ExpressionField`` -- parsed expression, exact derivatives via jets;
 * ``CallableField``   -- black-box function, centered finite differences
-  (h = 1e-4 for first, 1e-3 for second partials);
+  (steps FD_FIRST_STEP for first, FD_SECOND_STEP for second partials);
 * ``ProfileField``    -- function of t = x1 alone with one caller-supplied
   profile closure (used for ODE-generated profiles).
 
@@ -38,6 +38,9 @@ __all__ = [
 
 Point = Sequence[float]
 
+FD_FIRST_STEP = 1e-4
+FD_SECOND_STEP = 1e-3
+
 
 class PositivityError(DomainError):
     """A field required to be positive evaluated to a non-positive or
@@ -51,6 +54,16 @@ def require_positive(value: float, p: Point | None = None) -> float:
         return value
     where = "" if p is None else f" at {tuple(map(float, p))}"
     raise PositivityError(f"field must be finite and positive, got {value}{where}")
+
+
+def _evaluate(fn: Callable, p: np.ndarray):
+    """``fn(p)``, with an overflow or a division by zero raised as
+    DomainError: the one boundary between float arithmetic inside a
+    field and the numerical failures callers handle."""
+    try:
+        return fn(p)
+    except ArithmeticError as exc:
+        raise DomainError(f"field evaluation failed at {tuple(map(float, p))}: {exc}") from None
 
 
 def as_point(p: Point) -> np.ndarray:
@@ -78,13 +91,13 @@ class ScalarField:
 
     def __call__(self, p: Point) -> float:
         arr = as_point(p)
-        value = self._raw_value(arr)
+        value = _evaluate(self._raw_value, arr)
         if self.positive:
             require_positive(value, arr)
         return value
 
     def jet(self, p: Point) -> Jet:
-        jet = self._raw_jet(as_point(p))
+        jet = _evaluate(self._raw_jet, as_point(p))
         if self.positive:
             require_positive(jet.val, p)
         return jet
@@ -137,29 +150,21 @@ class ExpressionField(ScalarField):
 class CallableField(ScalarField):
     """Black-box field; derivatives by centered finite differences.
 
-    ``h1`` is the step for first partials, ``h2`` for second partials.
-    The FD Hessian is symmetric bitwise (each mixed entry is computed
-    once and mirrored).
+    The steps are FD_FIRST_STEP for first partials and FD_SECOND_STEP
+    for second partials.  The FD Hessian is symmetric bitwise (each
+    mixed entry is computed once and mirrored).
     """
 
-    def __init__(
-        self,
-        func: Callable[[np.ndarray], float],
-        positive: bool = False,
-        h1: float = 1e-4,
-        h2: float = 1e-3,
-    ):
+    def __init__(self, func: Callable[[np.ndarray], float], positive: bool = False):
         super().__init__(positive)
         self.func = func
-        self.h1 = h1
-        self.h2 = h2
 
     def _raw_value(self, p: np.ndarray) -> float:
         return float(self.func(p))
 
     def _raw_jet(self, p: np.ndarray) -> Jet:
         f = self.func
-        h1, h2 = self.h1, self.h2
+        h1, h2 = FD_FIRST_STEP, FD_SECOND_STEP
         e1, e2 = np.eye(4) * h1, np.eye(4) * h2
         value = float(f(p))
         g = np.array([(f(p + e) - f(p - e)) / (2.0 * h1) for e in e1])
@@ -214,7 +219,7 @@ class ProfileField(ScalarField):
 
     def log_jet(self, p):
         q = as_point(p)
-        f, _, _, l1, l2 = self._at(q)
+        f, _, _, l1, l2 = _evaluate(self._at, q)
         return (require_positive(float(f), q), *_t_only(l1, l2))
 
 

@@ -130,18 +130,16 @@ class MetricField:
 
     ``partials`` (optional) returns the (4, 4, 4) array dg with
     dg[c, a, b] = d_c g_ab; when absent, metric derivatives are centered
-    differences with step ``h``.
+    differences with step DEFAULT_METRIC_STEP.
     """
 
     def __init__(
         self,
         value: Callable[[np.ndarray], np.ndarray],
         partials: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        h: float = DEFAULT_METRIC_STEP,
     ):
         self.value_fn = value
         self.partials_fn = partials
-        self.h = h
 
     def value(self, p) -> np.ndarray:
         g = np.asarray(self.value_fn(as_point(p)), dtype=float)
@@ -155,13 +153,13 @@ class MetricField:
         dg = np.empty((4, 4, 4))
         for c in range(4):
             e = np.zeros(4)
-            e[c] = self.h
-            dg[c] = (self.value(p + e) - self.value(p - e)) / (2.0 * self.h)
+            e[c] = DEFAULT_METRIC_STEP
+            dg[c] = (self.value(p + e) - self.value(p - e)) / (2.0 * DEFAULT_METRIC_STEP)
         return dg
 
     def without_partials(self) -> "MetricField":
         """Copy of this metric that forgets its analytic derivative provider."""
-        return MetricField(self.value_fn, None, self.h)
+        return MetricField(self.value_fn)
 
 
 def euclidean_metric() -> MetricField:
@@ -202,23 +200,18 @@ def _raw_ricci(g: MetricField, p, h: float):
     return ric, gamma
 
 
-def ricci_fd(
-    g: MetricField,
-    p,
-    h: float = DEFAULT_GAMMA_STEP,
-    max_asymmetry: float = MAX_RICCI_ASYMMETRY,
-) -> np.ndarray:
+def ricci_fd(g: MetricField, p, h: float = DEFAULT_GAMMA_STEP) -> np.ndarray:
     """Symmetrized FD Ricci tensor (coordinate components) at p.
 
     Raises OracleError when the raw result is asymmetric beyond
-    ``max_asymmetry``, which indicates an invalid metric or a step too
+    MAX_RICCI_ASYMMETRY, which indicates an invalid metric or a step too
     large for it.
     """
     ric, _ = _raw_ricci(g, p, h)
     asymmetry = float(np.max(np.abs(ric - ric.T)))
-    if asymmetry > max_asymmetry:
+    if asymmetry > MAX_RICCI_ASYMMETRY:
         raise OracleError(
-            f"FD Ricci asymmetry {asymmetry:.3e} exceeds {max_asymmetry:.1e}; "
+            f"FD Ricci asymmetry {asymmetry:.3e} exceeds {MAX_RICCI_ASYMMETRY:.1e}; "
             "metric is invalid or the step is too large"
         )
     return 0.5 * (ric + ric.T)

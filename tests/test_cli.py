@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import biconf
-from biconf.cli import EXAMPLE_NAMES, main
+from biconf.cli import EXAMPLE_COMMANDS, EXAMPLE_NAMES, build_parser, main, resolve_args
 
 S2_SIGMA = "(1 + x1^2 + x2^2)/2"
 S2_RHO = "(1 + x3^2 + x4^2)/2"
@@ -296,3 +297,177 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.split() == EXAMPLE_NAMES
+
+
+def test_exit_2_on_overflow(capsys):
+    code = main(["residual", "--sigma", "exp(1000*x1)", "--rho", "1", "--A", "0", "--grid", "x1=1:1:1"])
+    assert code == 2
+    assert "numerical failure:" in capsys.readouterr().err
+
+
+def test_solve_warped_blow_up_exit_2(tmp_path, capsys):
+    out = tmp_path / "w.csv"
+    code = main(["solve-warped", "--alpha0", "1", "--gamma0", "1", "--delta0", "100", "--out", str(out)])
+    assert code == 2
+    assert "termination: blow-up" in capsys.readouterr().out
+    assert out.read_text().startswith("t,alpha,gamma,delta,sigma,A_integral\n")
+
+
+# ---------------------------------------------------------------------------
+# One option table: a flag and the config key of the same name are converted,
+# range-checked and resolved alike.
+
+# (subcommand, flag, valid value != default, invalid value or None)
+_COMMON = [("--tol", "1e-6", "-1"), ("--out", "x.csv", None), ("--format", "json", "xml")]
+VALUE_CASES = [
+    *[("verify", *case) for case in _COMMON],
+    ("verify", "--sigma", S2_SIGMA, None),
+    ("verify", "--rho", S2_RHO, None),
+    ("verify", "--grid", SMALL_GRID, None),
+    ("verify", "--h", "2e-3", "0"),
+    *[("residual", *case) for case in _COMMON],
+    ("residual", "--sigma", S2_SIGMA, None),
+    ("residual", "--rho", S2_RHO, None),
+    ("residual", "--grid", SMALL_GRID, None),
+    ("residual", "--A", "-1", "one"),
+    *[("solve-family", *case) for case in _COMMON],
+    ("solve-family", "--alpha", "-1", "x"),
+    ("solve-family", "--beta", "1", "x"),
+    ("solve-family", "--b", "2", "x"),
+    ("solve-family", "--rho0", "0.5", "x"),
+    ("solve-family", "--dt", "0.01", "-0.1"),
+    ("solve-family", "--t-max", "2", "0"),
+    ("solve-family", "--t-min", "0.25", "x"),
+    ("solve-family", "--h", "5e-4", "nan"),
+    ("solve-family", "--fd-every", "10", "-1"),
+    ("solve-family", "--a", "2", "0"),
+    *[("solve-warped", *case) for case in _COMMON],
+    ("solve-warped", "--alpha0", "1", "x"),
+    ("solve-warped", "--gamma0", "1", "x"),
+    ("solve-warped", "--delta0", "0", "x"),
+    ("solve-warped", "--B", "2", "x"),
+    ("solve-warped", "--C", "-1", "x"),
+    ("solve-warped", "--Ctilde", "-1", "x"),
+    ("solve-warped", "--dt", "0.01", "inf"),
+    ("solve-warped", "--t-max", "2", "-2"),
+    *[("examples", *case) for case in _COMMON],
+]
+SWITCH_CASES = [("solve-family", "--expect-complete"), ("solve-family", "--ricci-flat")]
+
+
+def _key(flag):
+    return flag[2:].replace("-", "_")
+
+
+def test_option_cases_cover_every_flag():
+    parser = build_parser()
+    declared = {
+        (name, flag)
+        for name, sub in parser.commands.items()
+        for action in sub._actions
+        for flag in action.option_strings
+        if flag not in ("-h", "--help", "--config")
+    }
+    assert declared == {case[:2] for case in VALUE_CASES} | set(SWITCH_CASES)
+
+
+@pytest.mark.parametrize("command,flag,valid,invalid", VALUE_CASES)
+def test_flag_and_config_key_resolve_alike(command, flag, valid, invalid, tmp_path, monkeypatch):
+    monkeypatch.delenv("BICONF_TOL", raising=False)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{_key(flag)} = {valid}\n")
+    from_flag = getattr(resolve_args([command, flag, valid]), _key(flag))
+    from_config = getattr(resolve_args([command, "--config", str(cfg)]), _key(flag))
+    assert from_flag == from_config != getattr(resolve_args([command]), _key(flag))
+
+
+@pytest.mark.parametrize(
+    "command,flag,valid,invalid", [case for case in VALUE_CASES if case[3] is not None]
+)
+def test_flag_and_config_key_reject_alike(command, flag, valid, invalid, tmp_path, capsys):
+    assert main([command, flag, invalid]) == 1
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{_key(flag)} = {invalid}\n")
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg)]) == 1
+    assert f"config value for '{_key(flag)}' is invalid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flag", SWITCH_CASES)
+def test_switch_and_config_words_resolve_alike(command, flag, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    for word, expected in (("yes", True), ("On", True), ("0", False)):
+        cfg.write_text(f"{_key(flag)} = {word}\n")
+        assert getattr(resolve_args([command, "--config", str(cfg)]), _key(flag)) is expected
+    assert getattr(resolve_args([command, flag]), _key(flag)) is True
+    assert getattr(resolve_args([command]), _key(flag)) is False
+    cfg.write_text(f"{_key(flag)} = maybe\n")
+    assert main([command, "--config", str(cfg)]) == 1
+    assert f"'{_key(flag)}'" in capsys.readouterr().err
+    assert main([command, f"{flag}=maybe"]) == 1
+
+
+def test_config_key_may_use_the_dashed_flag_name(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("t-max = 3\nfd-every = 2\n")
+    args = resolve_args(["solve-family", "--config", str(cfg)])
+    assert (args.t_max, args.fd_every) == (3.0, 2)
+
+
+@pytest.mark.parametrize("line", ["name = s2xs2", "command = verify", "config = other.cfg"])
+def test_config_rejects_keys_that_name_no_option(line, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    assert main(["examples", "--config", str(cfg)]) == 1
+    assert repr(line.split()[0]) in capsys.readouterr().err
+
+
+def test_config_ignores_keys_of_other_subcommands(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"sigma = {S2_SIGMA}\nrho = {S2_RHO}\nA = 1\ngrid = x1=0:0:1\nalpha = 3\n")
+    assert main(["residual", "--config", str(cfg)]) == 0
+
+
+def test_config_expect_complete_fails_on_blow_up(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("expect_complete = yes\n")
+    argv = ["solve-family", "--alpha", "1", "--beta", "-1", "--dt", "1e-4", "--t-max", "2"]
+    assert main(argv + ["--config", str(cfg)]) == 2
+
+
+def test_config_tolerance_overrides_env_var(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("BICONF_TOL", "1e-30")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tol = 10\n")
+    base = ["residual", "--sigma", S2_SIGMA, "--rho", S2_RHO, "--A", "0", "--grid", "x1=0:0:1"]
+    assert main(base + ["--config", str(cfg)]) == 0
+    assert main(base) == 3
+    monkeypatch.setenv("BICONF_TOL", "-1")
+    assert main(base) == 1
+
+
+# ---------------------------------------------------------------------------
+# README
+
+
+def _readme_commands():
+    """Every ``biconf ...`` line of README's CLI section, as argv."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    lines = section.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("biconf ")]
+
+
+def test_readme_cli_commands_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 10
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)  # raises UsageError on a flag the parser lacks
+
+
+def test_readme_shows_each_canned_example_command():
+    commands = _readme_commands()
+    for name, line in EXAMPLE_COMMANDS.items():
+        assert ["examples", name] in commands
+        assert shlex.split(line) in commands

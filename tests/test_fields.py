@@ -197,3 +197,20 @@ def test_exact_derivatives_match_fd_on_random_points():
                 approx = fd_partial(func, p, i)
                 assert abs(jet.g[i] - approx) / max(1.0, abs(approx)) < 1e-6
             checks += 1
+
+
+@pytest.mark.parametrize("evaluate", ["value", "jet"])
+def test_overflow_is_a_domain_error(evaluate):
+    # (p) is the eval_value path of verify's metric, .jet(p) the closed forms'
+    f = ExpressionField("exp(1000*x1)")
+    p = (1.0, 0.0, 0.0, 0.0)
+    with pytest.raises(DomainError, match="range"):
+        f(p) if evaluate == "value" else f.jet(p)
+
+
+@pytest.mark.parametrize("evaluate", ["value", "jet", "log_jet"])
+def test_profile_overflow_is_a_domain_error(evaluate):
+    prof = ProfileField(lambda t: (math.exp(1000.0 * t), 0.0, 0.0, 0.0, 0.0))
+    evaluate_at = prof if evaluate == "value" else getattr(prof, evaluate)
+    with pytest.raises(DomainError, match="range"):
+        evaluate_at((1.0, 0.0, 0.0, 0.0))
