@@ -10,8 +10,8 @@ Subcommands:
     examples      list or run the named canned verifications
 
 Exit codes: 0 success, 1 validation/parse failure, 2 numerical failure
-(singular metric, domain error, float overflow in a field, a warped
-trajectory stopped before t-max), 3 tolerance exceeded.
+(singular metric, domain error, float overflow or division by zero, a
+warped trajectory stopped before t-max), 3 tolerance exceeded.
 
 Each option is declared once, in ``build_parser()``.  A ``--config`` file
 of ``key = value`` lines names flags (``t_max`` or ``t-max``) and goes
@@ -45,7 +45,6 @@ from .families import (
     einstein_residuals,
     end_diagnostics,
     family_fields,
-    hyperbolic_fields,
     integrate_rho,
     integrate_warped,
     ricci_flat_fields,
@@ -60,7 +59,13 @@ from .oracle import (
     ricci_fd,
 )
 
-NUMERICAL_ERRORS = (DomainError, SingularMetricError, InvalidMetricError, OracleError)
+NUMERICAL_ERRORS = (
+    DomainError,
+    SingularMetricError,
+    InvalidMetricError,
+    OracleError,
+    ArithmeticError,
+)
 
 RESIDUAL_COLUMNS = [
     "res_11",
@@ -75,9 +80,6 @@ RESIDUAL_COLUMNS = [
     "res_34",
 ]
 
-EXAMPLE_NAMES = ["s2xs2", "h2xh2", "ricci-flat", "hyperbolic", "family-i", "family-ii"]
-
-
 class UsageError(Exception):
     """Bad flags, config or expressions; maps to exit code 1."""
 
@@ -86,10 +88,18 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+def finite(text: str) -> float:
+    """Flag type: a finite float."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 def positive(text: str) -> float:
     """Flag type: a finite float > 0."""
-    value = float(text)
-    if not 0.0 < value < math.inf:
+    value = finite(text)
+    if not value > 0.0:
         raise ValueError(text)
     return value
 
@@ -439,39 +449,21 @@ EXAMPLE_COMMANDS = {
     " --grid x1=-0.4:0.4:3,x2=-0.4:0.4:3,x3=-0.4:0.4:3,x4=-0.4:0.4:3",
     "h2xh2": 'residual --sigma "(1 - x1^2 - x2^2)/2" --rho "(1 - x3^2 - x4^2)/2" --A -1'
     " --grid x1=-0.4:0.4:3,x2=-0.4:0.4:3,x3=-0.4:0.4:3,x4=-0.4:0.4:3",
+    "ricci-flat": 'verify --sigma "t^0.25" --rho "t^-0.5" --grid x1=0.5:2:7 --h 3e-4 --tol 1e-5',
+    "hyperbolic": "residual --sigma t --rho t --A -3 --grid x1=0.5:2:7",
     "family-i": "solve-family --alpha -1 --beta 1 --dt 1e-3 --t-max 10",
     "family-ii": "solve-family --alpha 1 --beta -1 --dt 1e-4 --t-max 2",
 }
+EXAMPLE_NAMES = list(EXAMPLE_COMMANDS)
 
 
 def _run_example(args: argparse.Namespace, name: str) -> int:
-    if name in EXAMPLE_COMMANDS:
-        sub = build_parser().parse_args(shlex.split(EXAMPLE_COMMANDS[name]))
-        sub.out, sub.format = args.out, args.format
-        sub.tol = sub.tol if args.tol is None else args.tol
-        return _COMMANDS[sub.command](sub)
-    if name == "ricci-flat":
-        tol = args.tol if args.tol is not None else 1e-5
-        sigma, rho = ricci_flat_fields(1.0)
-        metric = metric_of(DeformationPair(sigma, rho))
-        worst = 0.0
-        for t in np.linspace(0.5, 2.0, 7):
-            worst = max(
-                worst, float(np.max(np.abs(ricci_fd(metric, (t, 0, 0, 0), h=3e-4))))
-            )
-        print(f"Ricci-flat profile: max FD |Ric| over t in [0.5, 2] = {worst:.6e}")
-        print("A = 0")
-        return 0 if worst < tol else 3
-    if name == "hyperbolic":
-        tol = args.tol if args.tol is not None else 1e-8
-        sigma, rho = hyperbolic_fields()
-        worst = 0.0
-        for t in np.linspace(0.5, 2.0, 7):
-            res = single_param_residuals(sigma, rho, -3.0, float(t))
-            worst = max(worst, float(np.max(np.abs(res))))
-        print(f"hyperbolic profile sigma = rho = t: max residual = {worst:.6e} (A = -3)")
-        return 0 if worst < tol else 3
-    raise UsageError(f"unknown example {name!r}; names: {', '.join(EXAMPLE_NAMES)}")
+    if name not in EXAMPLE_COMMANDS:
+        raise UsageError(f"unknown example {name!r}; names: {', '.join(EXAMPLE_NAMES)}")
+    sub = build_parser().parse_args(shlex.split(EXAMPLE_COMMANDS[name]))
+    sub.out, sub.format = args.out, args.format
+    sub.tol = sub.tol if args.tol is None else args.tol
+    return _COMMANDS[sub.command](sub)
 
 
 def cmd_examples(args: argparse.Namespace) -> int:
@@ -535,17 +527,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("residual", help="ten-equation Einstein residuals on a grid")
     _add_pair(p)
-    p.add_argument("--A", type=float, help="Einstein constant")
+    p.add_argument("--A", type=finite, help="Einstein constant")
     _add_common(p)
     p.set_defaults(tol=1e-8)
 
     p = subs.add_parser("solve-family", help="integrate a single-parameter family")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--b", type=float, default=1.0)
-    p.add_argument("--rho0", type=float, default=0.0, help="initial rho (default 0)")
+    p.add_argument("--alpha", type=finite)
+    p.add_argument("--beta", type=finite)
+    p.add_argument("--b", type=finite, default=1.0)
+    p.add_argument("--rho0", type=finite, default=0.0, help="initial rho (default 0)")
     _add_steps(p)
-    p.add_argument("--t-min", type=float, default=0.5, help="start of the ricci-flat sample range")
+    p.add_argument("--t-min", type=finite, default=0.5, help="start of the ricci-flat sample range")
     p.add_argument(
         "--h",
         type=positive,
@@ -561,12 +553,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = subs.add_parser("solve-warped", help="integrate the warped first-order system")
-    p.add_argument("--alpha0", type=float)
-    p.add_argument("--gamma0", type=float)
-    p.add_argument("--delta0", type=float)
-    p.add_argument("--B", type=float, default=1.0)
-    p.add_argument("--C", type=float)
-    p.add_argument("--Ctilde", type=float)
+    p.add_argument("--alpha0", type=finite)
+    p.add_argument("--gamma0", type=finite)
+    p.add_argument("--delta0", type=finite)
+    p.add_argument("--B", type=finite, default=1.0)
+    p.add_argument("--C", type=finite)
+    p.add_argument("--Ctilde", type=finite)
     _add_steps(p)
     _add_common(p)
 

@@ -499,7 +499,7 @@ class _RhoInterpolant:
         self.rho = traj["rho"]
         self.prime = traj["rho_prime"]
         if len(self.t) < 2:
-            raise ValueError("trajectory must have at least two samples")
+            raise DomainError("trajectory must have at least two samples")
 
     @property
     def t_range(self) -> tuple[float, float]:

@@ -13,13 +13,14 @@ carries one, and centered finite differences otherwise.  The derivatives
 of Gamma needed by the Ricci tensor are always finite differences, so
 this module is an independent check on any closed-form curvature.
 
-The 4x4 inversion is an explicit adjugate; the singularity check
-compares |det| against the product of row magnitudes at 1e-10, so it is
-relative to the metric's own scale.
+Inversion, determinant and the positive-definiteness check (Cholesky)
+are numpy's.  The singularity check compares |det| against the product
+of row magnitudes at 1e-10, so it is relative to the metric's own scale.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -33,7 +34,6 @@ __all__ = [
     "OracleError",
     "MetricField",
     "euclidean_metric",
-    "det4",
     "invert4",
     "christoffel",
     "ricci_fd",
@@ -63,66 +63,39 @@ class OracleError(RuntimeError):
     """FD result is inconsistent (e.g. excessive Ricci asymmetry)."""
 
 
-def _det2(m, r0, r1, c0, c1):
-    return m[r0, c0] * m[r1, c1] - m[r0, c1] * m[r1, c0]
-
-
-def _det3(m, rows, cols):
-    r0, r1, r2 = rows
-    c0, c1, c2 = cols
-    return (
-        m[r0, c0] * _det2(m, r1, r2, c1, c2)
-        - m[r0, c1] * _det2(m, r1, r2, c0, c2)
-        + m[r0, c2] * _det2(m, r1, r2, c0, c1)
-    )
-
-
-_ROWS = [(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)]
-
-
-def det4(m: np.ndarray) -> float:
-    """Determinant of a 4x4 matrix by cofactor expansion along row 0."""
-    total = 0.0
-    for j in range(4):
-        cof = _det3(m, _ROWS[0], _ROWS[j])
-        total += (-1.0) ** j * m[0, j] * cof
-    return total
-
-
 def invert4(m: np.ndarray) -> np.ndarray:
-    """Adjugate inverse of a 4x4 matrix; raises SingularMetricError.
+    """Inverse of a 4x4 matrix; raises SingularMetricError.
 
     The singularity check is scale-relative: |det| is compared against
     the product of row magnitudes, so a well-conditioned metric with
-    small entries (a strongly collapsed direction) still inverts.
+    small entries (a strongly collapsed direction) still inverts.  A
+    non-finite determinant fails the check.
     """
-    cof = np.empty((4, 4))
-    for i in range(4):
-        for j in range(4):
-            cof[i, j] = (-1.0) ** (i + j) * _det3(m, _ROWS[i], _ROWS[j])
-    det = float(np.dot(m[0], cof[0]))
+    det = float(np.linalg.det(m))
     scale = float(np.prod(np.max(np.abs(m), axis=1)))
-    if scale == 0.0 or abs(det) < SINGULARITY_THRESHOLD * scale:
+    if not (scale > 0.0 and SINGULARITY_THRESHOLD * scale <= abs(det) < math.inf):
         raise SingularMetricError(
             f"metric determinant {det:.3e} below threshold (scale {scale:.3e})"
         )
-    return cof.T / det
+    return np.linalg.inv(m)
 
 
 def _check_metric_value(g: np.ndarray) -> None:
     if g.shape != (4, 4):
         raise InvalidMetricError(f"metric must be 4x4, got shape {g.shape}")
+    if not np.all(np.isfinite(g)):
+        raise InvalidMetricError("metric has a non-finite entry")
     if np.max(np.abs(g - g.T)) > 1e-12:
         raise InvalidMetricError("metric is not symmetric to 1e-12")
-    # Sylvester criterion on leading principal minors
-    minors = (
-        g[0, 0],
-        _det2(g, 0, 1, 0, 1),
-        _det3(g, (0, 1, 2), (0, 1, 2)),
-        det4(g),
-    )
-    if any(m <= 0.0 for m in minors):
-        raise InvalidMetricError(f"metric is not positive definite (minors {minors})")
+    try:
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        raise InvalidMetricError("metric is not positive definite") from None
+
+
+def _centered(f: Callable[[np.ndarray], np.ndarray], p: np.ndarray, h: float) -> np.ndarray:
+    """d[k] = (f(p + h e_k) - f(p - h e_k)) / 2h, stacked over k = 0..3."""
+    return np.stack([(f(p + e) - f(p - e)) / (2.0 * h) for e in h * np.eye(4)])
 
 
 class MetricField:
@@ -150,12 +123,7 @@ class MetricField:
         p = as_point(p)
         if self.partials_fn is not None:
             return np.asarray(self.partials_fn(p), dtype=float)
-        dg = np.empty((4, 4, 4))
-        for c in range(4):
-            e = np.zeros(4)
-            e[c] = DEFAULT_METRIC_STEP
-            dg[c] = (self.value(p + e) - self.value(p - e)) / (2.0 * DEFAULT_METRIC_STEP)
-        return dg
+        return _centered(self.value, p, DEFAULT_METRIC_STEP)
 
     def without_partials(self) -> "MetricField":
         """Copy of this metric that forgets its analytic derivative provider."""
@@ -178,13 +146,7 @@ def christoffel(g: MetricField, p) -> np.ndarray:
 
 def _gamma_derivatives(g: MetricField, p, h: float) -> np.ndarray:
     """dGamma[k, a, b, c] = d_k Gamma^a_bc by centered differences."""
-    p = as_point(p)
-    dgamma = np.empty((4, 4, 4, 4))
-    for k in range(4):
-        e = np.zeros(4)
-        e[k] = h
-        dgamma[k] = (christoffel(g, p + e) - christoffel(g, p - e)) / (2.0 * h)
-    return dgamma
+    return _centered(lambda q: christoffel(g, q), as_point(p), h)
 
 
 def _raw_ricci(g: MetricField, p, h: float):
@@ -209,7 +171,7 @@ def ricci_fd(g: MetricField, p, h: float = DEFAULT_GAMMA_STEP) -> np.ndarray:
     """
     ric, _ = _raw_ricci(g, p, h)
     asymmetry = float(np.max(np.abs(ric - ric.T)))
-    if asymmetry > MAX_RICCI_ASYMMETRY:
+    if not asymmetry <= MAX_RICCI_ASYMMETRY:
         raise OracleError(
             f"FD Ricci asymmetry {asymmetry:.3e} exceeds {MAX_RICCI_ASYMMETRY:.1e}; "
             "metric is invalid or the step is too large"

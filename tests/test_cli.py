@@ -82,6 +82,11 @@ def test_examples_run_hyperbolic(capsys):
     assert "A = -3" in capsys.readouterr().out
 
 
+def test_examples_run_ricci_flat(capsys):
+    assert main(["examples", "ricci-flat"]) == 0
+    assert "grid max |closed-form - FD| = 1.080001e-06  (tol 1e-05)" in capsys.readouterr().out
+
+
 def test_examples_run_family_ii_reports_blow_up(capsys):
     assert main(["examples", "family-ii"]) == 0
     out = capsys.readouterr().out
@@ -305,6 +310,32 @@ def test_exit_2_on_overflow(capsys):
     assert "numerical failure:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "verify --sigma 1e200 --rho 1 --grid x1=0:0:1",  # 1/sigma^2 in the metric
+        "verify --sigma 1e-200 --rho 1 --grid x1=0:0:1",  # rho^2/sigma^2 in the frame Ricci
+        "solve-family --alpha -1 --beta 1e200 --dt 0.1 --t-max 1",  # beta^3 in rho'
+        "solve-family --alpha -1 --beta 1 --b 1e300 --dt 0.1 --t-max 1",  # b^2 in A
+    ],
+)
+def test_exit_2_on_float_error_outside_fields(line, capsys):
+    assert main(shlex.split(line)) == 2
+    assert "numerical failure:" in capsys.readouterr().err
+
+
+def test_solve_family_one_sample_trajectory(tmp_path, capsys):
+    # the first step blows up: one sample, no interpolant, no residuals
+    out = tmp_path / "f.csv"
+    code = main(shlex.split("solve-family --alpha 1e300 --beta 1 --dt 0.1 --t-max 1") + ["--out", str(out)])
+    stdout = capsys.readouterr().out
+    assert code == 0
+    assert "termination: blow-up" in stdout
+    assert "end diagnostics unavailable" in stdout
+    header, row = out.read_text().splitlines()
+    assert row.endswith(",,")
+
+
 def test_solve_warped_blow_up_exit_2(tmp_path, capsys):
     out = tmp_path / "w.csv"
     code = main(["solve-warped", "--alpha0", "1", "--gamma0", "1", "--delta0", "100", "--out", str(out)])
@@ -353,6 +384,14 @@ VALUE_CASES = [
     *[("examples", *case) for case in _COMMON],
 ]
 SWITCH_CASES = [("solve-family", "--expect-complete"), ("solve-family", "--ricci-flat")]
+FINITE_CASES = [
+    ("residual", "--A"),
+    *[("solve-family", flag) for flag in ("--alpha", "--beta", "--b", "--rho0", "--t-min")],
+    *[
+        ("solve-warped", flag)
+        for flag in ("--alpha0", "--gamma0", "--delta0", "--B", "--C", "--Ctilde")
+    ],
+]
 
 
 def _key(flag):
@@ -389,6 +428,17 @@ def test_flag_and_config_key_reject_alike(command, flag, valid, invalid, tmp_pat
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{_key(flag)} = {invalid}\n")
     capsys.readouterr()
+    assert main([command, "--config", str(cfg)]) == 1
+    assert f"config value for '{_key(flag)}' is invalid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["nan", "-inf"])
+@pytest.mark.parametrize("command,flag", FINITE_CASES)
+def test_finite_flags_reject_non_finite_numbers(command, flag, bad, tmp_path, capsys):
+    assert main([command, f"{flag}={bad}"]) == 1
+    assert f"argument {flag}: invalid finite value: '{bad}'" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{_key(flag)} = {bad}\n")
     assert main([command, "--config", str(cfg)]) == 1
     assert f"config value for '{_key(flag)}' is invalid" in capsys.readouterr().err
 
