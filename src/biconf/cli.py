@@ -30,17 +30,17 @@ import math
 import os
 import shlex
 import sys
-from itertools import product
 
 import numpy as np
 
 from .deform import DeformationPair, frame_to_coords, metric_of, ricci_frame
-from .expr import DomainError, ParseError
+from .expr import FLOAT_ERRORS, DomainError, ParseError
 from .families import (
     BLOW_UP,
     REACHED_T_MAX,
     FamilyParams,
     WarpedState,
+    check_step_count,
     einstein_constant,
     einstein_residuals,
     end_diagnostics,
@@ -66,6 +66,10 @@ NUMERICAL_ERRORS = (
     OracleError,
     ArithmeticError,
 )
+
+# points per batched evaluation of a grid or trajectory; bounds the memory
+# of the jets and Christoffel stencils of one batch
+CHUNK = 1024
 
 RESIDUAL_COLUMNS = [
     "res_11",
@@ -257,17 +261,75 @@ def _deformation(args: argparse.Namespace) -> DeformationPair:
 # Commands
 
 
+def _chunks(values: np.ndarray):
+    return (values[start:start + CHUNK] for start in range(0, len(values), CHUNK))
+
+
+def _grid_chunks(axes: list[np.ndarray]):
+    """The points of the grid spanned by ``axes`` as (n, 4) arrays of at
+    most CHUNK rows, in the order of itertools.product (x1 slowest)."""
+    shape = tuple(map(len, axes))
+    total = math.prod(shape)
+    for start in range(0, total, CHUNK):
+        index = np.unravel_index(np.arange(start, min(start + CHUNK, total)), shape)
+        yield np.stack([axis[i] for axis, i in zip(axes, index)], axis=-1)
+
+
+def _each(evaluate, batches):
+    """(point, result) for each point of each batch, in order: the row of
+    ``evaluate(batch)`` for that point, or the numerical error the point
+    raises alone.  A batch that raises is split in halves until the
+    failing point is isolated; halves are evaluated only as the caller
+    iterates, so a caller that stops at an error evaluates nothing past
+    it."""
+    for batch in batches:
+        try:
+            rows = evaluate(batch)
+        except NUMERICAL_ERRORS as exc:
+            if len(batch) == 1:
+                yield batch[0], exc
+            else:
+                half = len(batch) // 2
+                yield from _each(evaluate, (batch[:half], batch[half:]))
+            continue
+        yield from zip(batch, rows)
+
+
+def _rows(evaluate, batches):
+    """(point, row of ``evaluate``) for every point; the first point that
+    fails raises its error."""
+    for p, row in _each(evaluate, batches):
+        if isinstance(row, Exception):
+            raise row
+        yield p, row
+
+
+def _cells(evaluate, values: np.ndarray) -> list:
+    """``evaluate``'s value at each entry of ``values``, None where that
+    entry fails numerically."""
+    return [
+        None if isinstance(v, Exception) else float(v)
+        for _, v in _each(evaluate, _chunks(values))
+    ]
+
+
+def _on_t_axis(t: np.ndarray) -> np.ndarray:
+    """The points (t, 0, 0, 0)."""
+    return np.column_stack([t, np.zeros((len(t), 3))])
+
+
 def _grid_scan(args: argparse.Namespace, label: str, evaluate) -> tuple[list, float]:
-    """Rows (x1, x2, x3, x4, *evaluate(p)) over the grid, whose last value
-    is the point's maximum (printed as ``label``); returns the rows and
-    the grid maximum."""
+    """Rows (x1, x2, x3, x4, *values) over the grid, where ``evaluate``
+    maps a batch of points to one row of values per point, the last being
+    the point's maximum (printed as ``label``); returns the rows and the
+    grid maximum.  The first point that fails raises its error after the
+    lines of the points before it."""
     rows = []
     grid_max = 0.0
-    for p in map(np.array, product(*_parse_grid(args.grid))):
-        values = evaluate(p)
-        top = values[-1]
+    for p, values in _rows(evaluate, _grid_chunks(_parse_grid(args.grid))):
+        top = float(values[-1])
         grid_max = max(grid_max, top)
-        rows.append([p[0], p[1], p[2], p[3], *values])
+        rows.append([*p, *values])
         print(
             f"x=({_fmt(p[0])}, {_fmt(p[1])}, {_fmt(p[2])}, {_fmt(p[3])})"
             f"  {label} = {top:.6e}"
@@ -281,7 +343,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     def evaluate(p):
         closed = frame_to_coords(ricci_frame(d, p))
-        return [float(np.max(np.abs(closed - ricci_fd(g, p, h=args.h))))]
+        return np.max(np.abs(closed - ricci_fd(g, p, h=args.h)), axis=(1, 2))[:, None]
 
     rows, grid_max = _grid_scan(args, "max|closed - fd|", evaluate)
     passed = grid_max < args.tol
@@ -297,7 +359,7 @@ def cmd_residual(args: argparse.Namespace) -> int:
 
     def evaluate(p):
         res = einstein_residuals(d, args.A, p)
-        return [*res, float(np.max(np.abs(res)))]
+        return np.column_stack([res, np.max(np.abs(res), axis=1)])
 
     rows, grid_max = _grid_scan(args, "max|residual|", evaluate)
     passed = grid_max < args.tol
@@ -308,25 +370,32 @@ def cmd_residual(args: argparse.Namespace) -> int:
     return 0 if passed else 3
 
 
-def _family_rows(args, sigma, rho, a_const, samples, t_lo, t_hi):
-    """Rows (t, rho, rho_prime, sigma, proj_residual_max, fd_einstein_residual)."""
-    metric = metric_of(DeformationPair(sigma, rho))
-    rows = []
-    margin = 2.0 * args.h
-    for k, (t, rv, rp, sv) in enumerate(samples):
-        proj = None
-        try:
-            proj = float(np.max(np.abs(single_param_residuals(sigma, rho, a_const, t))))
-        except NUMERICAL_ERRORS:
-            pass
-        fd = None
-        if args.fd_every > 0 and k % args.fd_every == 0 and t_lo + margin < t < t_hi - margin:
-            try:
-                fd = einstein_residual_fd(metric, a_const, (t, 0.0, 0.0, 0.0), h=args.h)
-            except NUMERICAL_ERRORS:
-                pass
-        rows.append([t, rv, rp, sv, proj, fd])
-    return rows
+def _family_rows(args, sigma, rho, a_const, columns, t_lo, t_hi):
+    """Rows (t, rho, rho_prime, sigma, proj_residual_max, fd_einstein_residual)
+    from the sample columns (t, rho, rho_prime, sigma); a residual that
+    fails numerically at a sample leaves its cell empty."""
+    t = columns[0]
+    proj = _cells(
+        lambda ts: np.max(np.abs(single_param_residuals(sigma, rho, a_const, ts)), axis=1), t
+    )
+    fd = [None] * len(t)
+    if args.fd_every > 0:
+        metric = metric_of(DeformationPair(sigma, rho))
+        margin = 2.0 * args.h
+        due = [k for k in range(0, len(t), args.fd_every) if t_lo + margin < t[k] < t_hi - margin]
+        values = _cells(
+            lambda ts: einstein_residual_fd(metric, a_const, _on_t_axis(ts), h=args.h), t[due]
+        )
+        for k, value in zip(due, values):
+            fd[k] = value
+    return [list(row) for row in zip(*columns, proj, fd)]
+
+
+def _check_steps(t0: float, args: argparse.Namespace) -> None:
+    try:
+        check_step_count(t0, args.t_max, args.dt)
+    except ValueError as exc:
+        raise UsageError(f"--dt/--t-max: {exc}") from None
 
 
 def cmd_solve_family(args: argparse.Namespace) -> int:
@@ -334,17 +403,15 @@ def cmd_solve_family(args: argparse.Namespace) -> int:
     if args.ricci_flat:
         sigma, rho = ricci_flat_fields(args.a)
         a_const = 0.0
+        _check_steps(args.t_min, args)
         ts = np.arange(args.t_min, args.t_max + 0.5 * args.dt, args.dt)
-        samples = [
-            (
-                float(t),
-                rho((t, 0, 0, 0)),
-                float(rho.partial((t, 0, 0, 0), 1)),
-                sigma((t, 0, 0, 0)),
-            )
-            for t in ts
-        ]
-        rows = _family_rows(args, sigma, rho, a_const, samples, args.t_min, args.t_max)
+
+        def sample(t):
+            p = _on_t_axis(t)
+            return np.column_stack([t, rho(p), rho.partial(p, 1), sigma(p)])
+
+        columns = np.array([row for _, row in _rows(sample, _chunks(ts))]).reshape(-1, 4).T
+        rows = _family_rows(args, sigma, rho, a_const, columns, args.t_min, args.t_max)
         summary = {"A": a_const, "profile": "ricci-flat", "a": args.a}
         _emit(args, "samples", header, rows, summary)
         print(f"Ricci-flat profile sigma = a t^(1/4), rho = t^(-1/2), a = {args.a:g}")
@@ -356,6 +423,7 @@ def cmd_solve_family(args: argparse.Namespace) -> int:
         fp = FamilyParams(alpha=args.alpha, beta=args.beta, b=args.b)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    _check_steps(0.0, args)
     traj = integrate_rho(fp, args.rho0, args.dt, args.t_max)
     prime0 = traj["rho_prime"][0]
     if prime0 == 0.0:
@@ -367,11 +435,11 @@ def cmd_solve_family(args: argparse.Namespace) -> int:
         sigma, rho = family_fields(fp, traj)
     except NUMERICAL_ERRORS:
         pass
-    samples = list(zip(traj.t, traj["rho"], traj["rho_prime"], traj["sigma"]))
+    columns = [traj.t, traj["rho"], traj["rho_prime"], traj["sigma"]]
     if sigma is not None:
-        rows = _family_rows(args, sigma, rho, a_const, samples, traj.t[0], traj.t[-1])
+        rows = _family_rows(args, sigma, rho, a_const, columns, traj.t[0], traj.t[-1])
     else:
-        rows = [[t, rv, rp, sv, None, None] for t, rv, rp, sv in samples]
+        rows = [[*sample, None, None] for sample in zip(*columns)]
 
     summary = {
         "A": a_const,
@@ -413,6 +481,7 @@ def cmd_solve_warped(args: argparse.Namespace) -> int:
         state = WarpedState(args.alpha0, args.gamma0, args.delta0, B=args.B, C=c_const)
     except ValueError as exc:
         raise UsageError(f"invalid initial state: {exc}") from None
+    _check_steps(0.0, args)
     traj = integrate_warped(state, args.dt, (0.0, args.t_max))
     a_int = traj["A_integral"]
     drift = float(np.max(np.abs(a_int - a_int[0])))
@@ -581,11 +650,14 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = resolve_args(argv)
-        return _COMMANDS[args.command](args)
+        with np.errstate(**FLOAT_ERRORS):
+            return _COMMANDS[args.command](args)
     except (UsageError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NUMERICAL_ERRORS as exc:
+        if isinstance(exc, ArithmeticError):  # name the failed float operation
+            exc = f"{type(exc).__name__}: {exc}"
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

@@ -15,6 +15,10 @@ rescaled.
 
 Throughout, s_a / s_ab denote first / second partials of ln(sigma) and
 r_a / r_ab those of ln(rho), all with respect to the flat coordinates.
+
+Every function here takes a point or an (N, 4) array of points,
+evaluating each field once per batch; float overflow, division by zero
+and invalid operations raise.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .expr import raise_float_errors
 from .fields import ScalarField
 from .oracle import MetricField
 
@@ -62,7 +67,8 @@ class DeformationPair:
         )
 
     def log_data(self, p):
-        """(sigma, rho, grad ln sigma, Hess ln sigma, grad ln rho, Hess ln rho)."""
+        """(sigma, rho, grad ln sigma, Hess ln sigma, grad ln rho, Hess ln rho)
+        at a point or at each point of an (N, 4) array."""
         sv, sg, sh = self.sigma.log_jet(p)
         rv, rg, rh = self.rho.log_jet(p)
         return sv, rv, sg, sh, rg, rh
@@ -71,7 +77,8 @@ class DeformationPair:
 @dataclass(frozen=True)
 class FrameRicci:
     """Ricci components in the adapted orthonormal frame, as a 4x4 matrix,
-    with the values of sigma and rho at the point they were built at.
+    with the values of sigma and rho at the point they were built at (for
+    a batch of N points: an (N, 4, 4) matrix and N values each).
 
     Rows/columns 0,1 are horizontal (e_1, e_2) and 2,3 vertical
     (e_3, e_4); symmetry holds by construction.
@@ -83,21 +90,22 @@ class FrameRicci:
 
     @property
     def hh(self) -> np.ndarray:
-        return self.matrix[:2, :2]
+        return self.matrix[..., :2, :2]
 
     @property
     def hv(self) -> np.ndarray:
-        return self.matrix[:2, 2:]
+        return self.matrix[..., :2, 2:]
 
     @property
     def vv(self) -> np.ndarray:
-        return self.matrix[2:, 2:]
+        return self.matrix[..., 2:, 2:]
 
 
 @dataclass(frozen=True)
 class TransformationLaws:
     """Dilation, fibre mean curvature and integrability form of the
-    deformed projection (coordinate components)."""
+    deformed projection (coordinate components; a batch of points puts
+    its axis in front)."""
 
     dilation: float
     mean_curvature: np.ndarray  # (4,)
@@ -106,27 +114,31 @@ class TransformationLaws:
 
 def metric_of(d: DeformationPair) -> MetricField:
     """The deformed metric diag(1/sigma^2, 1/sigma^2, 1/rho^2, 1/rho^2)
-    as a MetricField with analytic partial derivatives."""
+    as a MetricField with analytic partial derivatives, evaluated a batch
+    of points at a time."""
 
     def value(p):
-        sv = d.sigma(p)
-        rv = d.rho(p)
-        return np.diag([1.0 / sv**2, 1.0 / sv**2, 1.0 / rv**2, 1.0 / rv**2])
+        a = 1.0 / np.square(d.sigma(p))
+        b = 1.0 / np.square(d.rho(p))
+        g = np.zeros(np.shape(a) + (4, 4))
+        g[..., 0, 0] = g[..., 1, 1] = a
+        g[..., 2, 2] = g[..., 3, 3] = b
+        return g
 
     def partials(p):
         sjet = d.sigma.jet(p)
         rjet = d.rho.jet(p)
-        ds = -2.0 * sjet.g / sjet.val**3  # d_c (sigma^-2)
-        dr = -2.0 * rjet.g / rjet.val**3
-        dg = np.zeros((4, 4, 4))
-        for c in range(4):
-            dg[c, 0, 0] = dg[c, 1, 1] = ds[c]
-            dg[c, 2, 2] = dg[c, 3, 3] = dr[c]
+        ds = -2.0 * sjet.g / np.power(sjet.val, 3)[..., None]  # d_c (sigma^-2)
+        dr = -2.0 * rjet.g / np.power(rjet.val, 3)[..., None]
+        dg = np.zeros(ds.shape + (4, 4))
+        dg[..., 0, 0] = dg[..., 1, 1] = ds
+        dg[..., 2, 2] = dg[..., 3, 3] = dr
         return dg
 
-    return MetricField(value, partials)
+    return MetricField.batched(value, partials)
 
 
+@raise_float_errors
 def ricci_frame(d: DeformationPair, p) -> FrameRicci:
     """All frame Ricci components Ric(e_a, e_b) at p, from one evaluation
     of both fields.  With kv = rho^2/sigma^2 and kh = sigma^2/rho^2:
@@ -141,21 +153,24 @@ def ricci_frame(d: DeformationPair, p) -> FrameRicci:
                                     + 2 s_rs - 2 s_r s_s
                                     + 2 (r_r s_s + s_r r_s) - 2 delta_rs s.r_V }
 
-    where s.r_H = s_1 r_1 + s_2 r_2 and s.r_V = s_3 r_3 + s_4 r_4.
+    where s.r_H = s_1 r_1 + s_2 r_2 and s.r_V = s_3 r_3 + s_4 r_4.  For a
+    batch of points every component is an array over the batch.
     """
-    sv, rv, *arrays = d.log_data(p)
-    sg, sh, rg, rh = (a.tolist() for a in arrays)  # plain floats index fast
+    sv, rv, sg, sh, rg, rh = d.log_data(p)
+    # component-major, so sg[a] and sh[a][b] are arrays over the batch
+    sg, rg = np.moveaxis(sg, -1, 0), np.moveaxis(rg, -1, 0)
+    sh, rh = np.moveaxis(sh, (-2, -1), (0, 1)), np.moveaxis(rh, (-2, -1), (0, 1))
     s2, r2 = sv * sv, rv * rv
     kv, kh = r2 / s2, s2 / r2
     m = [[0.0] * 4 for _ in range(4)]
 
     common = sh[0][0] + sh[1][1] + kv * (sh[2][2] + sh[3][3]) - 2.0 * kv * (
-        sg[2] ** 2 + sg[3] ** 2
+        sg[2] * sg[2] + sg[3] * sg[3]
     )
     for i, j in ((0, 1), (1, 0)):
         m[i][i] = s2 * (
             common
-            - 2.0 * rg[i] ** 2
+            - 2.0 * rg[i] * rg[i]
             + 2.0 * rh[i][i]
             + 2.0 * sg[i] * rg[i]
             - 2.0 * sg[j] * rg[j]
@@ -172,7 +187,7 @@ def ricci_frame(d: DeformationPair, p) -> FrameRicci:
         kh * (rh[0][0] + rh[1][1])
         + rh[2][2]
         + rh[3][3]
-        - 2.0 * kh * (rg[0] ** 2 + rg[1] ** 2)
+        - 2.0 * kh * (rg[0] * rg[0] + rg[1] * rg[1])
         - 2.0 * (sg[2] * rg[2] + sg[3] * rg[3])
     )
     for r in (2, 3):
@@ -181,9 +196,10 @@ def ricci_frame(d: DeformationPair, p) -> FrameRicci:
             if r == s:
                 val += trace_br
             m[r][s] = m[s][r] = r2 * val
-    return FrameRicci(np.array(m), sv, rv)
+    return FrameRicci(np.moveaxis(np.array(m), (0, 1), (-2, -1)), sv, rv)
 
 
+@raise_float_errors
 def frame_to_coords(fr: FrameRicci) -> np.ndarray:
     """Convert frame components to coordinate components.
 
@@ -191,10 +207,11 @@ def frame_to_coords(fr: FrameRicci) -> np.ndarray:
     divides by sigma^2, HV by sigma*rho and VV by rho^2; sigma and rho
     are the values ``fr`` was built from.
     """
-    w = np.array([1.0 / fr.sigma, 1.0 / fr.sigma, 1.0 / fr.rho, 1.0 / fr.rho])
-    return fr.matrix * np.outer(w, w)
+    w = np.stack([1.0 / fr.sigma, 1.0 / fr.sigma, 1.0 / fr.rho, 1.0 / fr.rho], axis=-1)
+    return fr.matrix * (w[..., :, None] * w[..., None, :])
 
 
+@raise_float_errors
 def deformed_laplacian(d: DeformationPair, f: ScalarField, p) -> float:
     """Laplacian of f in the deformed metric, flat-base closed form:
 
@@ -205,17 +222,20 @@ def deformed_laplacian(d: DeformationPair, f: ScalarField, p) -> float:
     """
     sv, rv, sg, _, rg, _ = d.log_data(p)
     jet = f.jet(p)
-    lap0 = float(np.trace(jet.h))
-    lap_v = jet.h[2, 2] + jet.h[3, 3]
+    sg, rg, fg = (np.moveaxis(a, -1, 0) for a in (sg, rg, jet.g))  # component-major
+    fh = np.moveaxis(jet.h, (-2, -1), (0, 1))
+    lap0 = fh[0, 0] + fh[1, 1] + fh[2, 2] + fh[3, 3]
+    lap_v = fh[2, 2] + fh[3, 3]
     s2, r2 = sv * sv, rv * rv
-    return float(
+    return (
         s2 * lap0
         + (r2 - s2) * lap_v
-        - 2.0 * s2 * (jet.g[0] * rg[0] + jet.g[1] * rg[1])
-        - 2.0 * r2 * (jet.g[2] * sg[2] + jet.g[3] * sg[3])
+        - 2.0 * s2 * (fg[0] * rg[0] + fg[1] * rg[1])
+        - 2.0 * r2 * (fg[2] * sg[2] + fg[3] * sg[3])
     )
 
 
+@raise_float_errors
 def transformation_laws(d: DeformationPair, p) -> TransformationLaws:
     """Dilation, mean curvature and integrability form of the deformed
     projection.  Over the flat base these specialize to
@@ -224,12 +244,13 @@ def transformation_laws(d: DeformationPair, p) -> TransformationLaws:
         zeta = 0 (asserted: the base integrability form vanishes).
     """
     sv, _, _, _, rg, _ = d.log_data(p)
-    mu = np.zeros(4)
-    mu[0] = sv * sv * rg[0]
-    mu[1] = sv * sv * rg[1]
-    return TransformationLaws(sv, mu, np.zeros(4))
+    mu = np.zeros(rg.shape)
+    mu[..., 0] = sv * sv * rg[..., 0]
+    mu[..., 1] = sv * sv * rg[..., 1]
+    return TransformationLaws(sv, mu, np.zeros(rg.shape))
 
 
+@raise_float_errors
 def conformal_ricci_coords(sigma: ScalarField, p) -> np.ndarray:
     """Coordinate Ricci of the conformal metric g = g0/sigma^2 (the
     sigma = rho case), from the classical conformal-change formula:
@@ -238,11 +259,13 @@ def conformal_ricci_coords(sigma: ScalarField, p) -> np.ndarray:
                  + delta_ab ( Lap0 ln s - 2 |grad0 ln s|^2 )
     """
     _, sg, sh = sigma.log_jet(p)
-    trace = float(np.trace(sh))
-    norm2 = float(np.dot(sg, sg))
-    return 2.0 * (sh + np.outer(sg, sg)) + np.eye(4) * (trace - 2.0 * norm2)
+    trace = np.trace(sh, axis1=-2, axis2=-1)
+    norm2 = np.sum(sg * sg, axis=-1)
+    outer = sg[..., :, None] * sg[..., None, :]
+    return 2.0 * (sh + outer) + np.eye(4) * (trace - 2.0 * norm2)[..., None, None]
 
 
+@raise_float_errors
 def horizontal_commutator(d: DeformationPair, p) -> np.ndarray:
     """Coordinate components of [e_1, e_2] for the deformed horizontal
     frame e_1 = sigma d_1, e_2 = sigma d_2:
@@ -253,7 +276,7 @@ def horizontal_commutator(d: DeformationPair, p) -> np.ndarray:
     the vanishing integrability form of the projection.
     """
     sjet = d.sigma.jet(p)
-    out = np.zeros(4)
-    out[0] = -sjet.val * sjet.g[1]
-    out[1] = sjet.val * sjet.g[0]
+    out = np.zeros(sjet.g.shape)
+    out[..., 0] = -sjet.val * sjet.g[..., 1]
+    out[..., 1] = sjet.val * sjet.g[..., 0]
     return out

@@ -18,11 +18,16 @@ every parsed expression carries exact first and second partials.  The
 ``^`` operator accepts any base when the exponent is an integer literal;
 otherwise the base must be strictly positive (it is rewritten as
 ``exp(y*ln x)``).
+
+``eval_jet`` and ``eval_value`` take one point or an (N, 4) array of
+points and walk the AST once for the whole array (Taylor-mode automatic
+differentiation over a batch axis).  Float overflow, division by zero
+and invalid operations raise FloatingPointError instead of warning.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -285,26 +290,65 @@ def pretty(node: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Second-order jets
+# Float errors
+
+# numpy settings under which a float overflow, division by zero or invalid
+# operation raises FloatingPointError (an ArithmeticError) instead of warning
+FLOAT_ERRORS = {"over": "raise", "divide": "raise", "invalid": "raise"}
+
+
+def raise_float_errors(fn):
+    """Decorator: run ``fn`` under ``np.errstate(**FLOAT_ERRORS)``.  The
+    setting is context-local, so it holds for this call only and is safe
+    under threads."""
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        with np.errstate(**FLOAT_ERRORS):
+            return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def first_where(x, mask):
+    """The first entry of ``x`` (in C order) where ``mask`` holds; the two
+    broadcast together."""
+    x, mask = np.broadcast_arrays(x, mask)
+    return x[mask][0]
+
+
+# ---------------------------------------------------------------------------
+# Second-order jets over a batch of points
+#
+# A batch is an array of points whose last axis holds the 4 coordinates: a
+# single point has batch shape (), an (N, 4) array batch shape (N,).  Every
+# operation acts on the batch axes elementwise, so row k of a batched result
+# is computed by exactly the operations that compute it for point k alone.
+
+_ZERO_G = np.zeros(4)
+_ZERO_H = np.zeros((4, 4))
+_UNIT = np.eye(4)
+
+
+def _outer(a, b):
+    """a_i b_j over the last axis of two batched vectors."""
+    return a[..., :, None] * b[..., None, :]
+
+
+def _symmetrized(cross):
+    return cross + np.swapaxes(cross, -1, -2)
 
 
 @dataclass
 class Jet:
-    """Value, gradient and Hessian of a scalar at a point of R^4."""
+    """Value, gradient and Hessian of a scalar on R^4 at each point of a
+    batch: ``val`` has the batch shape ((N,) for N points, () for one
+    point), ``g`` that shape + (4,) and ``h`` that shape + (4, 4),
+    symmetric."""
 
-    val: float
-    g: np.ndarray  # shape (4,)
-    h: np.ndarray  # shape (4, 4), symmetric
-
-    @staticmethod
-    def constant(value: float) -> "Jet":
-        return Jet(float(value), np.zeros(4), np.zeros((4, 4)))
-
-    @staticmethod
-    def variable(value: float, axis: int) -> "Jet":
-        g = np.zeros(4)
-        g[axis] = 1.0
-        return Jet(float(value), g, np.zeros((4, 4)))
+    val: np.ndarray
+    g: np.ndarray
+    h: np.ndarray
 
     def __add__(self, other: "Jet") -> "Jet":
         return Jet(self.val + other.val, self.g + other.g, self.h + other.h)
@@ -316,50 +360,61 @@ class Jet:
         return Jet(-self.val, -self.g, -self.h)
 
     def __mul__(self, other: "Jet") -> "Jet":
-        cross = np.outer(self.g, other.g)
+        a, b = self.val, other.val
         return Jet(
-            self.val * other.val,
-            self.val * other.g + other.val * self.g,
-            self.val * other.h + other.val * self.h + cross + cross.T,
+            a * b,
+            a[..., None] * other.g + b[..., None] * self.g,
+            a[..., None, None] * other.h
+            + b[..., None, None] * self.h
+            + _symmetrized(_outer(self.g, other.g)),
         )
 
     def __truediv__(self, other: "Jet") -> "Jet":
-        if other.val == 0.0:
+        if np.any(other.val == 0.0):
             raise DomainError("division by zero")
         inv = 1.0 / other.val
         q = self.val * inv
-        qg = (self.g - q * other.g) * inv
-        cross = np.outer(qg, other.g)
-        qh = (self.h - q * other.h - cross - cross.T) * inv
+        qg = (self.g - q[..., None] * other.g) * inv[..., None]
+        qh = (
+            self.h - q[..., None, None] * other.h - _symmetrized(_outer(qg, other.g))
+        ) * inv[..., None, None]
         return Jet(q, qg, qh)
 
 
-def _chain(u: Jet, f0: float, f1: float, f2: float) -> Jet:
+def _constant(value: float) -> Jet:
+    return Jet(np.float64(value), _ZERO_G, _ZERO_H)
+
+
+def _chain(u: Jet, f0, f1, f2) -> Jet:
     """Jet of f(u) given f, f', f'' at u.val."""
-    return Jet(f0, f1 * u.g, f1 * u.h + f2 * np.outer(u.g, u.g))
+    return Jet(
+        f0,
+        f1[..., None] * u.g,
+        f1[..., None, None] * u.h + f2[..., None, None] * _outer(u.g, u.g),
+    )
 
 
 def _jet_call(fn: str, u: Jet) -> Jet:
     v = u.val
     if fn == "exp":
-        e = math.exp(v)
+        e = np.exp(v)
         return _chain(u, e, e, e)
     if fn == "ln":
-        if v <= 0.0:
-            raise DomainError(f"ln of non-positive value {v}")
-        return _chain(u, math.log(v), 1.0 / v, -1.0 / (v * v))
+        if np.any(v <= 0.0):
+            raise DomainError(f"ln of non-positive value {first_where(v, v <= 0.0)}")
+        return _chain(u, np.log(v), 1.0 / v, -1.0 / (v * v))
     if fn == "sqrt":
-        if v <= 0.0:
-            raise DomainError(f"sqrt derivative undefined at {v}")
-        r = math.sqrt(v)
+        if np.any(v <= 0.0):
+            raise DomainError(f"sqrt derivative undefined at {first_where(v, v <= 0.0)}")
+        r = np.sqrt(v)
         return _chain(u, r, 0.5 / r, -0.25 / (v * r))
     if fn == "sin":
-        return _chain(u, math.sin(v), math.cos(v), -math.sin(v))
+        return _chain(u, np.sin(v), np.cos(v), -np.sin(v))
     if fn == "cos":
-        return _chain(u, math.cos(v), -math.sin(v), -math.cos(v))
+        return _chain(u, np.cos(v), -np.sin(v), -np.cos(v))
     if fn == "atan":
         d = 1.0 + v * v
-        return _chain(u, math.atan(v), 1.0 / d, -2.0 * v / (d * d))
+        return _chain(u, np.arctan(v), 1.0 / d, -2.0 * v / (d * d))
     raise ValueError(f"unknown function {fn!r}")
 
 
@@ -374,41 +429,48 @@ def _int_exponent(node: Expr):
     return None
 
 
-def _jet_pow(base: Jet, exponent: Expr, point) -> Jet:
+def _int_power(base, n: int):
+    """base^n by ``np.power`` (a numpy scalar's ``**`` rounds differently
+    from the array loop); zero to a negative power is a DomainError."""
+    if n < 0 and np.any(base == 0.0):
+        raise DomainError(f"zero raised to negative power {n}")
+    return np.power(base, n)
+
+
+def _positive_base(base):
+    if np.any(base <= 0.0):
+        raise DomainError(
+            f"non-integer power requires a positive base, got base {first_where(base, base <= 0.0)}"
+        )
+
+
+def _jet_pow(base: Jet, exponent: Expr, x) -> Jet:
     n = _int_exponent(exponent)
     if n is not None:
         if n == 0:
-            return Jet.constant(1.0)
+            return _constant(1.0)
         v = base.val
-        try:
-            f0 = v**n
-            f1 = n * v ** (n - 1)
-            f2 = n * (n - 1) * v ** (n - 2) if n * (n - 1) != 0 else 0.0
-        except ZeroDivisionError:
-            raise DomainError(f"zero raised to negative power {n}") from None
-        return _chain(base, f0, f1, f2)
-    if base.val <= 0.0:
-        raise DomainError(
-            f"non-integer power requires a positive base, got base {base.val}"
-        )
-    return _jet_call("exp", eval_jet(exponent, point) * _jet_call("ln", base))
+        f0 = _int_power(v, n)
+        f2 = n * (n - 1) * np.power(v, n - 2) if n * (n - 1) != 0 else np.zeros_like(v)
+        return _chain(base, f0, n * np.power(v, n - 1), f2)
+    _positive_base(base.val)
+    return _jet_call("exp", _jet(exponent, x) * _jet_call("ln", base))
 
 
-def eval_jet(node: Expr, point) -> Jet:
-    """Evaluate ``node`` to a second-order jet at ``point`` (4 coordinates)."""
+def _jet(node: Expr, x) -> Jet:
     if isinstance(node, Num):
-        return Jet.constant(node.value)
+        return _constant(node.value)
     if isinstance(node, Var):
-        return Jet.variable(point[node.index - 1], node.index - 1)
+        return Jet(x[..., node.index - 1], _UNIT[node.index - 1], _ZERO_H)
     if isinstance(node, Neg):
-        return -eval_jet(node.arg, point)
+        return -_jet(node.arg, x)
     if isinstance(node, Call):
-        return _jet_call(node.fn, eval_jet(node.arg, point))
+        return _jet_call(node.fn, _jet(node.arg, x))
     if isinstance(node, Bin):
         if node.op == "^":
-            return _jet_pow(eval_jet(node.lhs, point), node.rhs, point)
-        a = eval_jet(node.lhs, point)
-        b = eval_jet(node.rhs, point)
+            return _jet_pow(_jet(node.lhs, x), node.rhs, x)
+        a = _jet(node.lhs, x)
+        b = _jet(node.rhs, x)
         if node.op == "+":
             return a + b
         if node.op == "-":
@@ -420,53 +482,62 @@ def eval_jet(node: Expr, point) -> Jet:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _value_pow(node: Bin, point) -> float:
-    base = eval_value(node.lhs, point)
-    n = _int_exponent(node.rhs)
-    if n is not None:
-        try:
-            return base**n
-        except ZeroDivisionError:
-            raise DomainError(f"zero raised to negative power {n}") from None
-    if base <= 0.0:
-        raise DomainError(
-            f"non-integer power requires a positive base, got base {base}"
-        )
-    return math.exp(eval_value(node.rhs, point) * math.log(base))
+def filled(a, shape: tuple):
+    """A new array of ``shape`` holding ``a`` broadcast (a numpy scalar
+    when the shape is ())."""
+    return np.array(np.broadcast_to(a, shape))[()]
 
 
-def eval_value(node: Expr, point) -> float:
-    """Evaluate ``node`` to a plain float (no derivatives)."""
+@raise_float_errors
+def eval_jet(node: Expr, points) -> Jet:
+    """Jet of ``node`` at a point (4 coordinates) or at each row of an
+    (N, 4) array, from one walk of the AST."""
+    x = np.asarray(points, dtype=float)
+    jet = _jet(node, x)
+    batch = x.shape[:-1]
+    return Jet(
+        filled(jet.val, batch), filled(jet.g, batch + (4,)), filled(jet.h, batch + (4, 4))
+    )
+
+
+def _value_call(fn: str, v):
+    if fn == "exp":
+        return np.exp(v)
+    if fn == "ln":
+        if np.any(v <= 0.0):
+            raise DomainError(f"ln of non-positive value {first_where(v, v <= 0.0)}")
+        return np.log(v)
+    if fn == "sqrt":
+        if np.any(v < 0.0):
+            raise DomainError(f"sqrt of negative value {first_where(v, v < 0.0)}")
+        return np.sqrt(v)
+    if fn == "sin":
+        return np.sin(v)
+    if fn == "cos":
+        return np.cos(v)
+    if fn == "atan":
+        return np.arctan(v)
+    raise ValueError(f"unknown function {fn!r}")
+
+
+def _value(node: Expr, x):
     if isinstance(node, Num):
-        return node.value
+        return np.float64(node.value)
     if isinstance(node, Var):
-        return float(point[node.index - 1])
+        return x[..., node.index - 1]
     if isinstance(node, Neg):
-        return -eval_value(node.arg, point)
+        return -_value(node.arg, x)
     if isinstance(node, Call):
-        v = eval_value(node.arg, point)
-        if node.fn == "exp":
-            return math.exp(v)
-        if node.fn == "ln":
-            if v <= 0.0:
-                raise DomainError(f"ln of non-positive value {v}")
-            return math.log(v)
-        if node.fn == "sqrt":
-            if v < 0.0:
-                raise DomainError(f"sqrt of negative value {v}")
-            return math.sqrt(v)
-        if node.fn == "sin":
-            return math.sin(v)
-        if node.fn == "cos":
-            return math.cos(v)
-        if node.fn == "atan":
-            return math.atan(v)
-        raise ValueError(f"unknown function {node.fn!r}")
+        return _value_call(node.fn, _value(node.arg, x))
     if isinstance(node, Bin):
+        a = _value(node.lhs, x)
         if node.op == "^":
-            return _value_pow(node, point)
-        a = eval_value(node.lhs, point)
-        b = eval_value(node.rhs, point)
+            n = _int_exponent(node.rhs)
+            if n is not None:
+                return _int_power(a, n)
+            _positive_base(a)
+            return np.exp(_value(node.rhs, x) * np.log(a))
+        b = _value(node.rhs, x)
         if node.op == "+":
             return a + b
         if node.op == "-":
@@ -474,7 +545,15 @@ def eval_value(node: Expr, point) -> float:
         if node.op == "*":
             return a * b
         if node.op == "/":
-            if b == 0.0:
+            if np.any(b == 0.0):
                 raise DomainError("division by zero")
             return a / b
     raise TypeError(f"not an expression node: {node!r}")
+
+
+@raise_float_errors
+def eval_value(node: Expr, points):
+    """Value of ``node`` (no derivatives) at a point or at each row of an
+    (N, 4) array, from one walk of the AST."""
+    x = np.asarray(points, dtype=float)
+    return filled(_value(node, x), x.shape[:-1])

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .deform import DeformationPair, metric_of, ricci_frame
-from .expr import DomainError
+from .expr import DomainError, first_where, raise_float_errors
 from .fields import ExpressionField, ProfileField, ScalarField, require_positive
 from .oracle import MetricField
 
@@ -50,6 +50,7 @@ __all__ = [
     "warped_integral",
     "rho_rhs",
     "integrate_rho",
+    "check_step_count",
     "implicit_time",
     "sigma_from_rho",
     "einstein_constant",
@@ -65,6 +66,7 @@ REACHED_T_MAX = "reached-t-max"
 BLOW_UP = "blow-up"
 SINGULAR_GAMMA = "singular-gamma"
 
+MAX_STEPS = 10**6  # RK4 steps or profile samples per run; 50x the largest canned example
 RHO_BLOW_UP_CAP = 1e3
 WARPED_COMPONENT_CAP = 1e6
 GAMMA_SINGULAR_TOL = 1e-8
@@ -190,9 +192,11 @@ class EndDiagnostics:
 #   [ (1,1), (2,2), (1,2), (1,3), (1,4), (2,3), (2,4), (3,3), (4,4), (3,4) ]
 
 
+@raise_float_errors
 def einstein_residuals(d: DeformationPair, a_const: float, p) -> np.ndarray:
-    """Residuals of the ten pointwise Einstein equations at p: the frame
-    Ricci matrix minus A times the identity, slot by slot.
+    """Residuals of the ten pointwise Einstein equations at p (shape (10,)),
+    or at each point of an (N, 4) array (shape (N, 10)): the frame Ricci
+    matrix minus A times the identity, slot by slot.
 
     Diagonal slots carry the sigma^2 / rho^2 prefactors of the equations
     (Ric(e_a, e_a) - A); off-diagonal slots are the bare brackets (the
@@ -201,28 +205,36 @@ def einstein_residuals(d: DeformationPair, a_const: float, p) -> np.ndarray:
     """
     fr = ricci_frame(d, p)
     (m11, m12, m13, m14), (_, m22, m23, m24), (_, _, m33, m34), (_, _, _, m44) = (
-        fr.matrix.tolist()
+        np.moveaxis(fr.matrix, (-2, -1), (0, 1))
     )
-    hh, hv, vv = 2.0 * fr.sigma**2, fr.sigma * fr.rho, 2.0 * fr.rho**2
+    hh, hv, vv = 2.0 * np.square(fr.sigma), fr.sigma * fr.rho, 2.0 * np.square(fr.rho)
     a = a_const
-    return np.array([
+    return np.stack([
         m11 - a, m22 - a, m12 / hh,
         m13 / hv, m14 / hv, m23 / hv, m24 / hv,
         m33 - a, m44 - a, m34 / vv,
-    ])
+    ], axis=-1)
 
 
 def _vertical_curvature(beta: ScalarField, p) -> float:
     """Gaussian curvature beta^2 (d33 + d44) ln beta of the vertical
     surface metric (dx3^2 + dx4^2)/beta^2 at p."""
     bv, _, bh = beta.log_jet(p)
-    return bv * bv * (bh[2, 2] + bh[3, 3])
+    return bv * bv * (bh[..., 2, 2] + bh[..., 3, 3])
 
 
+# offsets of the points around p at which beta's curvature must agree
+_CURVATURE_PROBES = np.array(
+    [[0.0, 0.0, off * (axis == 2), off * (axis == 3)] for off in (0.0, 0.05, -0.05) for axis in (2, 3)]
+)
+
+
+@raise_float_errors
 def warped_residuals(
     sigma: ScalarField, alpha: ScalarField, beta: ScalarField, a_const: float, p
 ) -> np.ndarray:
-    """Residuals of the four warped-product Einstein equations at p.
+    """Residuals of the four warped-product Einstein equations at p, or at
+    each point of an (N, 4) array.
 
     The metric is (dx1^2+dx2^2)/sigma^2 + (dx3^2+dx4^2)/(alpha^2 beta^2)
     with sigma, alpha functions of (x1, x2) and beta of (x3, x4); beta
@@ -230,23 +242,22 @@ def warped_residuals(
     checked to VERTICAL_CURVATURE_TOL on a small sample stencil around p.
     """
     p = np.asarray(p, dtype=float)
-    ks = []
-    for off in (0.0, 0.05, -0.05):
-        for axis in (2, 3):
-            q = p.copy()
-            q[axis] += off
-            ks.append(_vertical_curvature(beta, q))
-    if max(ks) - min(ks) > VERTICAL_CURVATURE_TOL:
+    ks = _vertical_curvature(beta, p + _CURVATURE_PROBES.reshape((6,) + (1,) * (p.ndim - 1) + (4,)))
+    spread = np.max(ks, axis=0) - np.min(ks, axis=0)
+    if np.any(spread > VERTICAL_CURVATURE_TOL):
         raise DomainError(
-            f"beta does not have constant vertical curvature: spread {max(ks) - min(ks):.3e}"
+            "beta does not have constant vertical curvature: spread "
+            f"{first_where(spread, spread > VERTICAL_CURVATURE_TOL):.3e}"
         )
 
     sv, sg, sh = sigma.log_jet(p)
     av, ag, ah = alpha.log_jet(p)
+    sg, ag = np.moveaxis(sg, -1, 0), np.moveaxis(ag, -1, 0)  # component-major
+    sh, ah = np.moveaxis(sh, (-2, -1), (0, 1)), np.moveaxis(ah, (-2, -1), (0, 1))
     s2 = sv * sv
     lap_s = sh[0, 0] + sh[1, 1]
 
-    res = np.empty(4)
+    res = [None] * 4
     for i, j in ((0, 1), (1, 0)):
         res[i] = (
             s2
@@ -260,22 +271,25 @@ def warped_residuals(
         - 2.0 * s2 * (ag[0] ** 2 + ag[1] ** 2)
         - a_const
     )
-    return res
+    return np.stack(res, axis=-1)
 
 
 def single_param_residuals(
-    sigma: ScalarField, rho: ScalarField, a_const: float, t: float
+    sigma: ScalarField, rho: ScalarField, a_const: float, t
 ) -> np.ndarray:
     """Residuals of the three scalar equations obtained by substituting
     sigma = sigma(t), rho = rho(t) into the ten-equation system, i.e.
-    slots (1,1), (2,2) and (3,3) of ``einstein_residuals`` at (t, 0, 0, 0):
+    slots (1,1), (2,2) and (3,3) of ``einstein_residuals`` at (t, 0, 0, 0);
+    shape (3,) for one t, (N, 3) for an array of N values of t:
 
         (1)  A = sigma^2 { (ln s)'' + 2 (ln s)'(ln r)' - 2 (ln r)'^2 + 2 (ln r)'' }
         (2)  A = sigma^2 { (ln s)'' - 2 (ln s)'(ln r)' }
         (3)  A = sigma^2 { (ln r)'' - 2 (ln r)'^2 }
     """
-    res = einstein_residuals(DeformationPair(sigma, rho), a_const, (t, 0.0, 0.0, 0.0))
-    return res[[0, 1, 7]]
+    t = np.asarray(t, dtype=float)
+    p = np.zeros(t.shape + (4,))
+    p[..., 0] = t
+    return einstein_residuals(DeformationPair(sigma, rho), a_const, p)[..., [0, 1, 7]]
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +313,20 @@ def _rk4_step(rhs, y: list, dt: float) -> list:
     ]
 
 
+def check_step_count(t0: float, t1: float, dt: float) -> None:
+    """Raise ValueError unless steps of dt cross [t0, t1] in at most
+    MAX_STEPS steps, each of which moves t (dt above the float resolution
+    of t)."""
+    steps = (t1 - t0) / dt
+    if not steps <= MAX_STEPS:
+        raise ValueError(
+            f"a t span of {t1 - t0:g} at dt = {dt:g} takes {steps:.3g} steps, "
+            f"more than {MAX_STEPS}"
+        )
+    if dt <= math.ulp(max(abs(t0), abs(t1))):
+        raise ValueError(f"dt = {dt:g} is below the float resolution of t on [{t0:g}, {t1:g}]")
+
+
 def _integrate(rhs, y0: list, t0: float, t1: float, dt: float, stop, t_tol=None):
     """Fixed-step RK4 from y0 at t0 towards t1.
 
@@ -309,6 +337,7 @@ def _integrate(rhs, y0: list, t0: float, t1: float, dt: float, stop, t_tol=None)
 
     Returns (times, states, termination, escape time or None).
     """
+    check_step_count(t0, t1, dt)
     t, y = t0, y0
     ts, ys = [t], [y]
     while t < t1 - 1e-12:
@@ -505,19 +534,22 @@ class _RhoInterpolant:
     def t_range(self) -> tuple[float, float]:
         return float(self.t[0]), float(self.t[-1])
 
-    def rho_at(self, t: float) -> float:
+    def rho_at(self, t):
+        """rho at a time or at each entry of an array of times."""
         t0, t1 = self.t_range
-        if t < t0 or t > t1:
-            raise DomainError(f"t = {t} outside trajectory range [{t0}, {t1}]")
-        k = int(np.searchsorted(self.t, t, side="right") - 1)
-        k = min(max(k, 0), len(self.t) - 2)
+        outside = (t < t0) | (t > t1)
+        if np.any(outside):
+            raise DomainError(
+                f"t = {first_where(t, outside)} outside trajectory range [{t0}, {t1}]"
+            )
+        k = np.clip(np.searchsorted(self.t, t, side="right") - 1, 0, len(self.t) - 2)
         h = self.t[k + 1] - self.t[k]
         u = (t - self.t[k]) / h
         h00 = (1.0 + 2.0 * u) * (1.0 - u) ** 2
         h10 = u * (1.0 - u) ** 2
         h01 = u * u * (3.0 - 2.0 * u)
         h11 = u * u * (u - 1.0)
-        return float(
+        return (
             h00 * self.rho[k]
             + h10 * h * self.prime[k]
             + h01 * self.rho[k + 1]
@@ -545,10 +577,11 @@ def family_fields(fp: FamilyParams, traj: Trajectory) -> tuple[ScalarField, Scal
     alpha, c, b = fp.alpha, fp.c, fp.b
     sgn = math.copysign(1.0, prime[0])
 
-    # Each closure interpolates rho once (the interpolant raises outside
-    # the trajectory range).  The log-derivatives are exact: near the
-    # collapsed end rho' -> 0 the quotient form f''/f - (f'/f)^2 cancels
-    # catastrophically, while (ln sigma)'' = -(rho'/rho)^2 stays accurate.
+    # Each closure interpolates rho once for a whole array of t (the
+    # interpolant raises outside the trajectory range).  The
+    # log-derivatives are exact: near the collapsed end rho' -> 0 the
+    # quotient form f''/f - (f'/f)^2 cancels catastrophically, while
+    # (ln sigma)'' = -(rho'/rho)^2 stays accurate.
     def state(t):
         r = require_positive(interp.rho_at(t))
         return r, rho_rhs(fp, r)
@@ -559,7 +592,7 @@ def family_fields(fp: FamilyParams, traj: Trajectory) -> tuple[ScalarField, Scal
 
     def sigma_profile(t):
         r, f = state(t)
-        root = math.sqrt(sgn * f)
+        root = np.sqrt(sgn * f)
         sv = b * r / root
         return (
             sv,

@@ -17,12 +17,23 @@ derivatives require it of every field.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .expr import DomainError, Expr, Jet, eval_jet, eval_value, parse_expr
+from .expr import (
+    FLOAT_ERRORS,
+    DomainError,
+    Expr,
+    Jet,
+    eval_jet,
+    eval_value,
+    filled,
+    first_where,
+    parse_expr,
+)
 
 __all__ = [
     "PositivityError",
@@ -47,95 +58,124 @@ class PositivityError(DomainError):
     non-finite value."""
 
 
-def require_positive(value: float, p: Point | None = None) -> float:
-    """Return ``value`` if it is finite and > 0, else raise PositivityError
-    (naming the point ``p`` when given).  NaN fails the comparison."""
-    if 0.0 < value < math.inf:
+def _point_where(p, mask) -> tuple:
+    """The first point of the batch ``p`` where ``mask`` holds."""
+    return tuple(map(float, np.reshape(p, (-1, 4))[np.flatnonzero(mask)[0]]))
+
+
+def require_positive(value, p: Point | None = None):
+    """Return ``value`` if every entry is finite and > 0, else raise
+    PositivityError naming the first entry that is not (and its point of
+    the batch ``p``, when given).  NaN fails the comparison."""
+    v = np.asarray(value)
+    bad = ~((v > 0.0) & (v < math.inf))
+    if not np.any(bad):
         return value
-    where = "" if p is None else f" at {tuple(map(float, p))}"
-    raise PositivityError(f"field must be finite and positive, got {value}{where}")
+    where = "" if p is None else f" at {_point_where(p, bad)}"
+    raise PositivityError(f"field must be finite and positive, got {first_where(v, bad)}{where}")
 
 
-def _evaluate(fn: Callable, p: np.ndarray):
-    """``fn(p)``, with an overflow or a division by zero raised as
-    DomainError: the one boundary between float arithmetic inside a
-    field and the numerical failures callers handle."""
-    try:
-        return fn(p)
-    except ArithmeticError as exc:
-        raise DomainError(f"field evaluation failed at {tuple(map(float, p))}: {exc}") from None
-
-
-def as_point(p: Point) -> np.ndarray:
-    """Validate and convert a point of R^4 to a float array."""
+def as_point(p) -> np.ndarray:
+    """Validate and convert a point of R^4, or an array of points whose
+    last axis holds their 4 coordinates (an (N, 4) batch), to floats."""
     arr = np.asarray(p, dtype=float)
-    if arr.shape != (4,):
+    if arr.ndim == 0 or arr.shape[-1] != 4:
         raise ValueError(f"point must have 4 coordinates, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"point coordinates must be finite, got {arr}")
+    finite = np.all(np.isfinite(arr), axis=-1)
+    if not np.all(finite):
+        raise ValueError(f"point coordinates must be finite, got {_point_where(arr, ~finite)}")
     return arr
 
 
+def _evaluation(method):
+    """Decorator of the evaluating methods of a field: the point (or batch)
+    is validated, numpy float errors raise, and any ArithmeticError is
+    raised as DomainError naming the point.  This is the one boundary
+    between float arithmetic inside a field and the numerical failures
+    callers handle."""
+
+    @functools.wraps(method)
+    def evaluate(self, p):
+        p = as_point(p)
+        try:
+            with np.errstate(**FLOAT_ERRORS):
+                return method(self, p)
+        except ArithmeticError as exc:
+            where = _point_where(p, True) if p.size == 4 else f"one of {p.size // 4} points"
+            raise DomainError(
+                f"field evaluation at {where} left the finite float range: "
+                f"{type(exc).__name__}: {exc}"
+            ) from None
+
+    return evaluate
+
+
 class ScalarField:
-    """Base class: value plus exact-or-FD first and second partials."""
+    """Base class: value plus exact-or-FD first and second partials.
+
+    Every evaluation takes one point (4 coordinates) or an (N, 4) array
+    of points; results carry the batch axis (N,) in front, and none for
+    one point."""
 
     def __init__(self, positive: bool = False):
         self.positive = positive
 
-    # subclasses implement these two
-    def _raw_value(self, p: np.ndarray) -> float:
+    # subclasses implement these two on a validated batch of points
+    def _raw_value(self, p: np.ndarray):
         raise NotImplementedError
 
     def _raw_jet(self, p: np.ndarray) -> Jet:
         raise NotImplementedError
 
-    def __call__(self, p: Point) -> float:
-        arr = as_point(p)
-        value = _evaluate(self._raw_value, arr)
-        if self.positive:
-            require_positive(value, arr)
-        return value
+    @_evaluation
+    def __call__(self, p):
+        value = self._raw_value(p)
+        return require_positive(value, p) if self.positive else value
 
-    def jet(self, p: Point) -> Jet:
-        jet = _evaluate(self._raw_jet, as_point(p))
+    @_evaluation
+    def jet(self, p) -> Jet:
+        jet = self._raw_jet(p)
         if self.positive:
             require_positive(jet.val, p)
         return jet
 
-    def partial(self, p: Point, i: int) -> float:
+    def partial(self, p, i: int):
         """First partial with respect to x_i, i in 1..4."""
         if i not in (1, 2, 3, 4):
             raise ValueError(f"partial index must be in 1..4, got {i}")
-        return float(self.jet(p).g[i - 1])
+        return self.jet(p).g[..., i - 1]
 
-    def partial2(self, p: Point, i: int, j: int) -> float:
+    def partial2(self, p, i: int, j: int):
         """Second partial with respect to x_i and x_j, indices in 1..4."""
         if i not in (1, 2, 3, 4) or j not in (1, 2, 3, 4):
             raise ValueError(f"partial indices must be in 1..4, got {i}, {j}")
-        return float(self.jet(p).h[i - 1, j - 1])
+        return self.jet(p).h[..., i - 1, j - 1]
 
-    def grad_ln(self, p: Point) -> np.ndarray:
+    @_evaluation
+    def grad_ln(self, p) -> np.ndarray:
         """Gradient of ln(f): component a is (d_a f)/f.  Requires f > 0."""
         jet = self.jet(p)
-        return jet.g / require_positive(jet.val, p)
+        return jet.g / require_positive(jet.val, p)[..., None]
 
-    def log_jet(self, p: Point):
-        """(f, grad ln f, Hessian of ln f) at p; requires f > 0."""
+    @_evaluation
+    def log_jet(self, p):
+        """(f, grad ln f, Hessian of ln f); requires f > 0."""
         jet = self.jet(p)
         value = require_positive(jet.val, p)
-        lg = jet.g / value
-        lh = jet.h / value - np.outer(lg, lg)
+        lg = jet.g / value[..., None]
+        lh = jet.h / value[..., None, None] - lg[..., :, None] * lg[..., None, :]
         return value, lg, lh
 
 
 class ExpressionField(ScalarField):
-    """Field backed by a parsed expression; derivatives are exact."""
+    """Field backed by a parsed expression; derivatives are exact.  A
+    batch of points costs one walk of the AST."""
 
     def __init__(self, source: str | Expr, positive: bool = False):
         super().__init__(positive)
         self.ast = parse_expr(source) if isinstance(source, str) else source
 
-    def _raw_value(self, p: np.ndarray) -> float:
+    def _raw_value(self, p: np.ndarray):
         return eval_value(self.ast, p)
 
     def _raw_jet(self, p: np.ndarray) -> Jet:
@@ -148,42 +188,50 @@ class ExpressionField(ScalarField):
 
 
 class CallableField(ScalarField):
-    """Black-box field; derivatives by centered finite differences.
+    """Black-box field, called point by point; derivatives by centered
+    finite differences.
 
     The steps are FD_FIRST_STEP for first partials and FD_SECOND_STEP
     for second partials.  The FD Hessian is symmetric bitwise (each
-    mixed entry is computed once and mirrored).
+    mixed entry is computed once and mirrored).  The differences follow
+    IEEE arithmetic: a non-finite value gives non-finite derivatives,
+    which a positive field and the log derivatives then reject through
+    the value.
     """
 
     def __init__(self, func: Callable[[np.ndarray], float], positive: bool = False):
         super().__init__(positive)
         self.func = func
 
-    def _raw_value(self, p: np.ndarray) -> float:
-        return float(self.func(p))
+    def _raw_value(self, p: np.ndarray):
+        values = [float(self.func(q)) for q in np.reshape(p, (-1, 4))]
+        return np.reshape(values, p.shape[:-1])[()]
 
     def _raw_jet(self, p: np.ndarray) -> Jet:
-        f = self.func
+        f = self._raw_value
         h1, h2 = FD_FIRST_STEP, FD_SECOND_STEP
         e1, e2 = np.eye(4) * h1, np.eye(4) * h2
-        value = float(f(p))
-        g = np.array([(f(p + e) - f(p - e)) / (2.0 * h1) for e in e1])
-        h = np.zeros((4, 4))
-        for a, ea in enumerate(e2):
-            h[a, a] = (f(p + ea) - 2.0 * value + f(p - ea)) / (h2 * h2)
-            for b in range(a + 1, 4):
-                eb = e2[b]
-                h[a, b] = h[b, a] = (
-                    f(p + ea + eb) - f(p + ea - eb) - f(p - ea + eb) + f(p - ea - eb)
-                ) / (4.0 * h2 * h2)
+        value = f(p)
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = np.stack([(f(p + e) - f(p - e)) / (2.0 * h1) for e in e1], axis=-1)
+            h = np.zeros(p.shape[:-1] + (4, 4))
+            for a, ea in enumerate(e2):
+                h[..., a, a] = (f(p + ea) - 2.0 * value + f(p - ea)) / (h2 * h2)
+                for b in range(a + 1, 4):
+                    eb = e2[b]
+                    h[..., a, b] = h[..., b, a] = (
+                        f(p + ea + eb) - f(p + ea - eb) - f(p - ea + eb) + f(p - ea - eb)
+                    ) / (4.0 * h2 * h2)
         return Jet(value, g, h)
 
 
 class ProfileField(ScalarField):
     """Field depending on t = x1 only, given by one profile closure
 
-        profile(t) -> (f, f', f'', (ln f)', (ln f)'').
+        profile(t) -> (f, f', f'', (ln f)', (ln f)'')
 
+    that takes the t values of a batch at once (a 0-d array for a single
+    point) and returns each entry as an array of their shape or a scalar.
     The log-derivatives are taken from the closure rather than from
     f''/f - (f'/f)^2, which cancels catastrophically for profiles whose
     log-derivatives are many orders smaller than the quotient terms.
@@ -193,7 +241,7 @@ class ProfileField(ScalarField):
 
     def __init__(
         self,
-        profile: Callable[[float], tuple[float, float, float, float, float]],
+        profile: Callable[[np.ndarray], tuple],
         domain: tuple[float | None, float | None] = (None, None),
         positive: bool = False,
     ):
@@ -201,34 +249,34 @@ class ProfileField(ScalarField):
         self.profile = profile
         self.domain = domain
 
-    def _at(self, p) -> tuple[float, float, float, float, float]:
-        t = p[0]
+    def _at(self, p: np.ndarray) -> list:
+        t = p[..., 0]
         lo, hi = self.domain
-        if lo is not None and t <= lo:
-            raise DomainError(f"profile defined for t > {lo}, got t = {t}")
-        if hi is not None and t >= hi:
-            raise DomainError(f"profile defined for t < {hi}, got t = {t}")
-        return self.profile(t)
+        if lo is not None and np.any(t <= lo):
+            raise DomainError(f"profile defined for t > {lo}, got t = {first_where(t, t <= lo)}")
+        if hi is not None and np.any(t >= hi):
+            raise DomainError(f"profile defined for t < {hi}, got t = {first_where(t, t >= hi)}")
+        return [filled(c, t.shape) for c in self.profile(t)]
 
-    def _raw_value(self, p: np.ndarray) -> float:
-        return float(self._at(p)[0])
+    def _raw_value(self, p: np.ndarray):
+        return self._at(p)[0]
 
     def _raw_jet(self, p: np.ndarray) -> Jet:
         f, d1, d2, _, _ = self._at(p)
-        return Jet(float(f), *_t_only(d1, d2))
+        return Jet(f, *_t_only(d1, d2))
 
+    @_evaluation
     def log_jet(self, p):
-        q = as_point(p)
-        f, _, _, l1, l2 = _evaluate(self._at, q)
-        return (require_positive(float(f), q), *_t_only(l1, l2))
+        f, _, _, l1, l2 = self._at(p)
+        return (require_positive(f, p), *_t_only(l1, l2))
 
 
-def _t_only(d1: float, d2: float) -> tuple[np.ndarray, np.ndarray]:
+def _t_only(d1, d2) -> tuple[np.ndarray, np.ndarray]:
     """Gradient and Hessian of a function of t = x1 alone."""
-    g = np.zeros(4)
-    g[0] = d1
-    h = np.zeros((4, 4))
-    h[0, 0] = d2
+    g = np.zeros(np.shape(d1) + (4,))
+    g[..., 0] = d1
+    h = np.zeros(np.shape(d2) + (4, 4))
+    h[..., 0, 0] = d2
     return g, h
 
 

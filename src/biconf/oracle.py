@@ -16,16 +16,21 @@ this module is an independent check on any closed-form curvature.
 Inversion, determinant and the positive-definiteness check (Cholesky)
 are numpy's.  The singularity check compares |det| against the product
 of row magnitudes at 1e-10, so it is relative to the metric's own scale.
+
+Every function takes a point or an (N, 4) array of points (a batch) and
+works on the whole batch at once: ``ricci_fd`` evaluates the Christoffel
+symbols at the 9 N points of its stencil in one call.  Float overflow,
+division by zero and invalid operations raise FloatingPointError.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
+from .expr import first_where, raise_float_errors
 from .fields import ScalarField, as_point
 
 __all__ = [
@@ -63,29 +68,37 @@ class OracleError(RuntimeError):
     """FD result is inconsistent (e.g. excessive Ricci asymmetry)."""
 
 
+@raise_float_errors
 def invert4(m: np.ndarray) -> np.ndarray:
-    """Inverse of a 4x4 matrix; raises SingularMetricError.
+    """Inverse of a 4x4 matrix, or of each matrix of an (N, 4, 4) stack;
+    raises SingularMetricError.
 
     The singularity check is scale-relative: |det| is compared against
     the product of row magnitudes, so a well-conditioned metric with
     small entries (a strongly collapsed direction) still inverts.  A
-    non-finite determinant fails the check.
+    non-finite entry anywhere in the stack fails before any determinant
+    is taken.
     """
-    det = float(np.linalg.det(m))
-    scale = float(np.prod(np.max(np.abs(m), axis=1)))
-    if not (scale > 0.0 and SINGULARITY_THRESHOLD * scale <= abs(det) < math.inf):
+    m = np.asarray(m, dtype=float)
+    if not np.all(np.isfinite(m)):
+        raise SingularMetricError("metric to invert has a non-finite entry")
+    det = np.linalg.det(m)
+    scale = np.prod(np.max(np.abs(m), axis=-1), axis=-1)
+    bad = ~((scale > 0.0) & (SINGULARITY_THRESHOLD * scale <= np.abs(det)))
+    if np.any(bad):
         raise SingularMetricError(
-            f"metric determinant {det:.3e} below threshold (scale {scale:.3e})"
+            f"metric determinant {first_where(det, bad):.3e} below threshold"
+            f" (scale {first_where(scale, bad):.3e})"
         )
     return np.linalg.inv(m)
 
 
-def _check_metric_value(g: np.ndarray) -> None:
-    if g.shape != (4, 4):
-        raise InvalidMetricError(f"metric must be 4x4, got shape {g.shape}")
+def _check_metric_value(g: np.ndarray, batch: tuple) -> None:
+    if g.shape != batch + (4, 4):
+        raise InvalidMetricError(f"metric must be 4x4, got shape {g.shape[len(batch):]}")
     if not np.all(np.isfinite(g)):
         raise InvalidMetricError("metric has a non-finite entry")
-    if np.max(np.abs(g - g.T)) > 1e-12:
+    if np.max(np.abs(g - np.swapaxes(g, -1, -2))) > 1e-12:
         raise InvalidMetricError("metric is not symmetric to 1e-12")
     try:
         np.linalg.cholesky(g)
@@ -93,17 +106,42 @@ def _check_metric_value(g: np.ndarray) -> None:
         raise InvalidMetricError("metric is not positive definite") from None
 
 
-def _centered(f: Callable[[np.ndarray], np.ndarray], p: np.ndarray, h: float) -> np.ndarray:
-    """d[k] = (f(p + h e_k) - f(p - h e_k)) / 2h, stacked over k = 0..3."""
-    return np.stack([(f(p + e) - f(p - e)) / (2.0 * h) for e in h * np.eye(4)])
+# p + h e_k and p - h e_k for k = 0..3, in the order +e_0, -e_0, +e_1, ...
+_SHIFTS = np.stack([np.eye(4), -np.eye(4)], axis=1).reshape(8, 4)
+
+
+def _shifted(p: np.ndarray, h: float) -> np.ndarray:
+    """The 8 points p +- h e_k of each point of the batch p, along a new
+    leading axis: shape (8,) + p.shape."""
+    return p + (h * _SHIFTS).reshape((8,) + (1,) * (p.ndim - 1) + (4,))
+
+
+def _difference(values: np.ndarray, h: float, batch_ndim: int) -> np.ndarray:
+    """Centered differences (f(p + h e_k) - f(p - h e_k)) / 2h from f on
+    the ``_shifted`` points, with k as the axis after the batch axes."""
+    pairs = values.reshape((4, 2) + values.shape[1:])
+    return np.moveaxis((pairs[:, 0] - pairs[:, 1]) / (2.0 * h), 0, batch_ndim)
+
+
+def _pointwise(fn: Callable[[np.ndarray], np.ndarray]):
+    """A batch callable that calls the one-point callable ``fn`` per point."""
+
+    def batch(p: np.ndarray) -> np.ndarray:
+        out = np.array([np.asarray(fn(q), dtype=float) for q in p.reshape(-1, 4)])
+        return out.reshape(p.shape[:-1] + out.shape[1:])
+
+    return batch
 
 
 class MetricField:
     """Map point -> symmetric 4x4 metric components g_ab.
 
-    ``partials`` (optional) returns the (4, 4, 4) array dg with
-    dg[c, a, b] = d_c g_ab; when absent, metric derivatives are centered
-    differences with step DEFAULT_METRIC_STEP.
+    ``value(p)`` and ``partials(p)`` (optional) are one-point callables;
+    ``partials`` returns the (4, 4, 4) array dg with dg[c, a, b] =
+    d_c g_ab.  ``MetricField.batched`` takes callables that evaluate a
+    whole batch of points at once instead.  Without partials, metric
+    derivatives are centered differences with step DEFAULT_METRIC_STEP.
+    Every query takes a point or an (N, 4) array of points.
     """
 
     def __init__(
@@ -111,103 +149,136 @@ class MetricField:
         value: Callable[[np.ndarray], np.ndarray],
         partials: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ):
-        self.value_fn = value
-        self.partials_fn = partials
+        self.value_fn = _pointwise(value)
+        self.partials_fn = None if partials is None else _pointwise(partials)
 
+    @classmethod
+    def batched(
+        cls,
+        value: Callable[[np.ndarray], np.ndarray],
+        partials: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    ) -> "MetricField":
+        """Metric from callables that map a batch of points, shape
+        batch + (4,), to values of shape batch + (4, 4) and partials of
+        shape batch + (4, 4, 4)."""
+        metric = cls.__new__(cls)
+        metric.value_fn, metric.partials_fn = value, partials
+        return metric
+
+    @raise_float_errors
     def value(self, p) -> np.ndarray:
-        g = np.asarray(self.value_fn(as_point(p)), dtype=float)
-        _check_metric_value(g)
+        p = as_point(p)
+        g = np.asarray(self.value_fn(p), dtype=float)
+        _check_metric_value(g, p.shape[:-1])
         return g
 
+    @raise_float_errors
     def partials(self, p) -> np.ndarray:
         p = as_point(p)
         if self.partials_fn is not None:
             return np.asarray(self.partials_fn(p), dtype=float)
-        return _centered(self.value, p, DEFAULT_METRIC_STEP)
+        h = DEFAULT_METRIC_STEP
+        return _difference(self.value(_shifted(p, h)), h, p.ndim - 1)
 
     def without_partials(self) -> "MetricField":
         """Copy of this metric that forgets its analytic derivative provider."""
-        return MetricField(self.value_fn)
+        return MetricField.batched(self.value_fn)
 
 
 def euclidean_metric() -> MetricField:
     return MetricField(lambda p: np.eye(4), lambda p: np.zeros((4, 4, 4)))
 
 
+@raise_float_errors
 def christoffel(g: MetricField, p) -> np.ndarray:
-    """Christoffel symbols Gamma[a, b, c] = Gamma^a_bc at p."""
+    """Christoffel symbols Gamma[..., a, b, c] = Gamma^a_bc at a point or
+    at each point of a batch."""
     gmat = g.value(p)
     ginv = invert4(gmat)
-    dg = g.partials(p)  # dg[c, a, b] = d_c g_ab
+    dg = g.partials(p)  # dg[..., c, a, b] = d_c g_ab
     # X[d, b, c] = d_b g_dc + d_c g_db - d_d g_bc
-    x = np.einsum("bdc->dbc", dg) + np.einsum("cdb->dbc", dg) - dg
-    return 0.5 * np.einsum("ad,dbc->abc", ginv, x)
+    x = np.einsum("...bdc->...dbc", dg) + np.einsum("...cdb->...dbc", dg) - dg
+    return 0.5 * np.einsum("...ad,...dbc->...abc", ginv, x)
 
 
-def _gamma_derivatives(g: MetricField, p, h: float) -> np.ndarray:
-    """dGamma[k, a, b, c] = d_k Gamma^a_bc by centered differences."""
-    return _centered(lambda q: christoffel(g, q), as_point(p), h)
+def _gammas(g: MetricField, p, h: float):
+    """(Gamma, dGamma) at the batch p, with dGamma[..., k, a, b, c] =
+    d_k Gamma^a_bc by centered differences: one Christoffel call on each
+    point and its 8 shifted copies."""
+    p = as_point(p)
+    gammas = christoffel(g, np.concatenate([p[None], _shifted(p, h)]))
+    return gammas[0], _difference(gammas[1:], h, p.ndim - 1)
 
 
 def _raw_ricci(g: MetricField, p, h: float):
     """(unsymmetrized Ricci, Gamma) from the contraction formula."""
-    gamma = christoffel(g, p)
-    dgamma = _gamma_derivatives(g, p, h)
+    gamma, dgamma = _gammas(g, p, h)
     ric = (
-        np.einsum("aabc->bc", dgamma)
-        - np.einsum("caba->bc", dgamma)
-        + np.einsum("aad,dbc->bc", gamma, gamma)
-        - np.einsum("acd,dba->bc", gamma, gamma)
+        np.einsum("...aabc->...bc", dgamma)
+        - np.einsum("...caba->...bc", dgamma)
+        + np.einsum("...aad,...dbc->...bc", gamma, gamma)
+        - np.einsum("...acd,...dba->...bc", gamma, gamma)
     )
     return ric, gamma
 
 
+def _asymmetry(ric: np.ndarray) -> np.ndarray:
+    return np.max(np.abs(ric - np.swapaxes(ric, -1, -2)), axis=(-2, -1))
+
+
+@raise_float_errors
 def ricci_fd(g: MetricField, p, h: float = DEFAULT_GAMMA_STEP) -> np.ndarray:
-    """Symmetrized FD Ricci tensor (coordinate components) at p.
+    """Symmetrized FD Ricci tensor (coordinate components) at a point or
+    at each point of a batch; the whole stencil is one Christoffel call.
 
     Raises OracleError when the raw result is asymmetric beyond
     MAX_RICCI_ASYMMETRY, which indicates an invalid metric or a step too
     large for it.
     """
     ric, _ = _raw_ricci(g, p, h)
-    asymmetry = float(np.max(np.abs(ric - ric.T)))
-    if not asymmetry <= MAX_RICCI_ASYMMETRY:
+    asymmetry = _asymmetry(ric)
+    bad = ~(asymmetry <= MAX_RICCI_ASYMMETRY)
+    if np.any(bad):
         raise OracleError(
-            f"FD Ricci asymmetry {asymmetry:.3e} exceeds {MAX_RICCI_ASYMMETRY:.1e}; "
-            "metric is invalid or the step is too large"
+            f"FD Ricci asymmetry {first_where(asymmetry, bad):.3e} exceeds "
+            f"{MAX_RICCI_ASYMMETRY:.1e}; metric is invalid or the step is too large"
         )
-    return 0.5 * (ric + ric.T)
+    return 0.5 * (ric + np.swapaxes(ric, -1, -2))
 
 
-def scalar_fd(g: MetricField, p, h: float = DEFAULT_GAMMA_STEP) -> float:
-    """FD scalar curvature g^{ab} Ric_ab at p."""
-    return float(np.einsum("ab,ab->", invert4(g.value(p)), ricci_fd(g, p, h)))
+@raise_float_errors
+def scalar_fd(g: MetricField, p, h: float = DEFAULT_GAMMA_STEP):
+    """FD scalar curvature g^{ab} Ric_ab."""
+    return np.einsum("...ab,...ab->...", invert4(g.value(p)), ricci_fd(g, p, h))
 
 
-def laplace_beltrami_fd(g: MetricField, f: ScalarField, p) -> float:
-    """Laplace-Beltrami operator of f at p: g^{ab}(f_ab - Gamma^c_ab f_c)."""
+@raise_float_errors
+def laplace_beltrami_fd(g: MetricField, f: ScalarField, p):
+    """Laplace-Beltrami operator of f: g^{ab}(f_ab - Gamma^c_ab f_c)."""
     ginv = invert4(g.value(p))
     jet = f.jet(p)
     gamma = christoffel(g, p)
-    hess = jet.h - np.einsum("cab,c->ab", gamma, jet.g)
-    return float(np.einsum("ab,ab->", ginv, hess))
+    hess = jet.h - np.einsum("...cab,...c->...ab", gamma, jet.g)
+    return np.einsum("...ab,...ab->...", ginv, hess)
 
 
-def einstein_residual_fd(g: MetricField, a_const: float, p, h: float = DEFAULT_GAMMA_STEP) -> float:
-    """Max-norm of Ric_fd(p) - A g(p)."""
-    return float(np.max(np.abs(ricci_fd(g, p, h) - a_const * g.value(p))))
+@raise_float_errors
+def einstein_residual_fd(g: MetricField, a_const: float, p, h: float = DEFAULT_GAMMA_STEP):
+    """Max-norm of Ric_fd - A g, at a point or at each point of a batch."""
+    return np.max(np.abs(ricci_fd(g, p, h) - a_const * g.value(p)), axis=(-2, -1))
 
 
+@raise_float_errors
 def riemann_fd(g: MetricField, p, h: float = DEFAULT_GAMMA_STEP) -> np.ndarray:
-    """Full FD Riemann tensor R[a, b, c, d] = R^a_{bcd}.  Debug helper;
-    the rest of the library only ever needs the Ricci contraction."""
-    gamma = christoffel(g, p)
-    dgamma = _gamma_derivatives(g, p, h)
+    """Full FD Riemann tensor R[..., a, b, c, d] = R^a_{bcd}.  Debug
+    helper; the rest of the library only ever needs the Ricci
+    contraction."""
+    gamma, dgamma = _gammas(g, p, h)
     return (
-        np.einsum("cadb->abcd", dgamma)
-        - np.einsum("dacb->abcd", dgamma)
-        + np.einsum("ace,edb->abcd", gamma, gamma)
-        - np.einsum("ade,ecb->abcd", gamma, gamma)
+        np.einsum("...cadb->...abcd", dgamma)
+        - np.einsum("...dacb->...abcd", dgamma)
+        + np.einsum("...ace,...edb->...abcd", gamma, gamma)
+        - np.einsum("...ade,...ecb->...abcd", gamma, gamma)
     )
 
 
@@ -223,10 +294,10 @@ class CurvatureReport:
     h: float
 
 
+@raise_float_errors
 def curvature_report(g: MetricField, p, h: float = DEFAULT_GAMMA_STEP) -> CurvatureReport:
     p = as_point(p)
     ric, gamma = _raw_ricci(g, p, h)
-    asymmetry = float(np.max(np.abs(ric - ric.T)))
     ric_sym = 0.5 * (ric + ric.T)
     scal = float(np.einsum("ab,ab->", invert4(g.value(p)), ric_sym))
-    return CurvatureReport(p, gamma, ric_sym, asymmetry, scal, h)
+    return CurvatureReport(p, gamma, ric_sym, float(_asymmetry(ric)), scal, h)

@@ -1,15 +1,21 @@
 """CLI behavior: exit-code contract, deterministic output, config precedence."""
 
+import csv
 import json
 import os
 import shlex
 import subprocess
 import sys
+import time
+import warnings
+from collections import Counter
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 import biconf
+import biconf.fields
 from biconf.cli import EXAMPLE_COMMANDS, EXAMPLE_NAMES, build_parser, main, resolve_args
 
 S2_SIGMA = "(1 + x1^2 + x2^2)/2"
@@ -322,6 +328,82 @@ def test_exit_2_on_overflow(capsys):
 def test_exit_2_on_float_error_outside_fields(line, capsys):
     assert main(shlex.split(line)) == 2
     assert "numerical failure:" in capsys.readouterr().err
+
+
+def test_float_error_names_the_operation_without_a_warning(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(shlex.split("verify --sigma 1e200 --rho 1 --grid x1=0:0:1")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: FloatingPointError: overflow encountered in")
+    assert "RuntimeWarning" not in err
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "solve-family --alpha -1 --beta 1 --dt 1e-9 --t-max 10",
+        "solve-warped --alpha0 1 --gamma0 1 --delta0 0 --dt 1e-9",
+        "solve-family --ricci-flat --dt 1e-9",
+    ],
+)
+def test_step_count_is_bounded(line, capsys):
+    start = time.perf_counter()
+    assert main(shlex.split(line)) == 1
+    assert time.perf_counter() - start < 5.0
+    assert "error: --dt/--t-max:" in capsys.readouterr().err
+
+
+def test_grid_stops_at_its_first_failing_point(capsys):
+    """sigma = |x|^2 vanishes only at the centre of a 3^4 grid: the run
+    prints the lines of the 40 points before it, in the order of
+    itertools.product and as each point alone prints them, then exits 2
+    naming the centre."""
+    base = ["verify", "--sigma", "x1^2 + x2^2 + x3^2 + x4^2", "--rho", "1"]
+    assert main(base + ["--grid", "x1=-1:1:3,x2=-1:1:3,x3=-1:1:3,x4=-1:1:3"]) == 2
+    out, err = capsys.readouterr()
+    assert err == "numerical failure: field must be finite and positive, got 0.0 at (0.0, 0.0, 0.0, 0.0)\n"
+    expected = []
+    for p in list(product((-1.0, 0.0, 1.0), repeat=4))[:40]:
+        main(base + ["--grid", ",".join(f"x{i}={c}:{c}:1" for i, c in enumerate(p, 1))])
+        expected.append(capsys.readouterr().out.splitlines()[0])
+    assert out.splitlines() == expected
+
+
+def test_solve_family_leaves_only_the_rho_zero_residual_empty(tmp_path, capsys):
+    out = tmp_path / "f.csv"
+    argv = "solve-family --alpha -1 --beta 1 --dt 0.01 --t-max 3 --fd-every 7 --out"
+    assert main(shlex.split(argv) + [str(out)]) == 0
+    rows = list(csv.DictReader(out.open()))
+    empty = [k for k, row in enumerate(rows) if row["proj_residual_max"] == ""]
+    assert empty == [k for k, row in enumerate(rows) if float(row["rho"]) == 0.0] == [0]
+
+
+def test_verify_walks_each_field_a_fixed_number_of_times(monkeypatch, capsys):
+    """One jet walk of each AST for the closed form, one jet and one value
+    walk for the oracle's whole stencil: the same on 1 point as on 81."""
+    walks = Counter()
+    for name in ("eval_jet", "eval_value"):
+        original = getattr(biconf.fields, name)
+
+        def counting(node, points, original=original, name=name):
+            walks[name, node] += 1
+            return original(node, points)
+
+        monkeypatch.setattr(biconf.fields, name, counting)
+
+    def count(grid):
+        walks.clear()
+        assert main(["verify", "--sigma", S2_SIGMA, "--rho", S2_RHO, "--grid", grid]) == 0
+        return Counter({(name, biconf.pretty(node)): n for (name, node), n in walks.items()})
+
+    one = count("x1=0.1:0.1:1")
+    many = count("x1=-0.3:0.3:3,x2=-0.3:0.3:3,x3=-0.3:0.3:3,x4=-0.3:0.3:3")
+    fields = [biconf.pretty(biconf.parse_expr(text)) for text in (S2_SIGMA, S2_RHO)]
+    assert one == many == {
+        **{("eval_jet", f): 2 for f in fields},
+        **{("eval_value", f): 1 for f in fields},
+    }
 
 
 def test_solve_family_one_sample_trajectory(tmp_path, capsys):

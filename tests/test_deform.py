@@ -183,11 +183,10 @@ def test_oracle_agreement_random_corpus():
     for _ in range(30):
         d = random_pair(rng)
         g = metric_of(d)
-        for _ in range(10):
-            p = random_point(rng, 0.4)
-            closed = frame_to_coords(ricci_frame(d, p))
-            fd = ricci_fd(g, p)
-            worst = max(worst, float(np.max(np.abs(closed - fd))))
+        points = np.array([random_point(rng, 0.4) for _ in range(10)])
+        closed = frame_to_coords(ricci_frame(d, points))
+        fd = ricci_fd(g, points)
+        worst = max(worst, float(np.max(np.abs(closed - fd))))
     print("oracle agreement worst:", worst)
     assert worst < 1e-4
 

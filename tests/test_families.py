@@ -220,6 +220,16 @@ def test_integrate_warped_blow_up_cap():
 # The single-parameter profile equation
 
 
+def test_integrators_bound_the_step_count():
+    with pytest.raises(ValueError, match="steps"):
+        integrate_rho(FAMILY_I, 0.0, 1e-9, 10.0)
+    with pytest.raises(ValueError, match="steps"):
+        integrate_warped(WarpedState(1.0, 1.0, 0.0), 1e-9, (0.0, 10.0))
+    # a step below the float resolution of t would never advance it
+    with pytest.raises(ValueError, match="resolution"):
+        integrate_warped(WarpedState(1.0, 1.0, 0.0), 1.0, (1e20, 1e20 + 1e5))
+
+
 def test_integrate_rho_family_i_monotone_bounded():
     traj = integrate_rho(FAMILY_I, 0.0, 1e-3, 10.0)
     assert traj.termination == REACHED_T_MAX

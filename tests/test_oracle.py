@@ -6,6 +6,8 @@ known constants, the conformally flat hyperbolic metric, and an
 inversion cross-check against numpy.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,15 @@ def test_invert4_accepts_collapsed_but_regular_metric():
 def test_invert4_rejects_nan():
     with pytest.raises(SingularMetricError):
         invert4(np.full((4, 4), np.nan))
+
+
+def test_invert4_rejects_nan_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMetricError):
+            invert4(np.full((4, 4), np.nan))
+        with pytest.raises(SingularMetricError):
+            invert4(np.stack([np.eye(4), np.full((4, 4), np.nan)]))
 
 
 def test_metric_validation():
