@@ -67,9 +67,10 @@ NUMERICAL_ERRORS = (
     ArithmeticError,
 )
 
-# points per batched evaluation of a grid or trajectory; bounds the memory
-# of the jets and Christoffel stencils of one batch
+# points per batched evaluation and rows per slice of an output file; bounds
+# the memory of the jets and stencils of a batch and the text of a slice
 CHUNK = 1024
+MAX_GRID_POINTS = 10**6  # points per grid scan, like families.MAX_STEPS per run
 
 RESIDUAL_COLUMNS = [
     "res_11",
@@ -194,8 +195,9 @@ def resolve_args(argv: list[str] | None) -> argparse.Namespace:
 
 
 def _parse_grid(spec: str) -> list[np.ndarray]:
-    """Parse "x1=lo:hi:n,..." into four coordinate arrays (default [0])."""
-    axes = {f"x{i}": np.array([0.0]) for i in range(1, 5)}
+    """Parse "x1=lo:hi:n,..." into four coordinate arrays (default [0]),
+    rejecting a grid of more than MAX_GRID_POINTS points before building it."""
+    ranges = {f"x{i}": (0.0, 0.0, 1) for i in range(1, 5)}
     for part in spec.split(","):
         part = part.strip()
         if not part:
@@ -204,7 +206,7 @@ def _parse_grid(spec: str) -> list[np.ndarray]:
             raise UsageError(f"bad grid component {part!r}, expected x_i=lo:hi:n")
         name, rng = part.split("=", 1)
         name = name.strip()
-        if name not in axes:
+        if name not in ranges:
             raise UsageError(f"bad grid axis {name!r}, expected x1..x4")
         pieces = rng.split(":")
         if len(pieces) != 3:
@@ -215,35 +217,73 @@ def _parse_grid(spec: str) -> list[np.ndarray]:
             raise UsageError(f"bad grid range {rng!r}") from None
         if count < 1:
             raise UsageError(f"grid count must be >= 1, got {count}")
-        axes[name] = np.array([lo]) if count == 1 else np.linspace(lo, hi, count)
-    return [axes[f"x{i}"] for i in range(1, 5)]
+        ranges[name] = (lo, hi, count)
+    points = math.prod(n for _, _, n in ranges.values())
+    if points > MAX_GRID_POINTS:
+        raise UsageError(f"grid has {points} points, more than {MAX_GRID_POINTS}")
+    return [np.array([lo]) if n == 1 else np.linspace(lo, hi, n) for lo, hi, n in ranges.values()]
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+def _slices(columns, empty):
+    """Each slice of CHUNK rows of ``columns`` (float arrays of one length)
+    as a (values, empty) pair per column, where ``empty`` gives a column
+    the mask of its empty cells, or None.  Writers write slice by slice."""
+    empty = empty or [None] * len(columns)
+    for start in range(0, len(columns[0]), CHUNK):
+        part = slice(start, start + CHUNK)
+        yield [(c[part], None if e is None else e[part]) for c, e in zip(columns, empty)]
+
+
+def _csv_cells(values: np.ndarray, empty) -> tuple[str, list]:
+    """(template field, cells) of one column slice: 17 significant digits,
+    "" for an empty cell."""
+    if empty is None or not empty.any():
+        return "%.17g", values.tolist()
+    return "%s", ["" if e else "%.17g" % v for v, e in zip(values.tolist(), empty.tolist())]
+
+
+def _json_cells(values: np.ndarray, empty) -> list:
+    """One column slice as json writes it: a float's repr (``%s``), NaN,
+    Infinity or -Infinity, and null for an empty cell."""
+    cells = values.tolist()
+    for i in np.flatnonzero(~np.isfinite(values)):
+        cells[i] = json.dumps(cells[i])
+    for i in () if empty is None else np.flatnonzero(empty):
+        cells[i] = "null"
+    return cells
+
+
+def _write_csv(path: str, header: list[str], columns, empty=None) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join("" if v is None else _fmt(v) for v in row) + "\n")
+        for part in _slices(columns, empty):
+            fields, cells = zip(*(_csv_cells(*column) for column in part))
+            fh.write("".join(map((",".join(fields) + "\n").__mod__, zip(*cells))))
 
 
-def _write_json(path: str, key: str, header: list[str], rows: list[list], summary: dict) -> None:
-    records = [
-        {name: (None if v is None else float(v)) for name, v in zip(header, row)}
-        for row in rows
-    ]
-    payload = {key: records, "summary": summary}
+def _write_json(path: str, key: str, header: list[str], columns, summary: dict, empty=None) -> None:
+    """The bytes of ``json.dump({key: records, "summary": summary}, indent=2)``
+    and a newline, with one record per row."""
+    record = "    {\n" + ",\n".join(f"      {json.dumps(name)}: %s" for name in header) + "\n    }"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(f"{{\n  {json.dumps(key)}: [")
+        sep = "\n"
+        for part in _slices(columns, empty):
+            cells = [_json_cells(*column) for column in part]
+            fh.write(sep + ",\n".join(map(record.__mod__, zip(*cells))))
+            sep = ",\n"
+        fh.write("]" if sep == "\n" else "\n  ]")
+        fh.write(',\n  "summary": ' + json.dumps(summary, indent=2).replace("\n", "\n  ") + "\n}\n")
 
 
-def _emit(args: argparse.Namespace, key: str, header: list[str], rows: list, summary: dict) -> None:
+def _emit(args, key: str, header: list[str], columns, summary: dict, empty=None) -> None:
+    """Write ``columns``, one array per header name, to --out."""
     if args.out is None:
         return
     if args.format == "csv":
-        _write_csv(args.out, header, rows)
+        _write_csv(args.out, header, columns, empty)
     else:
-        _write_json(args.out, key, header, rows, summary)
+        _write_json(args.out, key, header, columns, summary, empty)
 
 
 def _require(args: argparse.Namespace, *keys: str) -> None:
@@ -275,42 +315,37 @@ def _grid_chunks(axes: list[np.ndarray]):
         yield np.stack([axis[i] for axis, i in zip(axes, index)], axis=-1)
 
 
-def _each(evaluate, batches):
-    """(point, result) for each point of each batch, in order: the row of
-    ``evaluate(batch)`` for that point, or the numerical error the point
-    raises alone.  A batch that raises is split in halves until the
-    failing point is isolated; halves are evaluated only as the caller
-    iterates, so a caller that stops at an error evaluates nothing past
-    it."""
+def _blocks(evaluate, batches):
+    """(batch, ``evaluate(batch)``) for each batch, in order, or (point,
+    error) for a point that fails numerically alone.  A batch that raises
+    is split in halves until the failing point is isolated; halves are
+    evaluated only as the caller iterates, so a caller that stops at an
+    error evaluates nothing past it."""
     for batch in batches:
         try:
-            rows = evaluate(batch)
+            values = evaluate(batch)
         except NUMERICAL_ERRORS as exc:
             if len(batch) == 1:
-                yield batch[0], exc
+                yield batch, exc
             else:
                 half = len(batch) // 2
-                yield from _each(evaluate, (batch[:half], batch[half:]))
+                yield from _blocks(evaluate, (batch[:half], batch[half:]))
             continue
-        yield from zip(batch, rows)
+        yield batch, values
 
 
-def _rows(evaluate, batches):
-    """(point, row of ``evaluate``) for every point; the first point that
-    fails raises its error."""
-    for p, row in _each(evaluate, batches):
-        if isinstance(row, Exception):
-            raise row
-        yield p, row
-
-
-def _cells(evaluate, values: np.ndarray) -> list:
-    """``evaluate``'s value at each entry of ``values``, None where that
-    entry fails numerically."""
-    return [
-        None if isinstance(v, Exception) else float(v)
-        for _, v in _each(evaluate, _chunks(values))
-    ]
+def _column(evaluate, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``evaluate``'s value at each entry of ``values``, and the mask of
+    the entries that fail numerically."""
+    column, empty = np.zeros(len(values)), np.zeros(len(values), bool)
+    start = 0
+    for batch, result in _blocks(evaluate, _chunks(values)):
+        if isinstance(result, Exception):
+            empty[start] = True
+        else:
+            column[start:start + len(batch)] = result
+        start += len(batch)
+    return column, empty
 
 
 def _on_t_axis(t: np.ndarray) -> np.ndarray:
@@ -318,23 +353,23 @@ def _on_t_axis(t: np.ndarray) -> np.ndarray:
     return np.column_stack([t, np.zeros((len(t), 3))])
 
 
-def _grid_scan(args: argparse.Namespace, label: str, evaluate) -> tuple[list, float]:
-    """Rows (x1, x2, x3, x4, *values) over the grid, where ``evaluate``
-    maps a batch of points to one row of values per point, the last being
-    the point's maximum (printed as ``label``); returns the rows and the
-    grid maximum.  The first point that fails raises its error after the
-    lines of the points before it."""
-    rows = []
+def _grid_scan(args: argparse.Namespace, label: str, evaluate) -> tuple[np.ndarray, float]:
+    """The table (x1, x2, x3, x4, *values) over the grid, one row per
+    point, where ``evaluate`` maps a batch of points to one row of values
+    per point, the last being the point's maximum (printed as ``label``);
+    returns the table and the grid maximum.  The first point that fails
+    raises its error after the lines of the points before it."""
+    line = f"x=(%.17g, %.17g, %.17g, %.17g)  {label} = %.6e"
+    blocks = []
     grid_max = 0.0
-    for p, values in _rows(evaluate, _grid_chunks(_parse_grid(args.grid))):
-        top = float(values[-1])
-        grid_max = max(grid_max, top)
-        rows.append([*p, *values])
-        print(
-            f"x=({_fmt(p[0])}, {_fmt(p[1])}, {_fmt(p[2])}, {_fmt(p[3])})"
-            f"  {label} = {top:.6e}"
-        )
-    return rows, grid_max
+    for batch, values in _blocks(evaluate, _grid_chunks(_parse_grid(args.grid))):
+        if isinstance(values, Exception):
+            raise values
+        blocks.append(np.column_stack([batch, values]))
+        shown = blocks[-1][:, [0, 1, 2, 3, -1]].T.tolist()
+        grid_max = max(grid_max, *shown[-1])
+        print("\n".join(map(line.__mod__, zip(*shown))))
+    return np.concatenate(blocks), grid_max
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -345,10 +380,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         closed = frame_to_coords(ricci_frame(d, p))
         return np.max(np.abs(closed - ricci_fd(g, p, h=args.h)), axis=(1, 2))[:, None]
 
-    rows, grid_max = _grid_scan(args, "max|closed - fd|", evaluate)
+    table, grid_max = _grid_scan(args, "max|closed - fd|", evaluate)
     passed = grid_max < args.tol
-    summary = {"grid_max": grid_max, "tol": args.tol, "pass": passed, "points": len(rows)}
-    _emit(args, "points", ["x1", "x2", "x3", "x4", "max_abs_diff"], rows, summary)
+    summary = {"grid_max": grid_max, "tol": args.tol, "pass": passed, "points": len(table)}
+    _emit(args, "points", ["x1", "x2", "x3", "x4", "max_abs_diff"], table.T, summary)
     print(f"grid max |closed-form - FD| = {grid_max:.6e}  (tol {args.tol:g})")
     return 0 if passed else 3
 
@@ -361,34 +396,31 @@ def cmd_residual(args: argparse.Namespace) -> int:
         res = einstein_residuals(d, args.A, p)
         return np.column_stack([res, np.max(np.abs(res), axis=1)])
 
-    rows, grid_max = _grid_scan(args, "max|residual|", evaluate)
+    table, grid_max = _grid_scan(args, "max|residual|", evaluate)
     passed = grid_max < args.tol
     summary = {"grid_max": grid_max, "tol": args.tol, "pass": passed, "A": args.A}
     header = ["x1", "x2", "x3", "x4", *RESIDUAL_COLUMNS, "max_abs"]
-    _emit(args, "points", header, rows, summary)
+    _emit(args, "points", header, table.T, summary)
     print(f"grid max residual = {grid_max:.6e}  (tol {args.tol:g}, A = {args.A:g})")
     return 0 if passed else 3
 
 
-def _family_rows(args, sigma, rho, a_const, columns, t_lo, t_hi):
-    """Rows (t, rho, rho_prime, sigma, proj_residual_max, fd_einstein_residual)
-    from the sample columns (t, rho, rho_prime, sigma); a residual that
-    fails numerically at a sample leaves its cell empty."""
-    t = columns[0]
-    proj = _cells(
+def _residual_columns(args, sigma, rho, a_const, t, t_lo, t_hi) -> tuple[list, list]:
+    """The columns (proj_residual_max, fd_einstein_residual) at the sample
+    times ``t`` and their masks of empty cells: a residual that fails
+    numerically at a sample, or is not due there, leaves its cell empty."""
+    proj, proj_empty = _column(
         lambda ts: np.max(np.abs(single_param_residuals(sigma, rho, a_const, ts)), axis=1), t
     )
-    fd = [None] * len(t)
+    fd, fd_empty = np.zeros(len(t)), np.ones(len(t), bool)
     if args.fd_every > 0:
         metric = metric_of(DeformationPair(sigma, rho))
         margin = 2.0 * args.h
         due = [k for k in range(0, len(t), args.fd_every) if t_lo + margin < t[k] < t_hi - margin]
-        values = _cells(
+        fd[due], fd_empty[due] = _column(
             lambda ts: einstein_residual_fd(metric, a_const, _on_t_axis(ts), h=args.h), t[due]
         )
-        for k, value in zip(due, values):
-            fd[k] = value
-    return [list(row) for row in zip(*columns, proj, fd)]
+    return [proj, fd], [proj_empty, fd_empty]
 
 
 def _check_steps(t0: float, args: argparse.Namespace) -> None:
@@ -410,10 +442,15 @@ def cmd_solve_family(args: argparse.Namespace) -> int:
             p = _on_t_axis(t)
             return np.column_stack([t, rho(p), rho.partial(p, 1), sigma(p)])
 
-        columns = np.array([row for _, row in _rows(sample, _chunks(ts))]).reshape(-1, 4).T
-        rows = _family_rows(args, sigma, rho, a_const, columns, args.t_min, args.t_max)
+        samples = [np.empty((0, 4))]
+        for _, block in _blocks(sample, _chunks(ts)):
+            if isinstance(block, Exception):
+                raise block
+            samples.append(block)
+        values, empty = _residual_columns(args, sigma, rho, a_const, ts, args.t_min, args.t_max)
+        columns = [*np.concatenate(samples).T, *values]
         summary = {"A": a_const, "profile": "ricci-flat", "a": args.a}
-        _emit(args, "samples", header, rows, summary)
+        _emit(args, "samples", header, columns, summary, [None] * 4 + empty)
         print(f"Ricci-flat profile sigma = a t^(1/4), rho = t^(-1/2), a = {args.a:g}")
         print(f"A = {a_const:g}")
         return 0
@@ -437,9 +474,9 @@ def cmd_solve_family(args: argparse.Namespace) -> int:
         pass
     columns = [traj.t, traj["rho"], traj["rho_prime"], traj["sigma"]]
     if sigma is not None:
-        rows = _family_rows(args, sigma, rho, a_const, columns, traj.t[0], traj.t[-1])
+        values, empty = _residual_columns(args, sigma, rho, a_const, traj.t, traj.t[0], traj.t[-1])
     else:
-        rows = [[*sample, None, None] for sample in zip(*columns)]
+        values, empty = [np.zeros(len(traj))] * 2, [np.ones(len(traj), bool)] * 2
 
     summary = {
         "A": a_const,
@@ -465,7 +502,7 @@ def cmd_solve_family(args: argparse.Namespace) -> int:
         summary["ends"] = [diag.small_end, diag.large_end]
     except ValueError as exc:
         print(f"end diagnostics unavailable: {exc}")
-    _emit(args, "samples", header, rows, summary)
+    _emit(args, "samples", header, columns + values, summary, [None] * 4 + empty)
     if args.expect_complete and traj.termination == BLOW_UP:
         print("numerical failure: blow-up but --expect-complete was set", file=sys.stderr)
         return 2
@@ -487,14 +524,13 @@ def cmd_solve_warped(args: argparse.Namespace) -> int:
     drift = float(np.max(np.abs(a_int - a_int[0])))
     span = float(traj.t[-1] - traj.t[0]) if len(traj) > 1 else 1.0
     header = ["t", "alpha", "gamma", "delta", "sigma", "A_integral"]
-    rows = list(zip(*(traj[name] for name in header)))
     summary = {
         "A0": float(a_int[0]),
         "max_drift": drift,
         "drift_per_unit_time": drift / span if span > 0 else drift,
         "termination": traj.termination,
     }
-    _emit(args, "samples", header, rows, summary)
+    _emit(args, "samples", header, [traj[name] for name in header], summary)
     print(f"A(0) = {_fmt(a_int[0])}")
     print(f"|A drift| = {drift:.6e} over t span {span:g} ({drift / max(span, 1e-300):.6e} per unit time)")
     print(f"termination: {traj.termination}")

@@ -138,6 +138,8 @@ def _tokenize(text: str):
                 value = float(lexeme)
             except ValueError:
                 raise ParseError(f"malformed number {lexeme!r}", i) from None
+            if np.isinf(value):
+                raise ParseError(f"number {lexeme!r} is outside the float range", i)
             tokens.append(("num", value, i))
             i = j
             continue

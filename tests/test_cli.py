@@ -16,7 +16,14 @@ import pytest
 
 import biconf
 import biconf.fields
-from biconf.cli import EXAMPLE_COMMANDS, EXAMPLE_NAMES, build_parser, main, resolve_args
+from biconf.cli import (
+    EXAMPLE_COMMANDS,
+    EXAMPLE_NAMES,
+    MAX_GRID_POINTS,
+    build_parser,
+    main,
+    resolve_args,
+)
 
 S2_SIGMA = "(1 + x1^2 + x2^2)/2"
 S2_RHO = "(1 + x3^2 + x4^2)/2"
@@ -352,6 +359,29 @@ def test_step_count_is_bounded(line, capsys):
     assert main(shlex.split(line)) == 1
     assert time.perf_counter() - start < 5.0
     assert "error: --dt/--t-max:" in capsys.readouterr().err
+
+
+def test_exit_1_on_number_outside_the_float_range(capsys):
+    assert main(shlex.split("verify --sigma 1e999 --rho 1 --grid x1=0:0:1")) == 1
+    assert capsys.readouterr().err.startswith("error: number '1e999' is outside the float range")
+
+
+@pytest.mark.parametrize(
+    "grid,points",
+    [
+        ("x1=0:1:2000000", 2 * 10**6),
+        ("x1=0:1:1000,x2=0:1:1000,x3=0:1:1000,x4=0:1:1000", 10**12),
+        (f"x1=0:1:{10**100}", 10**100),
+    ],
+)
+def test_grid_size_is_bounded(grid, points, capsys):
+    """A grid over MAX_GRID_POINTS exits 1 before any axis is built or
+    any point evaluated (sigma = 0 would fail at the first point with
+    exit 2)."""
+    start = time.perf_counter()
+    assert main(["residual", "--sigma", "0", "--rho", "1", "--A", "0", "--grid", grid]) == 1
+    assert time.perf_counter() - start < 5.0
+    assert capsys.readouterr().err == f"error: grid has {points} points, more than {MAX_GRID_POINTS}\n"
 
 
 def test_grid_stops_at_its_first_failing_point(capsys):

@@ -74,6 +74,13 @@ def test_parse_error_offset():
     assert "end of input" in str(err.value)
 
 
+def test_number_outside_the_float_range():
+    with pytest.raises(ParseError) as err:
+        parse_expr("2*1e999")
+    assert "outside the float range" in str(err.value)
+    assert err.value.offset == 2
+
+
 def test_unknown_identifier():
     with pytest.raises(ParseError) as err:
         parse_expr("foo + 1")

@@ -1,0 +1,177 @@
+"""Output files and grid lines: byte-pinned against the plain writers
+they replace (``json.dump(..., indent=2)`` and ``format(x, ".17g")`` per
+cell), and written in slices of CHUNK rows."""
+
+import csv
+import io
+import json
+import math
+import shlex
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from biconf import cli
+from biconf.cli import CHUNK, _write_csv, _write_json, main
+
+
+def reference_csv(header, rows) -> str:
+    out = ",".join(header) + "\n"
+    for row in rows:
+        out += ",".join("" if v is None else format(float(v), ".17g") for v in row) + "\n"
+    return out
+
+
+def reference_json(key, header, rows, summary) -> str:
+    records = [
+        {name: (None if v is None else float(v)) for name, v in zip(header, row)} for row in rows
+    ]
+    fh = io.StringIO()
+    json.dump({key: records, "summary": summary}, fh, indent=2)
+    fh.write("\n")
+    return fh.getvalue()
+
+
+def as_columns(header, rows) -> tuple[list, list]:
+    """Rows with None cells as the writers' input: one float array per
+    column, and per column the mask of its None cells, or None."""
+    columns, empty = [], []
+    for j in range(len(header)):
+        cells = [row[j] for row in rows]
+        columns.append(np.array([0.0 if v is None else v for v in cells], dtype=float))
+        mask = np.array([v is None for v in cells], dtype=bool)
+        empty.append(mask if mask.any() else None)
+    return columns, empty
+
+
+def written(tmp_path, key, header, rows, summary) -> tuple[str, str]:
+    columns, empty = as_columns(header, rows)
+    _write_csv(str(tmp_path / "t.csv"), header, columns, empty)
+    _write_json(str(tmp_path / "t.json"), key, header, columns, summary, empty)
+    read = lambda name: (tmp_path / name).read_bytes().decode("utf-8")  # noqa: E731
+    return read("t.csv"), read("t.json")
+
+
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1e-300, -1e-300,
+           1.0, 1e16, 1e22, 0.1, math.nan, -math.nan, math.inf, -math.inf, None]
+CELLS = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=False, allow_infinity=False))
+SUMMARY_VALUES = st.one_of(
+    st.floats(), st.booleans(), st.none(), st.text(max_size=5), st.lists(st.text(max_size=3), max_size=2)
+)
+
+
+@st.composite
+def tables(draw):
+    """(header, rows) of up to 6 columns and 10 rows; a column may be all
+    None."""
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(0, 10))
+    header = draw(st.lists(st.from_regex(r"[a-z][a-z0-9_]{0,6}", fullmatch=True),
+                           min_size=k, max_size=k, unique=True))
+    columns = [draw(st.one_of(st.just([None] * n), st.lists(CELLS, min_size=n, max_size=n)))
+               for _ in range(k)]
+    return header, [list(row) for row in zip(*columns)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(table=tables(), key=st.sampled_from(["points", "samples"]),
+       summary=st.dictionaries(st.text(max_size=5), SUMMARY_VALUES, max_size=4))
+def test_writers_match_the_plain_writers(table, key, summary, tmp_path_factory):
+    """Slices of 3 rows, so that small tables cross slice boundaries."""
+    header, rows = table
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "CHUNK", 3)
+        csv_text, json_text = written(tmp_path_factory.mktemp("w"), key, header, rows, summary)
+    assert csv_text == reference_csv(header, rows)
+    assert json_text == reference_json(key, header, rows, summary)
+
+
+@pytest.mark.parametrize("n", [0, 1, CHUNK, CHUNK + 1])
+def test_writers_at_slice_boundaries_and_empty_columns(n, tmp_path):
+    header = ["t", "x", "blank", "gaps"]
+    rows = [[0.5 * i, math.sin(i) * 1e-300, None, None if i % 3 else -0.0] for i in range(n)]
+    summary = {"A": -1.0, "termination": "blow-up", "ends": ["a", "b"], "blow_up_time": None}
+    csv_text, json_text = written(tmp_path, "samples", header, rows, summary)
+    assert csv_text == reference_csv(header, rows)
+    assert json_text == reference_json("samples", header, rows, summary)
+
+
+def _csv_rows(text):
+    lines = list(csv.reader(io.StringIO(text)))
+    return lines[0], [[None if cell == "" else float(cell) for cell in row] for row in lines[1:]]
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "examples family-ii --format json --out f.json",
+        "residual --sigma (1+x1^2+x2^2)/2 --rho (1+x3^2+x4^2)/2 --A 1"
+        " --grid x1=-0.4:0.4:6,x2=-0.4:0.4:6,x3=-0.4:0.4:6,x4=-0.4:0.4:6 --format json --out r.json",
+        "solve-warped --alpha0 1 --gamma0 0.5 --delta0 0.2 --C 1 --out x.csv",
+        "solve-family --alpha -1 --beta 1 --rho0 1.0000000000000002 --dt 0.2 --t-max 3"
+        " --fd-every 2 --format json --out nan.json",  # NaN sigma and -0.0 rho' cells
+    ],
+)
+def test_command_files_match_the_plain_writers(line, tmp_path, monkeypatch, capsys):
+    """Each file, read back, is what the plain writer makes of its values
+    (17 significant digits and repr both round-trip a float)."""
+    monkeypatch.chdir(tmp_path)
+    argv = shlex.split(line)
+    assert main(argv) == 0
+    text = (tmp_path / argv[-1]).read_bytes().decode("utf-8")
+    if argv[-1].endswith(".csv"):
+        assert text == reference_csv(*_csv_rows(text))
+    else:
+        payload = json.loads(text)
+        key = next(iter(payload))
+        header = list(payload[key][0])
+        rows = [list(record.values()) for record in payload[key]]
+        assert text == reference_json(key, header, rows, payload["summary"])
+
+
+def test_grid_lines_are_the_per_point_lines(tmp_path, capsys):
+    """On a 6^4 grid, stdout is one f-string line per point (formatted as
+    each point was, one at a time) and the summary line."""
+    out = tmp_path / "r.json"
+    grid = ",".join(f"x{i}=-0.4:0.4:6" for i in range(1, 5))
+    argv = ["residual", "--sigma", "(1+x1^2+x2^2)/2", "--rho", "(1+x3^2+x4^2)/2", "--A", "1"]
+    assert main(argv + ["--grid", grid, "--format", "json", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    points = json.loads(out.read_text())["points"]
+    assert len(points) == 6**4
+    fmt = lambda x: format(float(x), ".17g")  # noqa: E731
+    expected = [
+        f"x=({fmt(p['x1'])}, {fmt(p['x2'])}, {fmt(p['x3'])}, {fmt(p['x4'])})"
+        f"  max|residual| = {p['max_abs']:.6e}"
+        for p in points
+    ]
+    assert lines[:-1] == expected
+    assert lines[-1].startswith("grid max residual = ")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_writers_hold_one_slice_of_text_at_a_time(fmt, tmp_path):
+    """Writing a 10^5-row, 6-column table keeps the traced peak to a few
+    CHUNK-row slices, far below the size of the whole formatted table."""
+    n = 10**5
+    rng = np.random.default_rng(0)
+    columns = [rng.normal(size=n) for _ in range(6)]
+    empty = [None] * 5 + [rng.random(n) < 0.5]
+    header = ["t", "a", "b", "c", "d", "e"]
+    path = tmp_path / f"big.{fmt}"
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        if fmt == "csv":
+            _write_csv(str(path), header, columns, empty)
+        else:
+            _write_json(str(path), "samples", header, columns, {}, empty)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    bound = 2_000_000
+    assert path.stat().st_size > 5 * bound
+    assert peak < bound
