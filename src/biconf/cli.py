@@ -502,7 +502,8 @@ def cmd_solve_family(args: argparse.Namespace) -> int:
         summary["ends"] = [diag.small_end, diag.large_end]
     except ValueError as exc:
         print(f"end diagnostics unavailable: {exc}")
-    _emit(args, "samples", header, columns + values, summary, [None] * 4 + empty)
+    no_sigma = traj["rho_prime"] == 0.0  # sigma is undefined at an equilibrium
+    _emit(args, "samples", header, columns + values, summary, [None] * 3 + [no_sigma] + empty)
     if args.expect_complete and traj.termination == BLOW_UP:
         print("numerical failure: blow-up but --expect-complete was set", file=sys.stderr)
         return 2

@@ -17,10 +17,14 @@ Three layers:
   sigma = b rho |rho'|^(-1/2) and Einstein constant
   A = -3 b^2 e for rho' > 0 (+3 b^2 e for rho' < 0), e = -alpha beta^3.
 
-Both systems are integrated by one classical fixed-step RK4 driver on
-plain floats.  Blow-up of rho is detected at |rho| > 1e3 and the escape
-time is refined by bisection on the last step down to 1e-6 in t; warped
-states stop at |component| > 1e6 or when gamma crosses zero.
+Both systems are integrated by one fixed-step driver that takes a
+straight-line classical RK4 step per system: on a bare float rho, and on
+an (alpha, gamma, delta) tuple.  Each does the float operations of the
+generic list-based RK4 (the reference in the tests) in the same order,
+so trajectories are bit-identical to it.
+Blow-up of rho is detected at |rho| > 1e3 and the escape time is refined
+by bisection on the last step down to 1e-6 in t; warped states stop at
+|component| > 1e6 or when gamma crosses zero.
 """
 
 from __future__ import annotations
@@ -296,27 +300,12 @@ def single_param_residuals(
 # RK4 and the warped first-order system
 
 
-def _rk4_step(rhs, y: list, dt: float) -> list:
-    """One classical RK4 step of y' = rhs(y) on a list of floats.  A float
-    overflow or division by zero inside the step yields an all-NaN state,
-    which every stop predicate rejects."""
-    try:
-        k1 = rhs(y)
-        k2 = rhs([a + 0.5 * dt * b for a, b in zip(y, k1)])
-        k3 = rhs([a + 0.5 * dt * b for a, b in zip(y, k2)])
-        k4 = rhs([a + dt * b for a, b in zip(y, k3)])
-    except ArithmeticError:
-        return [math.nan] * len(y)
-    return [
-        a + (dt / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-        for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
-    ]
-
-
 def check_step_count(t0: float, t1: float, dt: float) -> None:
-    """Raise ValueError unless steps of dt cross [t0, t1] in at most
-    MAX_STEPS steps, each of which moves t (dt above the float resolution
-    of t)."""
+    """Raise ValueError unless steps of dt cross [t0, t1], with t1 >= t0,
+    in at most MAX_STEPS steps, each of which moves t (dt above the float
+    resolution of t)."""
+    if t1 < t0:
+        raise ValueError(f"the t span [{t0:g}, {t1:g}] ends before it starts")
     steps = (t1 - t0) / dt
     if not steps <= MAX_STEPS:
         raise ValueError(
@@ -327,56 +316,86 @@ def check_step_count(t0: float, t1: float, dt: float) -> None:
         raise ValueError(f"dt = {dt:g} is below the float resolution of t on [{t0:g}, {t1:g}]")
 
 
-def _integrate(rhs, y0: list, t0: float, t1: float, dt: float, stop, t_tol=None):
-    """Fixed-step RK4 from y0 at t0 towards t1.
+def _integrate(step, y0, t0: float, t1: float, dt: float, stop, t_tol=None):
+    """Fixed-step integration from y0 at t0 towards t1.
 
-    ``stop(y)`` returns a termination name for a trial state that must
-    not be accepted, else None.  With ``t_tol`` set, a rejected step is
-    halved repeatedly down to ``t_tol``, keeping every accepted sub-step,
-    which brackets the escape time in [t_last, t_last + t_tol].
+    ``step(y, dt)`` is one RK4 step of the system; ``stop(y)`` returns a
+    termination name for a trial state that must not be accepted, else
+    None.  A step that raises ArithmeticError (a float overflow or
+    division by zero) is rejected as BLOW_UP.  With ``t_tol`` set, a
+    rejected step is halved repeatedly down to ``t_tol``, keeping every
+    accepted sub-step, which brackets the escape time in
+    [t_last, t_last + t_tol].
 
     Returns (times, states, termination, escape time or None).
     """
     check_step_count(t0, t1, dt)
     t, y = t0, y0
     ts, ys = [t], [y]
-    while t < t1 - 1e-12:
-        step = min(dt, t1 - t)
-        trial = _rk4_step(rhs, y, step)
-        termination = stop(trial)
+    end = t1 - min(1e-12, 0.5 * dt)  # slack for the rounding of t += h
+    while t < end:
+        h = min(dt, t1 - t)
+        try:
+            trial = step(y, h)
+            termination = stop(trial)
+        except ArithmeticError:
+            termination = BLOW_UP
         if termination is not None:
             if t_tol is None:
                 return ts, ys, termination, None
-            while step > t_tol:
-                step *= 0.5
-                trial = _rk4_step(rhs, y, step)
+            while h > t_tol:
+                h *= 0.5
+                try:
+                    trial = step(y, h)
+                except ArithmeticError:
+                    continue
                 if stop(trial) is None:
-                    t += step
+                    t += h
                     y = trial
                     ts.append(t)
                     ys.append(y)
-            return ts, ys, termination, t + step
-        t += step
+            return ts, ys, termination, t + h
+        t += h
         y = trial
         ts.append(t)
         ys.append(y)
     return ts, ys, REACHED_T_MAX, None
 
 
-def _warped_field(ctilde: float):
-    """y -> y' for y = [alpha, gamma, delta] of the warped system."""
-
-    def rhs(y):
-        a, g, d = y
-        return [g, d, 2.0 * g * d / a + d * d / g - 2.0 * ctilde * g * g]
-
-    return rhs
+def _delta_prime(a, g, d, ctilde: float):
+    """delta' = 2 gamma delta/alpha + delta^2/gamma - 2 Ctilde gamma^2."""
+    return 2.0 * g * d / a + d * d / g - 2.0 * ctilde * g * g
 
 
 def warped_rhs(s: WarpedState) -> np.ndarray:
     """Right-hand side (gamma, delta, 2 gamma delta/alpha + delta^2/gamma
     - 2 Ctilde gamma^2) of the warped first-order system."""
-    return np.array(_warped_field(s.ctilde)([s.alpha, s.gamma, s.delta]))
+    return np.array([s.gamma, s.delta, _delta_prime(s.alpha, s.gamma, s.delta, s.ctilde)])
+
+
+def _warped_step(ctilde: float):
+    """The classical RK4 step ``(alpha, gamma, delta), dt -> next state``
+    of the warped system.  Stage j has slopes (g_j, d_j, f_j): alpha' and
+    gamma' are the stage's own gamma and delta."""
+
+    def step(y, dt):
+        a, g, d = y
+        h = 0.5 * dt
+        f1 = _delta_prime(a, g, d, ctilde)
+        a2, g2, d2 = a + h * g, g + h * d, d + h * f1
+        f2 = _delta_prime(a2, g2, d2, ctilde)
+        a3, g3, d3 = a + h * g2, g + h * d2, d + h * f2
+        f3 = _delta_prime(a3, g3, d3, ctilde)
+        a4, g4, d4 = a + dt * g3, g + dt * d3, d + dt * f3
+        f4 = _delta_prime(a4, g4, d4, ctilde)
+        w = dt / 6.0
+        return (
+            a + w * (g + 2.0 * g2 + 2.0 * g3 + g4),
+            g + w * (d + 2.0 * d2 + 2.0 * d3 + d4),
+            d + w * (f1 + 2.0 * f2 + 2.0 * f3 + f4),
+        )
+
+    return step
 
 
 def _integral(B, C, alpha, gamma, delta):
@@ -408,14 +427,16 @@ def integrate_warped(
     sign0 = math.copysign(1.0, s0.gamma)
 
     def stop(y):
-        if not all(map(math.isfinite, y)) or max(map(abs, y)) > WARPED_COMPONENT_CAP:
+        a, g, d = y
+        cap = WARPED_COMPONENT_CAP
+        if not (abs(a) <= cap and abs(g) <= cap and abs(d) <= cap):  # also NaN
             return BLOW_UP
-        if abs(y[1]) < GAMMA_SINGULAR_TOL or math.copysign(1.0, y[1]) != sign0:
+        if sign0 * g < GAMMA_SINGULAR_TOL:  # |gamma| below the tolerance or sign flipped
             return SINGULAR_GAMMA
         return None
 
     ts, ys, termination, _ = _integrate(
-        _warped_field(s0.ctilde), [s0.alpha, s0.gamma, s0.delta], t0, t1, dt, stop
+        _warped_step(s0.ctilde), (s0.alpha, s0.gamma, s0.delta), t0, t1, dt, stop
     )
     alpha, gamma, delta = np.array(ys).T
     return Trajectory(
@@ -455,13 +476,21 @@ def integrate_rho(fp: FamilyParams, rho0: float, dt: float, t_max: float) -> Tra
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
 
-    def stop(y):
-        return None if math.isfinite(y[0]) and abs(y[0]) <= RHO_BLOW_UP_CAP else BLOW_UP
+    def step(r, dt):
+        h = 0.5 * dt
+        k1 = rho_rhs(fp, r)
+        k2 = rho_rhs(fp, r + h * k1)
+        k3 = rho_rhs(fp, r + h * k2)
+        k4 = rho_rhs(fp, r + dt * k3)
+        return r + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    ts, ys, termination, blow_up_time = _integrate(
-        lambda y: [rho_rhs(fp, y[0])], [float(rho0)], 0.0, t_max, dt, stop, BLOW_UP_TIME_TOL
+    def stop(r):
+        return None if abs(r) <= RHO_BLOW_UP_CAP else BLOW_UP  # also NaN
+
+    ts, rhos, termination, blow_up_time = _integrate(
+        step, float(rho0), 0.0, t_max, dt, stop, BLOW_UP_TIME_TOL
     )
-    rho_arr = np.array([y[0] for y in ys])
+    rho_arr = np.array(rhos)
     prime = rho_rhs(fp, rho_arr)
     with np.errstate(divide="ignore", invalid="ignore"):
         sigma = np.where(

@@ -208,6 +208,54 @@ def test_solve_family_ricci_flat(capsys):
     assert "A = 0" in out
 
 
+def test_solve_family_ricci_flat_span_must_not_be_reversed(tmp_path, capsys):
+    out = tmp_path / "f.csv"
+    argv = ["solve-family", "--ricci-flat", "--t-min", "3", "--t-max", "1", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: --dt/--t-max: ")
+    assert not out.exists()
+    # an empty span is one sample at t-min
+    argv = ["solve-family", "--ricci-flat", "--t-min", "1", "--t-max", "1", "--out", str(out)]
+    assert main(argv) == 0
+    assert out.read_text().splitlines()[1].startswith("1,1,-0.5,1,")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_solve_family_leaves_sigma_empty_at_an_equilibrium(fmt, tmp_path, capsys):
+    out = tmp_path / f"f.{fmt}"
+    line = "solve-family --alpha -1 --beta 1 --rho0 1.0000000000000002 --dt 0.2 --t-max 3"
+    assert main(shlex.split(line) + ["--format", fmt, "--out", str(out)]) == 0
+    text = out.read_text()
+    assert "nan" not in text.lower()
+    if fmt == "csv":
+        rows = [(row["rho_prime"], row["sigma"]) for row in csv.DictReader(text.splitlines())]
+        empty = [sigma == "" for _, sigma in rows]
+        assert empty == [float(prime) == 0.0 for prime, _ in rows]
+    else:
+        rows = json.loads(text)["samples"]
+        empty = [row["sigma"] is None for row in rows]
+        assert empty == [row["rho_prime"] == 0.0 for row in rows]
+    assert empty[0] is False and sum(empty) == 15
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "solve-family --alpha -1 --beta 1 --dt 1e-14 --t-max 1e-13",
+        "solve-warped --alpha0 1 --gamma0 1 --delta0 0 --dt 1e-14 --t-max 1e-13",
+    ],
+)
+def test_a_span_below_the_rounding_slack_reaches_t_max(line, tmp_path, capsys):
+    out = tmp_path / "f.csv"
+    assert main(shlex.split(line) + ["--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    assert "termination: reached-t-max" in stdout
+    assert "over t span 1 " not in stdout
+    t = [float(row.split(",")[0]) for row in out.read_text().splitlines()[1:]]
+    assert len(t) == 11
+    assert t[-1] == pytest.approx(1e-13, rel=1e-9)
+
+
 def test_solve_warped_conservation_summary(tmp_path, capsys):
     out = tmp_path / "w.csv"
     code = main(
