@@ -16,22 +16,16 @@ from .fields import (
     ProfileField,
     ScalarField,
     as_point,
-    constant_field,
 )
 from .oracle import (
-    CurvatureReport,
     InvalidMetricError,
     MetricField,
     OracleError,
     SingularMetricError,
     christoffel,
-    curvature_report,
     einstein_residual_fd,
-    euclidean_metric,
     laplace_beltrami_fd,
     ricci_fd,
-    riemann_fd,
-    scalar_fd,
 )
 from .deform import (
     DeformationPair,
@@ -57,18 +51,13 @@ from .families import (
     einstein_residuals,
     end_diagnostics,
     family_fields,
-    family_metric,
-    hyperbolic_fields,
     implicit_time,
     integrate_rho,
     integrate_warped,
     rho_rhs,
     ricci_flat_fields,
-    sigma_from_rho,
     single_param_residuals,
-    warped_integral,
     warped_residuals,
-    warped_rhs,
 )
 
 __version__ = "0.1.0"

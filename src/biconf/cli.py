@@ -215,6 +215,8 @@ def _parse_grid(spec: str) -> list[np.ndarray]:
             lo, hi, count = float(pieces[0]), float(pieces[1]), int(pieces[2])
         except ValueError:
             raise UsageError(f"bad grid range {rng!r}") from None
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise UsageError(f"bad grid range {rng!r}, bounds must be finite")
         if count < 1:
             raise UsageError(f"grid count must be >= 1, got {count}")
         ranges[name] = (lo, hi, count)
@@ -440,7 +442,7 @@ def cmd_solve_family(args: argparse.Namespace) -> int:
 
         def sample(t):
             p = _on_t_axis(t)
-            return np.column_stack([t, rho(p), rho.partial(p, 1), sigma(p)])
+            return np.column_stack([t, rho(p), rho.jet(p).g[:, 0], sigma(p)])
 
         samples = [np.empty((0, 4))]
         for _, block in _blocks(sample, _chunks(ts)):
@@ -523,7 +525,7 @@ def cmd_solve_warped(args: argparse.Namespace) -> int:
     traj = integrate_warped(state, args.dt, (0.0, args.t_max))
     a_int = traj["A_integral"]
     drift = float(np.max(np.abs(a_int - a_int[0])))
-    span = float(traj.t[-1] - traj.t[0]) if len(traj) > 1 else 1.0
+    span = float(traj.t[-1] - traj.t[0])
     header = ["t", "alpha", "gamma", "delta", "sigma", "A_integral"]
     summary = {
         "A0": float(a_int[0]),

@@ -135,7 +135,7 @@ def metric_of(d: DeformationPair) -> MetricField:
         dg[..., 2, 2] = dg[..., 3, 3] = dr
         return dg
 
-    return MetricField.batched(value, partials)
+    return MetricField(value, partials)
 
 
 @raise_float_errors

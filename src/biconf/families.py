@@ -34,10 +34,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .deform import DeformationPair, metric_of, ricci_frame
+from .deform import DeformationPair, ricci_frame
 from .expr import DomainError, first_where, raise_float_errors
 from .fields import ExpressionField, ProfileField, ScalarField, require_positive
-from .oracle import MetricField
 
 __all__ = [
     "REACHED_T_MAX",
@@ -49,19 +48,14 @@ __all__ = [
     "EndDiagnostics",
     "einstein_residuals",
     "warped_residuals",
-    "warped_rhs",
     "integrate_warped",
-    "warped_integral",
     "rho_rhs",
     "integrate_rho",
     "check_step_count",
     "implicit_time",
-    "sigma_from_rho",
     "einstein_constant",
     "family_fields",
-    "family_metric",
     "ricci_flat_fields",
-    "hyperbolic_fields",
     "single_param_residuals",
     "end_diagnostics",
 ]
@@ -144,10 +138,6 @@ class WarpedState:
     def ctilde(self) -> float:
         return self.C / self.B
 
-    @property
-    def sigma(self) -> float:
-        return math.sqrt(self.B * self.alpha**2 / self.gamma)
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -161,7 +151,6 @@ class Trajectory:
 
     t: np.ndarray
     columns: dict = field(default_factory=dict)
-    dt: float = 0.0
     termination: str = REACHED_T_MAX
     blow_up_time: float | None = None
 
@@ -367,12 +356,6 @@ def _delta_prime(a, g, d, ctilde: float):
     return 2.0 * g * d / a + d * d / g - 2.0 * ctilde * g * g
 
 
-def warped_rhs(s: WarpedState) -> np.ndarray:
-    """Right-hand side (gamma, delta, 2 gamma delta/alpha + delta^2/gamma
-    - 2 Ctilde gamma^2) of the warped first-order system."""
-    return np.array([s.gamma, s.delta, _delta_prime(s.alpha, s.gamma, s.delta, s.ctilde)])
-
-
 def _warped_step(ctilde: float):
     """The classical RK4 step ``(alpha, gamma, delta), dt -> next state``
     of the warped system.  Stage j has slopes (g_j, d_j, f_j): alpha' and
@@ -402,12 +385,6 @@ def _integral(B, C, alpha, gamma, delta):
     """A = C alpha^2 + (B alpha^2/gamma)(delta/alpha - 3 gamma^2/alpha^2),
     elementwise for arrays."""
     return C * alpha**2 + (B * alpha**2 / gamma) * (delta / alpha - 3.0 * gamma**2 / alpha**2)
-
-
-def warped_integral(s: WarpedState) -> float:
-    """Conserved quantity A = C alpha^2 + (B alpha^2/gamma)
-    (delta/alpha - 3 gamma^2/alpha^2) of the warped system."""
-    return float(_integral(s.B, s.C, s.alpha, s.gamma, s.delta))
 
 
 def integrate_warped(
@@ -448,7 +425,6 @@ def integrate_warped(
             "sigma": np.sqrt(s0.B * alpha**2 / gamma),
             "A_integral": _integral(s0.B, s0.C, alpha, gamma, delta),
         },
-        dt=dt,
         termination=termination,
     )
 
@@ -499,7 +475,6 @@ def integrate_rho(fp: FamilyParams, rho0: float, dt: float, t_max: float) -> Tra
     return Trajectory(
         t=np.array(ts),
         columns={"rho": rho_arr, "rho_prime": prime, "sigma": sigma},
-        dt=dt,
         termination=termination,
         blow_up_time=blow_up_time,
     )
@@ -523,13 +498,6 @@ def implicit_time(rho: float) -> float:
         + (s3 / 3.0) * math.atan((2.0 / s3) * (rho - 0.5))
         + math.pi * s3 / 18.0
     )
-
-
-def sigma_from_rho(fp: FamilyParams, rho: float, rho_prime: float) -> float:
-    """sigma = b rho |rho'|^(-1/2); undefined at an equilibrium."""
-    if rho_prime == 0.0:
-        raise DomainError("sigma undefined at an equilibrium (rho' = 0)")
-    return fp.b * rho / math.sqrt(abs(rho_prime))
 
 
 def einstein_constant(fp: FamilyParams, rho_prime_sign: int) -> float:
@@ -559,13 +527,9 @@ class _RhoInterpolant:
         if len(self.t) < 2:
             raise DomainError("trajectory must have at least two samples")
 
-    @property
-    def t_range(self) -> tuple[float, float]:
-        return float(self.t[0]), float(self.t[-1])
-
     def rho_at(self, t):
         """rho at a time or at each entry of an array of times."""
-        t0, t1 = self.t_range
+        t0, t1 = float(self.t[0]), float(self.t[-1])
         outside = (t < t0) | (t > t1)
         if np.any(outside):
             raise DomainError(
@@ -634,13 +598,6 @@ def family_fields(fp: FamilyParams, traj: Trajectory) -> tuple[ScalarField, Scal
     return ProfileField(sigma_profile, positive=True), ProfileField(rho_profile, positive=True)
 
 
-def family_metric(fp: FamilyParams, traj: Trajectory) -> MetricField:
-    """Deformed metric built from a family trajectory (requires rho' != 0
-    throughout; queries outside the trajectory range raise)."""
-    sigma_field, rho_field = family_fields(fp, traj)
-    return metric_of(DeformationPair(sigma_field, rho_field))
-
-
 def ricci_flat_fields(a: float = 1.0) -> tuple[ScalarField, ScalarField]:
     """Closed-form Ricci-flat profile on t > 0: sigma = a t^(1/4),
     rho = t^(-1/2) (the e = 0 member of the family)."""
@@ -648,13 +605,6 @@ def ricci_flat_fields(a: float = 1.0) -> tuple[ScalarField, ScalarField]:
         raise ValueError(f"a must be positive, got {a}")
     sigma = ExpressionField(f"{a!r}*t^0.25", positive=True)
     rho = ExpressionField("t^-0.5", positive=True)
-    return sigma, rho
-
-
-def hyperbolic_fields() -> tuple[ScalarField, ScalarField]:
-    """sigma = rho = t on t > 0: hyperbolic 4-space, Einstein with A = -3."""
-    sigma = ExpressionField("t", positive=True)
-    rho = ExpressionField("t", positive=True)
     return sigma, rho
 
 

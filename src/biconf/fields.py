@@ -44,7 +44,6 @@ __all__ = [
     "ExpressionField",
     "CallableField",
     "ProfileField",
-    "constant_field",
 ]
 
 Point = Sequence[float]
@@ -139,24 +138,6 @@ class ScalarField:
             require_positive(jet.val, p)
         return jet
 
-    def partial(self, p, i: int):
-        """First partial with respect to x_i, i in 1..4."""
-        if i not in (1, 2, 3, 4):
-            raise ValueError(f"partial index must be in 1..4, got {i}")
-        return self.jet(p).g[..., i - 1]
-
-    def partial2(self, p, i: int, j: int):
-        """Second partial with respect to x_i and x_j, indices in 1..4."""
-        if i not in (1, 2, 3, 4) or j not in (1, 2, 3, 4):
-            raise ValueError(f"partial indices must be in 1..4, got {i}, {j}")
-        return self.jet(p).h[..., i - 1, j - 1]
-
-    @_evaluation
-    def grad_ln(self, p) -> np.ndarray:
-        """Gradient of ln(f): component a is (d_a f)/f.  Requires f > 0."""
-        jet = self.jet(p)
-        return jet.g / require_positive(jet.val, p)[..., None]
-
     @_evaluation
     def log_jet(self, p):
         """(f, grad ln f, Hessian of ln f); requires f > 0."""
@@ -235,27 +216,18 @@ class ProfileField(ScalarField):
     The log-derivatives are taken from the closure rather than from
     f''/f - (f'/f)^2, which cancels catastrophically for profiles whose
     log-derivatives are many orders smaller than the quotient terms.
-    ``domain`` restricts t to the open interval (lo, hi); use ``None``
-    for an unbounded side.
     """
 
     def __init__(
         self,
         profile: Callable[[np.ndarray], tuple],
-        domain: tuple[float | None, float | None] = (None, None),
         positive: bool = False,
     ):
         super().__init__(positive)
         self.profile = profile
-        self.domain = domain
 
     def _at(self, p: np.ndarray) -> list:
         t = p[..., 0]
-        lo, hi = self.domain
-        if lo is not None and np.any(t <= lo):
-            raise DomainError(f"profile defined for t > {lo}, got t = {first_where(t, t <= lo)}")
-        if hi is not None and np.any(t >= hi):
-            raise DomainError(f"profile defined for t < {hi}, got t = {first_where(t, t >= hi)}")
         return [filled(c, t.shape) for c in self.profile(t)]
 
     def _raw_value(self, p: np.ndarray):
@@ -279,9 +251,3 @@ def _t_only(d1, d2) -> tuple[np.ndarray, np.ndarray]:
     h[..., 0, 0] = d2
     return g, h
 
-
-def constant_field(value: float, positive: bool = False) -> ScalarField:
-    """Field identically equal to ``value``."""
-    from .expr import Num
-
-    return ExpressionField(Num(float(value)), positive=positive)

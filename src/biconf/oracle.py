@@ -5,7 +5,6 @@ Everything here goes through the standard Levi-Civita pipeline
     Gamma^a_bc = 1/2 g^{ad} (d_b g_dc + d_c g_db - d_d g_bc)
     Ric_bc     = d_a Gamma^a_bc - d_c Gamma^a_ba
                  + Gamma^a_ad Gamma^d_bc - Gamma^a_cd Gamma^d_ba
-    Scal       = g^{bc} Ric_bc
     Lap f      = g^{ab} (d_a d_b f - Gamma^c_ab d_c f)
 
 with metric derivatives taken from an analytic provider when the metric
@@ -17,15 +16,15 @@ Inversion, determinant and the positive-definiteness check (Cholesky)
 are numpy's.  The singularity check compares |det| against the product
 of row magnitudes at 1e-10, so it is relative to the metric's own scale.
 
-Every function takes a point or an (N, 4) array of points (a batch) and
-works on the whole batch at once: ``ricci_fd`` evaluates the Christoffel
-symbols at the 9 N points of its stencil in one call.  Float overflow,
+A ``MetricField`` is built from batch callables, and every function
+takes a point or an (N, 4) array of points (a batch) and works on the
+whole batch at once: ``ricci_fd`` evaluates the Christoffel symbols at
+the 9 N points of its stencil in one call.  Float overflow,
 division by zero and invalid operations raise FloatingPointError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -38,16 +37,11 @@ __all__ = [
     "InvalidMetricError",
     "OracleError",
     "MetricField",
-    "euclidean_metric",
     "invert4",
     "christoffel",
     "ricci_fd",
-    "scalar_fd",
     "laplace_beltrami_fd",
     "einstein_residual_fd",
-    "riemann_fd",
-    "CurvatureReport",
-    "curvature_report",
 ]
 
 SINGULARITY_THRESHOLD = 1e-10
@@ -123,25 +117,15 @@ def _difference(values: np.ndarray, h: float, batch_ndim: int) -> np.ndarray:
     return np.moveaxis((pairs[:, 0] - pairs[:, 1]) / (2.0 * h), 0, batch_ndim)
 
 
-def _pointwise(fn: Callable[[np.ndarray], np.ndarray]):
-    """A batch callable that calls the one-point callable ``fn`` per point."""
-
-    def batch(p: np.ndarray) -> np.ndarray:
-        out = np.array([np.asarray(fn(q), dtype=float) for q in p.reshape(-1, 4)])
-        return out.reshape(p.shape[:-1] + out.shape[1:])
-
-    return batch
-
-
 class MetricField:
     """Map point -> symmetric 4x4 metric components g_ab.
 
-    ``value(p)`` and ``partials(p)`` (optional) are one-point callables;
-    ``partials`` returns the (4, 4, 4) array dg with dg[c, a, b] =
-    d_c g_ab.  ``MetricField.batched`` takes callables that evaluate a
-    whole batch of points at once instead.  Without partials, metric
-    derivatives are centered differences with step DEFAULT_METRIC_STEP.
-    Every query takes a point or an (N, 4) array of points.
+    ``value`` and ``partials`` (optional) are batch callables: they map
+    points of shape batch + (4,) to values of shape batch + (4, 4) and
+    to partials dg of shape batch + (4, 4, 4), with dg[..., c, a, b] =
+    d_c g_ab.  Without partials, metric derivatives are centered
+    differences with step DEFAULT_METRIC_STEP.  Every query takes a
+    point or an (N, 4) array of points.
     """
 
     def __init__(
@@ -149,21 +133,8 @@ class MetricField:
         value: Callable[[np.ndarray], np.ndarray],
         partials: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ):
-        self.value_fn = _pointwise(value)
-        self.partials_fn = None if partials is None else _pointwise(partials)
-
-    @classmethod
-    def batched(
-        cls,
-        value: Callable[[np.ndarray], np.ndarray],
-        partials: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    ) -> "MetricField":
-        """Metric from callables that map a batch of points, shape
-        batch + (4,), to values of shape batch + (4, 4) and partials of
-        shape batch + (4, 4, 4)."""
-        metric = cls.__new__(cls)
-        metric.value_fn, metric.partials_fn = value, partials
-        return metric
+        self.value_fn = value
+        self.partials_fn = partials
 
     @raise_float_errors
     def value(self, p) -> np.ndarray:
@@ -182,11 +153,7 @@ class MetricField:
 
     def without_partials(self) -> "MetricField":
         """Copy of this metric that forgets its analytic derivative provider."""
-        return MetricField.batched(self.value_fn)
-
-
-def euclidean_metric() -> MetricField:
-    return MetricField(lambda p: np.eye(4), lambda p: np.zeros((4, 4, 4)))
+        return MetricField(self.value_fn)
 
 
 @raise_float_errors
@@ -210,16 +177,15 @@ def _gammas(g: MetricField, p, h: float):
     return gammas[0], _difference(gammas[1:], h, p.ndim - 1)
 
 
-def _raw_ricci(g: MetricField, p, h: float):
-    """(unsymmetrized Ricci, Gamma) from the contraction formula."""
+def _raw_ricci(g: MetricField, p, h: float) -> np.ndarray:
+    """Unsymmetrized Ricci tensor from the contraction formula."""
     gamma, dgamma = _gammas(g, p, h)
-    ric = (
+    return (
         np.einsum("...aabc->...bc", dgamma)
         - np.einsum("...caba->...bc", dgamma)
         + np.einsum("...aad,...dbc->...bc", gamma, gamma)
         - np.einsum("...acd,...dba->...bc", gamma, gamma)
     )
-    return ric, gamma
 
 
 def _asymmetry(ric: np.ndarray) -> np.ndarray:
@@ -235,7 +201,7 @@ def ricci_fd(g: MetricField, p, h: float = DEFAULT_GAMMA_STEP) -> np.ndarray:
     MAX_RICCI_ASYMMETRY, which indicates an invalid metric or a step too
     large for it.
     """
-    ric, _ = _raw_ricci(g, p, h)
+    ric = _raw_ricci(g, p, h)
     asymmetry = _asymmetry(ric)
     bad = ~(asymmetry <= MAX_RICCI_ASYMMETRY)
     if np.any(bad):
@@ -244,12 +210,6 @@ def ricci_fd(g: MetricField, p, h: float = DEFAULT_GAMMA_STEP) -> np.ndarray:
             f"{MAX_RICCI_ASYMMETRY:.1e}; metric is invalid or the step is too large"
         )
     return 0.5 * (ric + np.swapaxes(ric, -1, -2))
-
-
-@raise_float_errors
-def scalar_fd(g: MetricField, p, h: float = DEFAULT_GAMMA_STEP):
-    """FD scalar curvature g^{ab} Ric_ab."""
-    return np.einsum("...ab,...ab->...", invert4(g.value(p)), ricci_fd(g, p, h))
 
 
 @raise_float_errors
@@ -266,38 +226,3 @@ def laplace_beltrami_fd(g: MetricField, f: ScalarField, p):
 def einstein_residual_fd(g: MetricField, a_const: float, p, h: float = DEFAULT_GAMMA_STEP):
     """Max-norm of Ric_fd - A g, at a point or at each point of a batch."""
     return np.max(np.abs(ricci_fd(g, p, h) - a_const * g.value(p)), axis=(-2, -1))
-
-
-@raise_float_errors
-def riemann_fd(g: MetricField, p, h: float = DEFAULT_GAMMA_STEP) -> np.ndarray:
-    """Full FD Riemann tensor R[..., a, b, c, d] = R^a_{bcd}.  Debug
-    helper; the rest of the library only ever needs the Ricci
-    contraction."""
-    gamma, dgamma = _gammas(g, p, h)
-    return (
-        np.einsum("...cadb->...abcd", dgamma)
-        - np.einsum("...dacb->...abcd", dgamma)
-        + np.einsum("...ace,...edb->...abcd", gamma, gamma)
-        - np.einsum("...ade,...ecb->...abcd", gamma, gamma)
-    )
-
-
-@dataclass(frozen=True)
-class CurvatureReport:
-    """FD curvature summary at a single point."""
-
-    point: np.ndarray
-    gamma: np.ndarray  # (4, 4, 4), Gamma^a_bc
-    ricci: np.ndarray  # (4, 4), symmetrized
-    asymmetry: float  # max |Ric - Ric^T| before symmetrization
-    scalar: float
-    h: float
-
-
-@raise_float_errors
-def curvature_report(g: MetricField, p, h: float = DEFAULT_GAMMA_STEP) -> CurvatureReport:
-    p = as_point(p)
-    ric, gamma = _raw_ricci(g, p, h)
-    ric_sym = 0.5 * (ric + ric.T)
-    scal = float(np.einsum("ab,ab->", invert4(g.value(p)), ric_sym))
-    return CurvatureReport(p, gamma, ric_sym, float(_asymmetry(ric)), scal, h)

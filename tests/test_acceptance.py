@@ -20,7 +20,6 @@ from biconf import (
     einstein_residuals,
     end_diagnostics,
     family_fields,
-    family_metric,
     frame_to_coords,
     implicit_time,
     integrate_rho,
@@ -125,7 +124,7 @@ def test_criterion_5_family_i():
         float(np.max(np.abs(single_param_residuals(sigma, rho, -3.0, float(t)))))
         for t in np.linspace(0.1, 10.0, 34)
     )
-    metric = family_metric(fp, traj)
+    metric = metric_of(DeformationPair(sigma, rho))
     worst_fd = max(
         einstein_residual_fd(metric, -3.0, (float(t), 0, 0, 0))
         for t in np.linspace(0.5, 5.0, 10)

@@ -345,6 +345,18 @@ def test_bad_grid_specs(capsys):
     assert main(base + ["--grid", "x1=0:1:0"]) == 1
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "command", ["residual --sigma 1 --rho 1 --A 0", "verify --sigma 1 --rho 1"]
+)
+def test_grid_bounds_must_be_finite(command, bad, capsys):
+    for rng in (f"{bad}:0:1", f"0:{bad}:2"):
+        assert main(shlex.split(command) + ["--grid", f"x1={rng}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad grid range '{rng}'")
+        assert "Traceback" not in err
+
+
 def test_invalid_numeric_settings(capsys):
     assert main(["solve-family", "--alpha", "-1", "--beta", "1", "--dt", "-0.1"]) == 1
     assert main(["residual", "--sigma", "1", "--rho", "1", "--A", "0", "--tol", "-1"]) == 1
@@ -502,6 +514,16 @@ def test_solve_warped_blow_up_exit_2(tmp_path, capsys):
     assert code == 2
     assert "termination: blow-up" in capsys.readouterr().out
     assert out.read_text().startswith("t,alpha,gamma,delta,sigma,A_integral\n")
+
+
+def test_solve_warped_rejected_first_step_spans_no_time(tmp_path, capsys):
+    out = tmp_path / "w.json"
+    line = "solve-warped --alpha0 1 --gamma0 1 --delta0 1e200 --dt 0.1 --t-max 1 --format json"
+    assert main(shlex.split(line) + ["--out", str(out)]) == 2
+    stdout = capsys.readouterr().out
+    assert "|A drift| = 0.000000e+00 over t span 0 " in stdout
+    summary = json.loads(out.read_text())["summary"]
+    assert summary["max_drift"] == 0.0 and summary["drift_per_unit_time"] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -674,6 +696,15 @@ def test_readme_cli_commands_parse():
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv)  # raises UsageError on a flag the parser lacks
+
+
+def test_readme_cli_commands_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in _readme_commands():
+            assert main(argv) == 0, shlex.join(argv)
+    capsys.readouterr()
 
 
 def test_readme_shows_each_canned_example_command():

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biconf.expr import (
+    FUNCTIONS,
     Bin,
     Call,
     DomainError,
@@ -168,6 +171,23 @@ def test_round_trip_corpus_is_fixed_point():
         reparsed = parse_expr(printed)
         assert reparsed == ast, f"{text!r} -> {printed!r} reparses differently"
         assert pretty(reparsed) == printed, f"{text!r}: printer not a fixed point"
+
+
+# trees the parser can produce: literals are finite and >= 0 (a sign is a Neg)
+EXPRESSIONS = st.recursive(
+    st.builds(Num, st.floats(min_value=0.0, allow_nan=False, allow_infinity=False))
+    | st.builds(Var, st.integers(1, 4)),
+    lambda sub: st.builds(Neg, sub)
+    | st.builds(Bin, st.sampled_from("+-*/^"), sub, sub)
+    | st.builds(Call, st.sampled_from(FUNCTIONS), sub),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(EXPRESSIONS)
+def test_pretty_round_trips_random_trees(expr):
+    assert parse_expr(pretty(expr)) == expr
 
 
 def test_jet_matches_finite_differences():

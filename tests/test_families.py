@@ -19,8 +19,6 @@ from biconf import (
     einstein_residuals,
     end_diagnostics,
     family_fields,
-    family_metric,
-    hyperbolic_fields,
     implicit_time,
     integrate_rho,
     integrate_warped,
@@ -28,12 +26,10 @@ from biconf import (
     rho_rhs,
     ricci_fd,
     ricci_flat_fields,
-    sigma_from_rho,
     single_param_residuals,
-    warped_integral,
     warped_residuals,
-    warped_rhs,
 )
+from biconf.families import _delta_prime
 from helpers import hyperbolic_pair, random_point, sphere_pair
 
 ORIGIN = (0.0, 0.0, 0.0, 0.0)
@@ -77,12 +73,6 @@ def test_einstein_constant():
     assert einstein_constant(FAMILY_I, -1) == 3.0
     with pytest.raises(ValueError):
         einstein_constant(FAMILY_I, 0)
-
-
-def test_sigma_from_rho():
-    assert sigma_from_rho(FamilyParams(1.0, -1.0, b=1.0), 1.0, 1.0) == 1.0
-    with pytest.raises(DomainError):
-        sigma_from_rho(FAMILY_I, 1.0, 0.0)
 
 
 def test_einstein_residuals_product_examples():
@@ -160,16 +150,22 @@ def test_warped_state_validation():
         WarpedState(1.0, -1.0, 0.0, B=1.0)  # sigma^2 = B a^2/gamma < 0
     s = WarpedState(1.0, -2.0, 0.5, B=-1.0, C=0.5)
     assert s.ctilde == -0.5
-    assert s.sigma == math.sqrt(0.5)
+    assert integrate_warped(s, 1e-3, (0, 1e-3))["sigma"][0] == math.sqrt(0.5)
 
 
 def test_warped_rhs_examples():
-    assert np.allclose(warped_rhs(WarpedState(1, 1, 0, C=0.0)), [1, 0, 0])
-    assert np.allclose(warped_rhs(WarpedState(1, 1, 1, C=0.0)), [1, 1, 3])
-    assert np.allclose(warped_rhs(WarpedState(2, 1, 0, C=1.0)), [1, 0, -2])
+    def rhs(s):
+        return [s.gamma, s.delta, _delta_prime(s.alpha, s.gamma, s.delta, s.ctilde)]
+
+    assert np.allclose(rhs(WarpedState(1, 1, 0, C=0.0)), [1, 0, 0])
+    assert np.allclose(rhs(WarpedState(1, 1, 1, C=0.0)), [1, 1, 3])
+    assert np.allclose(rhs(WarpedState(2, 1, 0, C=1.0)), [1, 0, -2])
 
 
 def test_warped_integral_examples():
+    def warped_integral(s):
+        return integrate_warped(s, 1e-3, (0, 1e-3))["A_integral"][0]
+
     # alpha(t) = t states: A = -3B for every t
     for t in (0.5, 1.0, 3.0):
         assert warped_integral(WarpedState(t, 1.0, 0.0, B=1.0, C=0.0)) == -3.0
@@ -297,7 +293,7 @@ def test_single_param_residuals_family():
 
 
 def test_single_param_residuals_hyperbolic():
-    sigma, rho = hyperbolic_fields()
+    sigma = rho = ExpressionField("t", positive=True)
     for t in (0.5, 1.0, 2.0):
         res = single_param_residuals(sigma, rho, -3.0, t)
         assert np.max(np.abs(res)) < 1e-10
@@ -356,7 +352,7 @@ def test_family_fields_interpolation_between_samples():
 
 def test_family_metric_fd_residual():
     traj = integrate_rho(FAMILY_I, 0.0, 1e-3, 5.5)
-    metric = family_metric(FAMILY_I, traj)
+    metric = metric_of(DeformationPair(*family_fields(FAMILY_I, traj)))
     worst = 0.0
     for t in np.linspace(0.5, 5.0, 10):
         worst = max(worst, einstein_residual_fd(metric, -3.0, (float(t), 0, 0, 0)))
@@ -367,7 +363,7 @@ def test_family_metric_fd_residual():
 def test_family_metric_rejects_equilibrium():
     traj = integrate_rho(FAMILY_I, 1.0, 1e-2, 1.0)
     with pytest.raises(DomainError):
-        family_metric(FAMILY_I, traj)
+        family_fields(FAMILY_I, traj)
 
 
 def test_family_fields_out_of_range():
