@@ -197,7 +197,7 @@ def resolve_args(argv: list[str] | None) -> argparse.Namespace:
 def _parse_grid(spec: str) -> list[np.ndarray]:
     """Parse "x1=lo:hi:n,..." into four coordinate arrays (default [0]),
     rejecting a grid of more than MAX_GRID_POINTS points before building it."""
-    ranges = {f"x{i}": (0.0, 0.0, 1) for i in range(1, 5)}
+    ranges = dict.fromkeys(("x1", "x2", "x3", "x4"))  # None until the axis is given
     for part in spec.split(","):
         part = part.strip()
         if not part:
@@ -208,6 +208,8 @@ def _parse_grid(spec: str) -> list[np.ndarray]:
         name = name.strip()
         if name not in ranges:
             raise UsageError(f"bad grid axis {name!r}, expected x1..x4")
+        if ranges[name] is not None:
+            raise UsageError(f"grid axis {name} is given twice")
         pieces = rng.split(":")
         if len(pieces) != 3:
             raise UsageError(f"bad grid range {rng!r}, expected lo:hi:n")
@@ -217,13 +219,16 @@ def _parse_grid(spec: str) -> list[np.ndarray]:
             raise UsageError(f"bad grid range {rng!r}") from None
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise UsageError(f"bad grid range {rng!r}, bounds must be finite")
+        if not math.isfinite(hi - lo):
+            raise UsageError(f"bad grid range {rng!r}, hi - lo overflows")
         if count < 1:
             raise UsageError(f"grid count must be >= 1, got {count}")
         ranges[name] = (lo, hi, count)
-    points = math.prod(n for _, _, n in ranges.values())
+    axes = [axis or (0.0, 0.0, 1) for axis in ranges.values()]
+    points = math.prod(n for _, _, n in axes)
     if points > MAX_GRID_POINTS:
         raise UsageError(f"grid has {points} points, more than {MAX_GRID_POINTS}")
-    return [np.array([lo]) if n == 1 else np.linspace(lo, hi, n) for lo, hi, n in ranges.values()]
+    return [np.array([lo]) if n == 1 else np.linspace(lo, hi, n) for lo, hi, n in axes]
 
 
 def _slices(columns, empty):
@@ -570,7 +575,8 @@ def _run_example(args: argparse.Namespace, name: str) -> int:
         raise UsageError(f"unknown example {name!r}; names: {', '.join(EXAMPLE_NAMES)}")
     sub = build_parser().parse_args(shlex.split(EXAMPLE_COMMANDS[name]))
     sub.out, sub.format = args.out, args.format
-    sub.tol = sub.tol if args.tol is None else args.tol
+    if args.tol is not None and "tol" in vars(sub):  # only verify and residual take --tol
+        sub.tol = args.tol
     return _COMMANDS[sub.command](sub)
 
 
@@ -598,7 +604,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="key = value config file")
-    sub.add_argument("--tol", type=positive, help="tolerance (BICONF_TOL overrides the default)")
     sub.add_argument("--out", help="output file path")
     sub.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
 
@@ -611,6 +616,7 @@ def _add_pair(sub: argparse.ArgumentParser) -> None:
         default="x1=-0.3:0.3:3,x2=-0.3:0.3:3,x3=-0.3:0.3:3,x4=-0.3:0.3:3",
         help="grid spec x1=lo:hi:n,...",
     )
+    sub.add_argument("--tol", type=positive, help="tolerance (BICONF_TOL overrides the default)")
 
 
 def _add_steps(sub: argparse.ArgumentParser) -> None:
@@ -672,6 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("examples", help="list or run canned verifications")
     p.add_argument("name", nargs="*", help="'list', 'run NAME', or an example name")
+    p.add_argument("--tol", type=positive, help="tolerance of a verify or residual example")
     _add_common(p)
 
     return parser

@@ -88,6 +88,33 @@ class FrameRicci:
     sigma: float
     rho: float
 
+    @classmethod
+    @raise_float_errors
+    def from_log_data(cls, sv, rv, sg, sh, rg, rh) -> "FrameRicci":
+        """The frame Ricci matrix from sigma, rho and the gradients and Hessians
+        of their logs (``DeformationPair.log_data``).  With kv = rho^2/sigma^2:
+
+            HH  Ric(e_i, e_j) = sigma^2 { delta_ij [ s_11 + s_22 + kv (s_33 + s_44)
+                                                     - 2 kv (s_3^2 + s_4^2) ]
+                                          + 2 r_ij - 2 r_i r_j
+                                          + 2 (s_i r_j + r_i s_j) - 2 delta_ij s.r_H }
+            HV  Ric(e_j, e_s) = sigma*rho { s_js + r_js + 2 s_s r_j }
+
+        where s.r_H = s_1 r_1 + s_2 r_2.  VV is HH with (sigma, x1, x2) and (rho, x3, x4)
+        exchanged.  For a batch of points every component is an array over the batch.
+        """
+        # component-major, so sg[a] and sh[a][b] are arrays over the batch
+        sg, rg = np.moveaxis(sg, -1, 0), np.moveaxis(rg, -1, 0)
+        sh, rh = np.moveaxis(sh, (-2, -1), (0, 1)), np.moveaxis(rh, (-2, -1), (0, 1))
+        s2, r2 = sv * sv, rv * rv
+        h11, h22, h12 = _block(s2, r2 / s2, sg, sh, rg, rh, (0, 1), (2, 3))
+        v33, v44, v34 = _block(r2, s2 / r2, rg, rh, sg, sh, (2, 3), (0, 1))
+        (h13, h14), (h23, h24) = (
+            [sv * rv * (sh[j][s] + rh[j][s] + 2.0 * sg[s] * rg[j]) for s in (2, 3)] for j in (0, 1)
+        )
+        m = [[h11, h12, h13, h14], [h12, h22, h23, h24], [h13, h23, v33, v34], [h14, h24, v34, v44]]
+        return cls(np.moveaxis(np.array(m), (0, 1), (-2, -1)), sv, rv)
+
     @property
     def hh(self) -> np.ndarray:
         return self.matrix[..., :2, :2]
@@ -99,6 +126,19 @@ class FrameRicci:
     @property
     def vv(self) -> np.ndarray:
         return self.matrix[..., 2:, 2:]
+
+
+def _block(scale, k, ug, uh, vg, vh, own, other):
+    """(Ric_aa, Ric_bb, Ric_ab) of the plane own = (a, b) by the HH formula, with
+    u, v = sigma, rho for HH (rho, sigma for VV), scale = u^2 and k = v^2/u^2."""
+    (a, b), (c, d) = own, other
+    trace = uh[a][a] + uh[b][b] + k * (uh[c][c] + uh[d][d]) - 2.0 * k * (ug[c] * ug[c] + ug[d] * ug[d])
+    diag = [
+        scale * (trace - 2.0 * vg[i] * vg[i] + 2.0 * vh[i][i] + 2.0 * ug[i] * vg[i] - 2.0 * ug[j] * vg[j])
+        for i, j in ((a, b), (b, a))
+    ]
+    off = 2.0 * scale * (vh[a][b] - vg[a] * vg[b] + ug[a] * vg[b] + vg[a] * ug[b])
+    return diag[0], diag[1], off
 
 
 @dataclass(frozen=True)
@@ -117,86 +157,29 @@ def metric_of(d: DeformationPair) -> MetricField:
     as a MetricField with analytic partial derivatives, evaluated a batch
     of points at a time."""
 
-    def value(p):
-        a = 1.0 / np.square(d.sigma(p))
-        b = 1.0 / np.square(d.rho(p))
+    def _diag(a, b):
         g = np.zeros(np.shape(a) + (4, 4))
         g[..., 0, 0] = g[..., 1, 1] = a
         g[..., 2, 2] = g[..., 3, 3] = b
         return g
+
+    def value(p):
+        return _diag(1.0 / np.square(d.sigma(p)), 1.0 / np.square(d.rho(p)))
 
     def partials(p):
         sjet = d.sigma.jet(p)
         rjet = d.rho.jet(p)
         ds = -2.0 * sjet.g / np.power(sjet.val, 3)[..., None]  # d_c (sigma^-2)
         dr = -2.0 * rjet.g / np.power(rjet.val, 3)[..., None]
-        dg = np.zeros(ds.shape + (4, 4))
-        dg[..., 0, 0] = dg[..., 1, 1] = ds
-        dg[..., 2, 2] = dg[..., 3, 3] = dr
-        return dg
+        return _diag(ds, dr)
 
     return MetricField(value, partials)
 
 
 @raise_float_errors
 def ricci_frame(d: DeformationPair, p) -> FrameRicci:
-    """All frame Ricci components Ric(e_a, e_b) at p, from one evaluation
-    of both fields.  With kv = rho^2/sigma^2 and kh = sigma^2/rho^2:
-
-        HH  Ric(e_i, e_j) = sigma^2 { delta_ij [ s_11 + s_22 + kv (s_33 + s_44)
-                                                 - 2 kv (s_3^2 + s_4^2) ]
-                                      + 2 r_ij - 2 r_i r_j
-                                      + 2 (s_i r_j + r_i s_j) - 2 delta_ij s.r_H }
-        HV  Ric(e_j, e_s) = sigma*rho { s_js + r_js + 2 s_s r_j }
-        VV  Ric(e_r, e_s) = rho^2 { delta_rs [ kh (r_11 + r_22) + r_33 + r_44
-                                               - 2 kh (r_1^2 + r_2^2) ]
-                                    + 2 s_rs - 2 s_r s_s
-                                    + 2 (r_r s_s + s_r r_s) - 2 delta_rs s.r_V }
-
-    where s.r_H = s_1 r_1 + s_2 r_2 and s.r_V = s_3 r_3 + s_4 r_4.  For a
-    batch of points every component is an array over the batch.
-    """
-    sv, rv, sg, sh, rg, rh = d.log_data(p)
-    # component-major, so sg[a] and sh[a][b] are arrays over the batch
-    sg, rg = np.moveaxis(sg, -1, 0), np.moveaxis(rg, -1, 0)
-    sh, rh = np.moveaxis(sh, (-2, -1), (0, 1)), np.moveaxis(rh, (-2, -1), (0, 1))
-    s2, r2 = sv * sv, rv * rv
-    kv, kh = r2 / s2, s2 / r2
-    m = [[0.0] * 4 for _ in range(4)]
-
-    common = sh[0][0] + sh[1][1] + kv * (sh[2][2] + sh[3][3]) - 2.0 * kv * (
-        sg[2] * sg[2] + sg[3] * sg[3]
-    )
-    for i, j in ((0, 1), (1, 0)):
-        m[i][i] = s2 * (
-            common
-            - 2.0 * rg[i] * rg[i]
-            + 2.0 * rh[i][i]
-            + 2.0 * sg[i] * rg[i]
-            - 2.0 * sg[j] * rg[j]
-        )
-    m[0][1] = m[1][0] = (
-        2.0 * s2 * (rh[0][1] - rg[0] * rg[1] + sg[0] * rg[1] + rg[0] * sg[1])
-    )
-
-    for j in (0, 1):
-        for s in (2, 3):
-            m[j][s] = m[s][j] = sv * rv * (sh[j][s] + rh[j][s] + 2.0 * sg[s] * rg[j])
-
-    trace_br = (
-        kh * (rh[0][0] + rh[1][1])
-        + rh[2][2]
-        + rh[3][3]
-        - 2.0 * kh * (rg[0] * rg[0] + rg[1] * rg[1])
-        - 2.0 * (sg[2] * rg[2] + sg[3] * rg[3])
-    )
-    for r in (2, 3):
-        for s in (r, 3):
-            val = 2.0 * (sh[r][s] + rg[r] * sg[s] + sg[r] * rg[s] - sg[r] * sg[s])
-            if r == s:
-                val += trace_br
-            m[r][s] = m[s][r] = r2 * val
-    return FrameRicci(np.moveaxis(np.array(m), (0, 1), (-2, -1)), sv, rv)
+    """Frame Ricci components Ric(e_a, e_b) at p, from one ``log_data`` call."""
+    return FrameRicci.from_log_data(*d.log_data(p))
 
 
 @raise_float_errors

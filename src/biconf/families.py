@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .deform import DeformationPair, ricci_frame
+from .deform import DeformationPair, FrameRicci, ricci_frame
 from .expr import DomainError, first_where, raise_float_errors
 from .fields import ExpressionField, ProfileField, ScalarField, require_positive
 
@@ -196,12 +196,15 @@ def einstein_residuals(d: DeformationPair, a_const: float, p) -> np.ndarray:
     frame Ricci components divided by 2 sigma^2, sigma rho and 2 rho^2
     respectively), which vanish together with them.
     """
-    fr = ricci_frame(d, p)
+    return _residual_slots(ricci_frame(d, p), a_const)
+
+
+def _residual_slots(fr: FrameRicci, a: float) -> np.ndarray:
+    """The ten residual slots of ``einstein_residuals`` from a frame matrix."""
     (m11, m12, m13, m14), (_, m22, m23, m24), (_, _, m33, m34), (_, _, _, m44) = (
         np.moveaxis(fr.matrix, (-2, -1), (0, 1))
     )
     hh, hv, vv = 2.0 * np.square(fr.sigma), fr.sigma * fr.rho, 2.0 * np.square(fr.rho)
-    a = a_const
     return np.stack([
         m11 - a, m22 - a, m12 / hh,
         m13 / hv, m14 / hv, m23 / hv, m24 / hv,
@@ -227,7 +230,8 @@ def warped_residuals(
     sigma: ScalarField, alpha: ScalarField, beta: ScalarField, a_const: float, p
 ) -> np.ndarray:
     """Residuals of the four warped-product Einstein equations at p, or at
-    each point of an (N, 4) array.
+    each point of an (N, 4) array: slots (1,1), (2,2), (1,2) and (3,3) of
+    ``einstein_residuals`` for rho = alpha beta.
 
     The metric is (dx1^2+dx2^2)/sigma^2 + (dx3^2+dx4^2)/(alpha^2 beta^2)
     with sigma, alpha functions of (x1, x2) and beta of (x3, x4); beta
@@ -245,26 +249,9 @@ def warped_residuals(
 
     sv, sg, sh = sigma.log_jet(p)
     av, ag, ah = alpha.log_jet(p)
-    sg, ag = np.moveaxis(sg, -1, 0), np.moveaxis(ag, -1, 0)  # component-major
-    sh, ah = np.moveaxis(sh, (-2, -1), (0, 1)), np.moveaxis(ah, (-2, -1), (0, 1))
-    s2 = sv * sv
-    lap_s = sh[0, 0] + sh[1, 1]
-
-    res = [None] * 4
-    for i, j in ((0, 1), (1, 0)):
-        res[i] = (
-            s2
-            * (lap_s - 2.0 * ag[i] ** 2 + 2.0 * ah[i, i] + 2.0 * sg[i] * ag[i] - 2.0 * sg[j] * ag[j])
-            - a_const
-        )
-    res[2] = ah[0, 1] + sg[0] * ag[1] + ag[0] * sg[1] - ag[0] * ag[1]
-    res[3] = (
-        s2 * (ah[0, 0] + ah[1, 1])
-        + av * av * _vertical_curvature(beta, p)
-        - 2.0 * s2 * (ag[0] ** 2 + ag[1] ** 2)
-        - a_const
-    )
-    return np.stack(res, axis=-1)
+    bv, bg, bh = beta.log_jet(p)  # ln rho = ln alpha + ln beta, so the log data add
+    fr = FrameRicci.from_log_data(sv, av * bv, sg, sh, ag + bg, ah + bh)
+    return _residual_slots(fr, a_const)[..., [0, 1, 2, 7]]
 
 
 def single_param_residuals(

@@ -1,6 +1,8 @@
 """CLI behavior: exit-code contract, deterministic output, config precedence."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import shlex
@@ -13,6 +15,8 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import biconf
 import biconf.fields
@@ -357,6 +361,25 @@ def test_grid_bounds_must_be_finite(command, bad, capsys):
         assert "Traceback" not in err
 
 
+def _single_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+    return err
+
+
+def test_grid_bounds_whose_span_overflows_exit_1(capsys):
+    argv = "residual --sigma 1 --rho 1 --A 0 --grid x1=-1e308:1e308:3"
+    assert main(shlex.split(argv)) == 1
+    assert "bad grid range '-1e308:1e308:3'" in _single_error_line(capsys)
+
+
+def test_grid_axis_given_twice_exits_1(capsys):
+    argv = "residual --sigma 1 --rho 1 --A 0 --grid x1=0:1:2,x1=5:6:2"
+    assert main(shlex.split(argv)) == 1
+    assert "grid axis x1 is given twice" in _single_error_line(capsys)
+
+
 def test_invalid_numeric_settings(capsys):
     assert main(["solve-family", "--alpha", "-1", "--beta", "1", "--dt", "-0.1"]) == 1
     assert main(["residual", "--sigma", "1", "--rho", "1", "--A", "0", "--tol", "-1"]) == 1
@@ -464,7 +487,7 @@ def test_solve_family_leaves_only_the_rho_zero_residual_empty(tmp_path, capsys):
     out = tmp_path / "f.csv"
     argv = "solve-family --alpha -1 --beta 1 --dt 0.01 --t-max 3 --fd-every 7 --out"
     assert main(shlex.split(argv) + [str(out)]) == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     empty = [k for k, row in enumerate(rows) if row["proj_residual_max"] == ""]
     assert empty == [k for k, row in enumerate(rows) if float(row["rho"]) == 0.0] == [0]
 
@@ -543,7 +566,7 @@ VALUE_CASES = [
     ("residual", "--rho", S2_RHO, None),
     ("residual", "--grid", SMALL_GRID, None),
     ("residual", "--A", "-1", "one"),
-    *[("solve-family", *case) for case in _COMMON],
+    *[("solve-family", *case) for case in _COMMON[1:]],  # every common flag but --tol
     ("solve-family", "--alpha", "-1", "x"),
     ("solve-family", "--beta", "1", "x"),
     ("solve-family", "--b", "2", "x"),
@@ -554,7 +577,7 @@ VALUE_CASES = [
     ("solve-family", "--h", "5e-4", "nan"),
     ("solve-family", "--fd-every", "10", "-1"),
     ("solve-family", "--a", "2", "0"),
-    *[("solve-warped", *case) for case in _COMMON],
+    *[("solve-warped", *case) for case in _COMMON[1:]],
     ("solve-warped", "--alpha0", "1", "x"),
     ("solve-warped", "--gamma0", "1", "x"),
     ("solve-warped", "--delta0", "0", "x"),
@@ -678,6 +701,34 @@ def test_config_tolerance_overrides_env_var(tmp_path, monkeypatch, capsys):
     assert main(base) == 1
 
 
+FAMILY_I_SHORT = ["solve-family", "--alpha", "-1", "--beta", "1", "--t-max", "0.1"]
+
+
+def test_solve_commands_take_no_tol_flag(capsys):
+    assert main([*FAMILY_I_SHORT, "--tol", "1e-6"]) == 1
+    assert "--tol" in _single_error_line(capsys)
+    warped = ["solve-warped", "--alpha0", "1", "--gamma0", "1", "--delta0", "0", "--tol", "1e-6"]
+    assert main(warped) == 1
+    _single_error_line(capsys)
+
+
+def test_tol_settings_leave_solve_family_alone(tmp_path, monkeypatch, capsys):
+    """BICONF_TOL and a config ``tol`` key set the tolerance of the grid
+    commands; a solve command ignores both."""
+    monkeypatch.setenv("BICONF_TOL", "1e-6")
+    assert main(FAMILY_I_SHORT) == 0
+    monkeypatch.delenv("BICONF_TOL")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tol = 1e-6\n")
+    assert main([*FAMILY_I_SHORT, "--config", str(cfg)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_examples_tol_reaches_only_commands_that_take_it(capsys):
+    assert main(["examples", "family-i", "--tol", "1e-30"]) == 0
+    assert main(["examples", "hyperbolic", "--tol", "1e-30"]) == 3
+
+
 # ---------------------------------------------------------------------------
 # README
 
@@ -712,3 +763,90 @@ def test_readme_shows_each_canned_example_command():
     for name, line in EXAMPLE_COMMANDS.items():
         assert ["examples", name] in commands
         assert shlex.split(line) in commands
+
+
+# ---------------------------------------------------------------------------
+# Random argv
+
+
+# the values a flag draws: numbers at the edges of the float range, and
+# (one draw in eight) a non-finite number or text that no flag accepts
+FUZZ_NUMBERS = ["0", "1", "-1", "1e300", "-1e300", "1e-300"]
+FUZZ_JUNK = ["nan", "inf", "x1^", "junk"]
+FUZZ_SPANS = ["0", "0.01", "1", "-1", "nan", "1e300"]  # --t-max stays short
+ONE_IN_EIGHT = (True,) + (False,) * 7  # sampled_from is uniform; integers() favours the ends
+
+
+@st.composite
+def _fuzz_value(draw, pool=FUZZ_NUMBERS):
+    return draw(st.sampled_from(FUZZ_JUNK if draw(st.sampled_from(ONE_IN_EIGHT)) else pool))
+
+
+@st.composite
+def _fuzz_grid(draw):
+    """Up to three axis specs, each of at most 2 points."""
+    axes = draw(st.lists(st.tuples(st.integers(1, 5), _fuzz_value(), _fuzz_value()), max_size=3))
+    counts = draw(st.lists(_fuzz_value(["0", "1", "2"]), min_size=len(axes), max_size=len(axes)))
+    return ",".join(f"x{i}={lo}:{hi}:{n}" for (i, lo, hi), n in zip(axes, counts))
+
+
+def _fuzz_flag(draw, action, out_path: str) -> str:
+    """The flag, with ``=value`` drawn for it unless it is a switch."""
+    flag = action.option_strings[-1]
+    if action.nargs == 0:
+        return flag
+    if action.dest == "grid":
+        return f"{flag}={draw(_fuzz_grid())}"
+    if action.dest == "out":
+        return f"{flag}={out_path}"
+    pool = FUZZ_SPANS if action.dest == "t_max" else list(action.choices or FUZZ_NUMBERS)
+    return f"{flag}={draw(_fuzz_value(pool))}"
+
+
+@st.composite
+def _argvs(draw, out_path: str):
+    """A subcommand and some of its flags from build_parser(): a flag with
+    no default (one the command may require) three times in four, --config
+    once in eight, any other flag once in four."""
+    parser = build_parser()
+    command = draw(st.sampled_from(sorted(parser.commands)))
+    argv = [command]
+    if command == "examples":
+        argv += draw(st.lists(st.sampled_from([*EXAMPLE_NAMES, "list", "run", "junk"]), max_size=2))
+    if command.startswith("solve"):
+        argv += ["--t-max", "1"]
+    for action in parser.commands[command]._actions:
+        if not action.option_strings or action.dest == "help":
+            continue
+        if action.dest == "config":
+            odds = ONE_IN_EIGHT
+        else:
+            odds = (True, True, True, False) if action.default is None else (True, False, False, False)
+        if draw(st.sampled_from(odds)):
+            argv.append(_fuzz_flag(draw, action, out_path))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_out(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("fuzz") / "out")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_random_argv_keeps_the_exit_code_contract(fuzz_out, data):
+    """Any argv ends with an exit code in {0, 1, 2, 3}: 1 with exactly
+    one error line, 2 with a numerical-failure report, 0 and 3 with
+    nothing on stderr; no exception escapes main."""
+    argv = data.draw(_argvs(fuzz_out), label="argv")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    elif code == 2:
+        assert err.startswith("numerical failure:")
+    else:
+        assert err == ""

@@ -4,6 +4,8 @@ The FD oracle is authoritative: any disagreement beyond tolerance on the
 random corpus fails the suite.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from biconf import (
     ricci_frame,
     transformation_laws,
 )
+from biconf.expr import Expr, Var
 from helpers import hyperbolic_pair, random_pair, random_point, sphere_pair
 
 ORIGIN = (0.0, 0.0, 0.0, 0.0)
@@ -129,6 +132,39 @@ def test_frame_ricci_blocks_accessors():
     fr = ricci_frame(sphere_pair(), ORIGIN)
     assert fr.hh.shape == (2, 2) and fr.hv.shape == (2, 2) and fr.vv.shape == (2, 2)
     assert np.array_equal(fr.matrix, fr.matrix.T)
+
+
+def _swap_planes(node: Expr) -> Expr:
+    """``node`` with x1, x2 renamed x3, x4 and x3, x4 renamed x1, x2."""
+    if isinstance(node, Var):
+        return Var((node.index + 1) % 4 + 1)  # 1 -> 3, 2 -> 4, 3 -> 1, 4 -> 2
+    return dataclasses.replace(
+        node,
+        **{
+            f.name: _swap_planes(getattr(node, f.name))
+            for f in dataclasses.fields(node)
+            if isinstance(getattr(node, f.name), Expr)
+        },
+    )
+
+
+def test_frame_ricci_swaps_blocks_with_the_planes():
+    """Exchanging (sigma, x1, x2) with (rho, x3, x4) is an isometry of the
+    deformed metric that maps e_1, e_2 to e_3, e_4, so it permutes the
+    frame matrix's blocks: HH and VV trade places, HV is transposed."""
+    rng = np.random.default_rng(31)
+    perm = [2, 3, 0, 1]
+    for _ in range(20):
+        d = random_pair(rng)
+        swapped = DeformationPair(
+            ExpressionField(_swap_planes(d.rho.ast), positive=True),
+            ExpressionField(_swap_planes(d.sigma.ast), positive=True),
+        )
+        points = rng.uniform(-0.4, 0.4, size=(50, 4))
+        m = ricci_frame(d, points).matrix
+        m_swapped = ricci_frame(swapped, points[:, perm]).matrix
+        expected = m[:, perm][:, :, perm]
+        assert np.all(np.abs(m_swapped - expected) <= 1e-13 * np.maximum(1.0, np.abs(expected)))
 
 
 def test_frame_to_coords():

@@ -129,6 +129,31 @@ def test_warped_residuals_vertical_curvature_mismatch():
     assert abs(res_bad[3] - (-1.0 - -0.25)) < 1e-12
 
 
+def _random_plane_expr(rng) -> str:
+    """A smooth positive, nonconstant field of (x1, x2) on [-0.4, 0.4]^2."""
+    c = [float(v) for v in rng.uniform(-0.3, 0.3, size=5)]
+    return f"exp({c[0]!r}*x1 + {c[1]!r}*x2 + {c[2]!r}*x1*x2 + {c[3]!r}*x1^2) + {abs(c[4])!r}"
+
+
+def test_warped_residuals_are_four_slots_of_the_ten():
+    """warped_residuals(sigma, alpha, beta) is slots (1,1), (2,2), (1,2)
+    and (3,3) of the ten residuals of the pair (sigma, alpha beta), on
+    random triples whose beta has constant vertical curvature C."""
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        sigma_text, alpha_text = _random_plane_expr(rng), _random_plane_expr(rng)
+        curvature = float(rng.uniform(-1.0, 1.0))
+        beta_text = f"1 + {curvature!r}*(x3^2 + x4^2)/4"
+        sigma, alpha, beta = (
+            ExpressionField(text, positive=True) for text in (sigma_text, alpha_text, beta_text)
+        )
+        rho = ExpressionField(f"({alpha_text})*({beta_text})", positive=True)
+        a_const = float(rng.uniform(-2.0, 2.0))
+        points = rng.uniform(-0.4, 0.4, size=(50, 4))
+        slots = einstein_residuals(DeformationPair(sigma, rho), a_const, points)[:, [0, 1, 2, 7]]
+        assert np.max(np.abs(warped_residuals(sigma, alpha, beta, a_const, points) - slots)) < 1e-12
+
+
 def test_warped_residuals_rejects_nonconstant_curvature():
     sigma = ExpressionField("1", positive=True)
     alpha = ExpressionField("1", positive=True)
