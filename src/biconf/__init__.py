@@ -10,7 +10,6 @@ with blow-up detection and end diagnostics.
 
 from .expr import DomainError, ParseError, parse_expr, pretty
 from .fields import (
-    CallableField,
     ExpressionField,
     PositivityError,
     ProfileField,
@@ -30,14 +29,11 @@ from .oracle import (
 from .deform import (
     DeformationPair,
     FrameRicci,
-    TransformationLaws,
     conformal_ricci_coords,
     deformed_laplacian,
     frame_to_coords,
-    horizontal_commutator,
     metric_of,
     ricci_frame,
-    transformation_laws,
 )
 from .families import (
     BLOW_UP,

@@ -174,10 +174,31 @@ def _config_defaults(parser: argparse.ArgumentParser, command: str, path: str) -
     return defaults
 
 
+def _join_numbers(argv: list[str]) -> list[str]:
+    """``argv`` with each ``--flag`` and a following token that parses as a
+    float joined into ``--flag=token``, which argparse reads alike.  Apart,
+    argparse takes a token for a value only if it looks like ``-1`` or
+    ``-.5``, so ``--A -1e-3`` would be an option."""
+    joined = []
+    for token in argv:
+        flag = joined[-1] if joined else ""
+        if flag.startswith("--") and "=" not in flag and "--" not in joined:
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                joined[-1] += "=" + token
+                continue
+        joined.append(token)
+    return joined
+
+
 def resolve_args(argv: list[str] | None) -> argparse.Namespace:
     """Parse ``argv``, then parse it again with BICONF_TOL and the --config
     file installed as defaults of the subcommand's parser."""
     parser = build_parser()
+    argv = _join_numbers(sys.argv[1:] if argv is None else argv)
     args = parser.parse_args(argv)
     defaults = {}
     env_tol = os.environ.get("BICONF_TOL")
@@ -447,7 +468,8 @@ def cmd_solve_family(args: argparse.Namespace) -> int:
 
         def sample(t):
             p = _on_t_axis(t)
-            return np.column_stack([t, rho(p), rho.jet(p).g[:, 0], sigma(p)])
+            r = rho.jet(p)
+            return np.column_stack([t, r.val, r.g[:, 0], sigma(p)])
 
         samples = [np.empty((0, 4))]
         for _, block in _blocks(sample, _chunks(ts)):

@@ -34,14 +34,11 @@ from .oracle import MetricField
 __all__ = [
     "DeformationPair",
     "FrameRicci",
-    "TransformationLaws",
     "metric_of",
     "ricci_frame",
     "frame_to_coords",
     "deformed_laplacian",
-    "transformation_laws",
     "conformal_ricci_coords",
-    "horizontal_commutator",
 ]
 
 
@@ -141,21 +138,10 @@ def _block(scale, k, ug, uh, vg, vh, own, other):
     return diag[0], diag[1], off
 
 
-@dataclass(frozen=True)
-class TransformationLaws:
-    """Dilation, fibre mean curvature and integrability form of the
-    deformed projection (coordinate components; a batch of points puts
-    its axis in front)."""
-
-    dilation: float
-    mean_curvature: np.ndarray  # (4,)
-    integrability_form: np.ndarray  # (4,), identically zero here
-
-
 def metric_of(d: DeformationPair) -> MetricField:
     """The deformed metric diag(1/sigma^2, 1/sigma^2, 1/rho^2, 1/rho^2)
-    as a MetricField with analytic partial derivatives, evaluated a batch
-    of points at a time."""
+    as a MetricField whose value and analytic partial derivatives come
+    from one jet of each field, evaluated a batch of points at a time."""
 
     def _diag(a, b):
         g = np.zeros(np.shape(a) + (4, 4))
@@ -163,17 +149,15 @@ def metric_of(d: DeformationPair) -> MetricField:
         g[..., 2, 2] = g[..., 3, 3] = b
         return g
 
-    def value(p):
-        return _diag(1.0 / np.square(d.sigma(p)), 1.0 / np.square(d.rho(p)))
-
     def partials(p):
         sjet = d.sigma.jet(p)
         rjet = d.rho.jet(p)
+        g = _diag(1.0 / np.square(sjet.val), 1.0 / np.square(rjet.val))
         ds = -2.0 * sjet.g / np.power(sjet.val, 3)[..., None]  # d_c (sigma^-2)
         dr = -2.0 * rjet.g / np.power(rjet.val, 3)[..., None]
-        return _diag(ds, dr)
+        return g, _diag(ds, dr)
 
-    return MetricField(value, partials)
+    return MetricField(lambda p: partials(p)[0], partials)
 
 
 @raise_float_errors
@@ -219,21 +203,6 @@ def deformed_laplacian(d: DeformationPair, f: ScalarField, p) -> float:
 
 
 @raise_float_errors
-def transformation_laws(d: DeformationPair, p) -> TransformationLaws:
-    """Dilation, mean curvature and integrability form of the deformed
-    projection.  Over the flat base these specialize to
-
-        dilation = sigma,   mu = sigma^2 (d1 ln rho, d2 ln rho, 0, 0),
-        zeta = 0 (asserted: the base integrability form vanishes).
-    """
-    sv, _, _, _, rg, _ = d.log_data(p)
-    mu = np.zeros(rg.shape)
-    mu[..., 0] = sv * sv * rg[..., 0]
-    mu[..., 1] = sv * sv * rg[..., 1]
-    return TransformationLaws(sv, mu, np.zeros(rg.shape))
-
-
-@raise_float_errors
 def conformal_ricci_coords(sigma: ScalarField, p) -> np.ndarray:
     """Coordinate Ricci of the conformal metric g = g0/sigma^2 (the
     sigma = rho case), from the classical conformal-change formula:
@@ -246,20 +215,3 @@ def conformal_ricci_coords(sigma: ScalarField, p) -> np.ndarray:
     norm2 = np.sum(sg * sg, axis=-1)
     outer = sg[..., :, None] * sg[..., None, :]
     return 2.0 * (sh + outer) + np.eye(4) * (trace - 2.0 * norm2)[..., None, None]
-
-
-@raise_float_errors
-def horizontal_commutator(d: DeformationPair, p) -> np.ndarray:
-    """Coordinate components of [e_1, e_2] for the deformed horizontal
-    frame e_1 = sigma d_1, e_2 = sigma d_2:
-
-        [e_1, e_2] = sigma (d_1 sigma) d_2 - sigma (d_2 sigma) d_1.
-
-    Its vertical part (components 3, 4) vanishes identically, matching
-    the vanishing integrability form of the projection.
-    """
-    sjet = d.sigma.jet(p)
-    out = np.zeros(sjet.g.shape)
-    out[..., 0] = -sjet.val * sjet.g[..., 1]
-    out[..., 1] = sjet.val * sjet.g[..., 0]
-    return out

@@ -19,10 +19,11 @@ every parsed expression carries exact first and second partials.  The
 otherwise the base must be strictly positive (it is rewritten as
 ``exp(y*ln x)``).
 
-``eval_jet`` and ``eval_value`` take one point or an (N, 4) array of
-points and walk the AST once for the whole array (Taylor-mode automatic
-differentiation over a batch axis).  Float overflow, division by zero
-and invalid operations raise FloatingPointError instead of warning.
+``eval_jet`` takes one point or an (N, 4) array of points and walks the
+AST once for the whole array (Taylor-mode automatic differentiation over
+a batch axis); ``eval_value`` is the value of that jet.  Float overflow,
+division by zero and invalid operations raise FloatingPointError instead
+of warning.
 """
 
 from __future__ import annotations
@@ -431,32 +432,25 @@ def _int_exponent(node: Expr):
     return None
 
 
-def _int_power(base, n: int):
-    """base^n by ``np.power`` (a numpy scalar's ``**`` rounds differently
-    from the array loop); zero to a negative power is a DomainError."""
-    if n < 0 and np.any(base == 0.0):
-        raise DomainError(f"zero raised to negative power {n}")
-    return np.power(base, n)
-
-
-def _positive_base(base):
-    if np.any(base <= 0.0):
-        raise DomainError(
-            f"non-integer power requires a positive base, got base {first_where(base, base <= 0.0)}"
-        )
-
-
 def _jet_pow(base: Jet, exponent: Expr, x) -> Jet:
+    """base^exponent: any base for an integer literal exponent (powers by
+    ``np.power``, since a numpy scalar's ``**`` rounds differently from
+    the array loop), else a positive base, as exp(exponent * ln base)."""
     n = _int_exponent(exponent)
-    if n is not None:
-        if n == 0:
-            return _constant(1.0)
-        v = base.val
-        f0 = _int_power(v, n)
-        f2 = n * (n - 1) * np.power(v, n - 2) if n * (n - 1) != 0 else np.zeros_like(v)
-        return _chain(base, f0, n * np.power(v, n - 1), f2)
-    _positive_base(base.val)
-    return _jet_call("exp", _jet(exponent, x) * _jet_call("ln", base))
+    v = base.val
+    if n is None:
+        if np.any(v <= 0.0):
+            raise DomainError(
+                f"non-integer power requires a positive base, got base {first_where(v, v <= 0.0)}"
+            )
+        return _jet_call("exp", _jet(exponent, x) * _jet_call("ln", base))
+    if n == 0:
+        return _constant(1.0)
+    if n < 0 and np.any(v == 0.0):
+        raise DomainError(f"zero raised to negative power {n}")
+    f0 = np.power(v, n)
+    f2 = n * (n - 1) * np.power(v, n - 2) if n * (n - 1) != 0 else np.zeros_like(v)
+    return _chain(base, f0, n * np.power(v, n - 1), f2)
 
 
 def _jet(node: Expr, x) -> Jet:
@@ -502,60 +496,7 @@ def eval_jet(node: Expr, points) -> Jet:
     )
 
 
-def _value_call(fn: str, v):
-    if fn == "exp":
-        return np.exp(v)
-    if fn == "ln":
-        if np.any(v <= 0.0):
-            raise DomainError(f"ln of non-positive value {first_where(v, v <= 0.0)}")
-        return np.log(v)
-    if fn == "sqrt":
-        if np.any(v < 0.0):
-            raise DomainError(f"sqrt of negative value {first_where(v, v < 0.0)}")
-        return np.sqrt(v)
-    if fn == "sin":
-        return np.sin(v)
-    if fn == "cos":
-        return np.cos(v)
-    if fn == "atan":
-        return np.arctan(v)
-    raise ValueError(f"unknown function {fn!r}")
-
-
-def _value(node: Expr, x):
-    if isinstance(node, Num):
-        return np.float64(node.value)
-    if isinstance(node, Var):
-        return x[..., node.index - 1]
-    if isinstance(node, Neg):
-        return -_value(node.arg, x)
-    if isinstance(node, Call):
-        return _value_call(node.fn, _value(node.arg, x))
-    if isinstance(node, Bin):
-        a = _value(node.lhs, x)
-        if node.op == "^":
-            n = _int_exponent(node.rhs)
-            if n is not None:
-                return _int_power(a, n)
-            _positive_base(a)
-            return np.exp(_value(node.rhs, x) * np.log(a))
-        b = _value(node.rhs, x)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            if np.any(b == 0.0):
-                raise DomainError("division by zero")
-            return a / b
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-@raise_float_errors
 def eval_value(node: Expr, points):
-    """Value of ``node`` (no derivatives) at a point or at each row of an
-    (N, 4) array, from one walk of the AST."""
-    x = np.asarray(points, dtype=float)
-    return filled(_value(node, x), x.shape[:-1])
+    """Value of ``node`` at a point or at each row of an (N, 4) array: the
+    value of its jet."""
+    return eval_jet(node, points).val

@@ -1,12 +1,13 @@
 """Scalar fields on R^4 with queryable first and second partial derivatives.
 
-Three backings are provided:
+Two backings are provided:
 
 * ``ExpressionField`` -- parsed expression, exact derivatives via jets;
-* ``CallableField``   -- black-box function, centered finite differences
-  (steps FD_FIRST_STEP for first, FD_SECOND_STEP for second partials);
 * ``ProfileField``    -- function of t = x1 alone with one caller-supplied
   profile closure (used for ODE-generated profiles).
+
+A backing supplies one evaluator, the jet (value, gradient, Hessian) of
+a batch of points; a field's value is the value of its jet.
 
 Fields are immutable after construction and safe to evaluate from any
 thread.  Positive means finite and > 0 (``require_positive``): a field
@@ -29,7 +30,6 @@ from .expr import (
     Expr,
     Jet,
     eval_jet,
-    eval_value,
     filled,
     first_where,
     parse_expr,
@@ -42,14 +42,10 @@ __all__ = [
     "as_point",
     "ScalarField",
     "ExpressionField",
-    "CallableField",
     "ProfileField",
 ]
 
 Point = Sequence[float]
-
-FD_FIRST_STEP = 1e-4
-FD_SECOND_STEP = 1e-3
 
 
 class PositivityError(DomainError):
@@ -110,7 +106,7 @@ def _evaluation(method):
 
 
 class ScalarField:
-    """Base class: value plus exact-or-FD first and second partials.
+    """Base class: value plus first and second partials, from one jet.
 
     Every evaluation takes one point (4 coordinates) or an (N, 4) array
     of points; results carry the batch axis (N,) in front, and none for
@@ -119,17 +115,12 @@ class ScalarField:
     def __init__(self, positive: bool = False):
         self.positive = positive
 
-    # subclasses implement these two on a validated batch of points
-    def _raw_value(self, p: np.ndarray):
-        raise NotImplementedError
-
+    # subclasses implement this on a validated batch of points
     def _raw_jet(self, p: np.ndarray) -> Jet:
         raise NotImplementedError
 
-    @_evaluation
     def __call__(self, p):
-        value = self._raw_value(p)
-        return require_positive(value, p) if self.positive else value
+        return self.jet(p).val
 
     @_evaluation
     def jet(self, p) -> Jet:
@@ -156,9 +147,6 @@ class ExpressionField(ScalarField):
         super().__init__(positive)
         self.ast = parse_expr(source) if isinstance(source, str) else source
 
-    def _raw_value(self, p: np.ndarray):
-        return eval_value(self.ast, p)
-
     def _raw_jet(self, p: np.ndarray) -> Jet:
         return eval_jet(self.ast, p)
 
@@ -166,44 +154,6 @@ class ExpressionField(ScalarField):
         from .expr import pretty
 
         return f"ExpressionField({pretty(self.ast)!r})"
-
-
-class CallableField(ScalarField):
-    """Black-box field, called point by point; derivatives by centered
-    finite differences.
-
-    The steps are FD_FIRST_STEP for first partials and FD_SECOND_STEP
-    for second partials.  The FD Hessian is symmetric bitwise (each
-    mixed entry is computed once and mirrored).  The differences follow
-    IEEE arithmetic: a non-finite value gives non-finite derivatives,
-    which a positive field and the log derivatives then reject through
-    the value.
-    """
-
-    def __init__(self, func: Callable[[np.ndarray], float], positive: bool = False):
-        super().__init__(positive)
-        self.func = func
-
-    def _raw_value(self, p: np.ndarray):
-        values = [float(self.func(q)) for q in np.reshape(p, (-1, 4))]
-        return np.reshape(values, p.shape[:-1])[()]
-
-    def _raw_jet(self, p: np.ndarray) -> Jet:
-        f = self._raw_value
-        h1, h2 = FD_FIRST_STEP, FD_SECOND_STEP
-        e1, e2 = np.eye(4) * h1, np.eye(4) * h2
-        value = f(p)
-        with np.errstate(over="ignore", invalid="ignore"):
-            g = np.stack([(f(p + e) - f(p - e)) / (2.0 * h1) for e in e1], axis=-1)
-            h = np.zeros(p.shape[:-1] + (4, 4))
-            for a, ea in enumerate(e2):
-                h[..., a, a] = (f(p + ea) - 2.0 * value + f(p - ea)) / (h2 * h2)
-                for b in range(a + 1, 4):
-                    eb = e2[b]
-                    h[..., a, b] = h[..., b, a] = (
-                        f(p + ea + eb) - f(p + ea - eb) - f(p - ea + eb) + f(p - ea - eb)
-                    ) / (4.0 * h2 * h2)
-        return Jet(value, g, h)
 
 
 class ProfileField(ScalarField):
@@ -229,9 +179,6 @@ class ProfileField(ScalarField):
     def _at(self, p: np.ndarray) -> list:
         t = p[..., 0]
         return [filled(c, t.shape) for c in self.profile(t)]
-
-    def _raw_value(self, p: np.ndarray):
-        return self._at(p)[0]
 
     def _raw_jet(self, p: np.ndarray) -> Jet:
         f, d1, d2, _, _ = self._at(p)

@@ -87,7 +87,9 @@ def invert4(m: np.ndarray) -> np.ndarray:
     return np.linalg.inv(m)
 
 
-def _check_metric_value(g: np.ndarray, batch: tuple) -> None:
+def _check_metric_value(g: np.ndarray, batch: tuple) -> np.ndarray:
+    """``g`` if it is a finite, symmetric, positive definite 4x4 metric at
+    each point of the batch; else InvalidMetricError."""
     if g.shape != batch + (4, 4):
         raise InvalidMetricError(f"metric must be 4x4, got shape {g.shape[len(batch):]}")
     if not np.all(np.isfinite(g)):
@@ -98,6 +100,7 @@ def _check_metric_value(g: np.ndarray, batch: tuple) -> None:
         np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
         raise InvalidMetricError("metric is not positive definite") from None
+    return g
 
 
 # p + h e_k and p - h e_k for k = 0..3, in the order +e_0, -e_0, +e_1, ...
@@ -120,18 +123,20 @@ def _difference(values: np.ndarray, h: float, batch_ndim: int) -> np.ndarray:
 class MetricField:
     """Map point -> symmetric 4x4 metric components g_ab.
 
-    ``value`` and ``partials`` (optional) are batch callables: they map
-    points of shape batch + (4,) to values of shape batch + (4, 4) and
-    to partials dg of shape batch + (4, 4, 4), with dg[..., c, a, b] =
-    d_c g_ab.  Without partials, metric derivatives are centered
-    differences with step DEFAULT_METRIC_STEP.  Every query takes a
-    point or an (N, 4) array of points.
+    ``value`` and ``partials`` (optional) are batch callables on points
+    of shape batch + (4,).  ``value`` gives g of shape batch + (4, 4);
+    ``partials`` gives the pair (g, dg) from one evaluation, with dg of
+    shape batch + (4, 4, 4) and dg[..., c, a, b] = d_c g_ab.  Without
+    partials, metric derivatives are centered differences of the value
+    with step DEFAULT_METRIC_STEP.  Every query takes a point or an
+    (N, 4) array of points, and every metric value it returns is checked
+    (finite, symmetric, positive definite).
     """
 
     def __init__(
         self,
         value: Callable[[np.ndarray], np.ndarray],
-        partials: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+        partials: Optional[Callable[[np.ndarray], tuple]] = None,
     ):
         self.value_fn = value
         self.partials_fn = partials
@@ -139,17 +144,18 @@ class MetricField:
     @raise_float_errors
     def value(self, p) -> np.ndarray:
         p = as_point(p)
-        g = np.asarray(self.value_fn(p), dtype=float)
-        _check_metric_value(g, p.shape[:-1])
-        return g
+        return _check_metric_value(np.asarray(self.value_fn(p), dtype=float), p.shape[:-1])
 
     @raise_float_errors
-    def partials(self, p) -> np.ndarray:
+    def partials(self, p) -> tuple[np.ndarray, np.ndarray]:
+        """(g, dg) at p: the checked metric value and its partials."""
         p = as_point(p)
-        if self.partials_fn is not None:
-            return np.asarray(self.partials_fn(p), dtype=float)
-        h = DEFAULT_METRIC_STEP
-        return _difference(self.value(_shifted(p, h)), h, p.ndim - 1)
+        if self.partials_fn is None:
+            h = DEFAULT_METRIC_STEP
+            return self.value(p), _difference(self.value(_shifted(p, h)), h, p.ndim - 1)
+        g, dg = self.partials_fn(p)
+        g = _check_metric_value(np.asarray(g, dtype=float), p.shape[:-1])
+        return g, np.asarray(dg, dtype=float)
 
     def without_partials(self) -> "MetricField":
         """Copy of this metric that forgets its analytic derivative provider."""
@@ -159,10 +165,9 @@ class MetricField:
 @raise_float_errors
 def christoffel(g: MetricField, p) -> np.ndarray:
     """Christoffel symbols Gamma[..., a, b, c] = Gamma^a_bc at a point or
-    at each point of a batch."""
-    gmat = g.value(p)
+    at each point of a batch, from one ``partials`` call."""
+    gmat, dg = g.partials(p)  # dg[..., c, a, b] = d_c g_ab
     ginv = invert4(gmat)
-    dg = g.partials(p)  # dg[..., c, a, b] = d_c g_ab
     # X[d, b, c] = d_b g_dc + d_c g_db - d_d g_bc
     x = np.einsum("...bdc->...dbc", dg) + np.einsum("...cdb->...dbc", dg) - dg
     return 0.5 * np.einsum("...ad,...dbc->...abc", ginv, x)

@@ -1,5 +1,7 @@
 """The public API stays consistent: every name a module exports exists, and
-the package re-exports only names its modules declare public."""
+the package re-exports only names its modules declare public.  The module
+graph keeps the oracle independent of the closed forms, and no module
+depends on scipy or sympy."""
 
 import ast
 import importlib
@@ -25,3 +27,36 @@ def test_package_imports_only_exported_names():
     for node in imports:
         module = importlib.import_module(f"biconf.{node.module}")
         assert [a.name for a in node.names if a.name not in module.__all__] == [], node.module
+
+
+def _imports(path: Path) -> set:
+    """The dotted names of the modules a source file of biconf imports,
+    anywhere in the file; a relative import is resolved in the package."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = f"biconf.{base}".rstrip(".")
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+SOURCES = sorted(Path(biconf.__file__).parent.glob("*.py"))
+
+
+def test_oracle_never_sees_the_closed_forms():
+    """The FD oracle may share field evaluation with the closed forms and
+    nothing else: it imports neither deform nor families."""
+    imports = _imports(Path(biconf.__file__).parent / "oracle.py")
+    assert "biconf.fields" in imports
+    for module in ("biconf.deform", "biconf.families"):
+        assert [n for n in imports if n == module or n.startswith(module + ".")] == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_module_imports_scipy_or_sympy(path):
+    assert {n.split(".")[0] for n in _imports(path)} & {"scipy", "sympy"} == set()

@@ -25,7 +25,9 @@ from biconf.cli import (
     EXAMPLE_NAMES,
     MAX_GRID_POINTS,
     build_parser,
+    finite,
     main,
+    positive,
     resolve_args,
 )
 
@@ -493,17 +495,21 @@ def test_solve_family_leaves_only_the_rho_zero_residual_empty(tmp_path, capsys):
 
 
 def test_verify_walks_each_field_a_fixed_number_of_times(monkeypatch, capsys):
-    """One jet walk of each AST for the closed form, one jet and one value
-    walk for the oracle's whole stencil: the same on 1 point as on 81."""
+    """One jet walk of each AST for the closed form and one for the
+    oracle's whole stencil, which takes the metric and its partials from
+    the same jets, and no value walk: the same on 1 point as on 81."""
     walks = Counter()
     for name in ("eval_jet", "eval_value"):
-        original = getattr(biconf.fields, name)
+        original = getattr(biconf.expr, name)
 
         def counting(node, points, original=original, name=name):
             walks[name, node] += 1
             return original(node, points)
 
-        monkeypatch.setattr(biconf.fields, name, counting)
+        for module in (biconf.expr, biconf.fields, biconf.deform, biconf.oracle, biconf.cli):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
 
     def count(grid):
         walks.clear()
@@ -513,10 +519,7 @@ def test_verify_walks_each_field_a_fixed_number_of_times(monkeypatch, capsys):
     one = count("x1=0.1:0.1:1")
     many = count("x1=-0.3:0.3:3,x2=-0.3:0.3:3,x3=-0.3:0.3:3,x4=-0.3:0.3:3")
     fields = [biconf.pretty(biconf.parse_expr(text)) for text in (S2_SIGMA, S2_RHO)]
-    assert one == many == {
-        **{("eval_jet", f): 2 for f in fields},
-        **{("eval_value", f): 1 for f in fields},
-    }
+    assert one == many == {("eval_jet", f): 2 for f in fields}
 
 
 def test_solve_family_one_sample_trajectory(tmp_path, capsys):
@@ -729,6 +732,49 @@ def test_examples_tol_reaches_only_commands_that_take_it(capsys):
     assert main(["examples", "hyperbolic", "--tol", "1e-30"]) == 3
 
 
+@pytest.mark.parametrize(
+    "line,code",
+    [
+        ("residual --sigma 1 --rho 1 --A -1e-3 --grid x1=0:0:1", 3),
+        ("solve-warped --alpha0 1 --gamma0 1 --delta0 0 --Ctilde -1e-05 --t-max 0.01", 0),
+        ("solve-family --alpha -1 --beta 1 --rho0 -2e-1 --t-max 0.01", 0),
+    ],
+)
+def test_negative_exponent_after_a_space_is_a_value(line, code, capsys):
+    assert main(shlex.split(line)) == code
+    assert capsys.readouterr().err == ""
+
+
+# (subcommand, flag, action) of every flag that takes a float
+FLOAT_FLAGS = [
+    (name, action.option_strings[-1], action)
+    for name, sub in sorted(build_parser().commands.items())
+    for action in sub._actions
+    if action.type in (finite, positive)
+]
+
+
+@pytest.fixture(scope="module")
+def number_cfg(tmp_path_factory):
+    return tmp_path_factory.mktemp("numbers") / "run.cfg"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_float_flags_read_every_float_they_print(number_cfg, data):
+    """For every float flag and every finite x in its range, ``%.17g`` and
+    ``repr`` of x after a space or an ``=``, and as a config line, give x
+    exactly: the CLI reads back every number it writes.  (The one integer
+    flag, --fd-every, takes no negative value.)"""
+    command, flag, action = data.draw(st.sampled_from(FLOAT_FLAGS), label="flag")
+    low = {"min_value": 0.0, "exclude_min": True} if action.type is positive else {}
+    x = data.draw(st.floats(allow_nan=False, allow_infinity=False, **low), label="x")
+    for text in ("%.17g" % x, repr(x)):
+        number_cfg.write_text(f"{action.dest} = {text}\n")
+        for argv in ([flag, text], [f"{flag}={text}"], ["--config", str(number_cfg)]):
+            assert repr(getattr(resolve_args([command, *argv]), action.dest)) == repr(x), argv
+
+
 # ---------------------------------------------------------------------------
 # README
 
@@ -771,7 +817,7 @@ def test_readme_shows_each_canned_example_command():
 
 # the values a flag draws: numbers at the edges of the float range, and
 # (one draw in eight) a non-finite number or text that no flag accepts
-FUZZ_NUMBERS = ["0", "1", "-1", "1e300", "-1e300", "1e-300"]
+FUZZ_NUMBERS = ["0", "1", "-1", "1e300", "-1e300", "1e-300", "-1e-3", "-1.0000000000000001e-05"]
 FUZZ_JUNK = ["nan", "inf", "x1^", "junk"]
 FUZZ_SPANS = ["0", "0.01", "1", "-1", "nan", "1e300"]  # --t-max stays short
 ONE_IN_EIGHT = (True,) + (False,) * 7  # sampled_from is uniform; integers() favours the ends
@@ -790,17 +836,20 @@ def _fuzz_grid(draw):
     return ",".join(f"x{i}={lo}:{hi}:{n}" for (i, lo, hi), n in zip(axes, counts))
 
 
-def _fuzz_flag(draw, action, out_path: str) -> str:
-    """The flag, with ``=value`` drawn for it unless it is a switch."""
+def _fuzz_flag(draw, action, out_path: str) -> list[str]:
+    """The flag, with a value drawn for it unless it is a switch, written
+    ``--flag=value`` or ``--flag value``."""
     flag = action.option_strings[-1]
     if action.nargs == 0:
-        return flag
+        return [flag]
     if action.dest == "grid":
-        return f"{flag}={draw(_fuzz_grid())}"
-    if action.dest == "out":
-        return f"{flag}={out_path}"
-    pool = FUZZ_SPANS if action.dest == "t_max" else list(action.choices or FUZZ_NUMBERS)
-    return f"{flag}={draw(_fuzz_value(pool))}"
+        value = draw(_fuzz_grid())
+    elif action.dest == "out":
+        value = out_path
+    else:
+        pool = FUZZ_SPANS if action.dest == "t_max" else list(action.choices or FUZZ_NUMBERS)
+        value = draw(_fuzz_value(pool))
+    return [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
 
 
 @st.composite
@@ -823,7 +872,7 @@ def _argvs(draw, out_path: str):
         else:
             odds = (True, True, True, False) if action.default is None else (True, False, False, False)
         if draw(st.sampled_from(odds)):
-            argv.append(_fuzz_flag(draw, action, out_path))
+            argv += _fuzz_flag(draw, action, out_path)
     return argv
 
 

@@ -1,4 +1,4 @@
-"""Closed-form Ricci blocks vs the FD oracle, and the transformation laws.
+"""Closed-form Ricci blocks and Laplacian vs the FD oracle.
 
 The FD oracle is authoritative: any disagreement beyond tolerance on the
 random corpus fails the suite.
@@ -17,12 +17,10 @@ from biconf import (
     deformed_laplacian,
     einstein_residuals,
     frame_to_coords,
-    horizontal_commutator,
     laplace_beltrami_fd,
     metric_of,
     ricci_fd,
     ricci_frame,
-    transformation_laws,
 )
 from biconf.expr import Expr, Var
 from helpers import hyperbolic_pair, random_pair, random_point, sphere_pair
@@ -33,8 +31,9 @@ UNIT_PAIR = DeformationPair.from_exprs("1", "1")
 
 def test_metric_of_identity():
     g = metric_of(UNIT_PAIR)
-    assert np.array_equal(g.value(ORIGIN), np.eye(4))
-    assert np.max(np.abs(g.partials(ORIGIN))) == 0.0
+    value, partials = g.partials(ORIGIN)
+    assert np.array_equal(g.value(ORIGIN), np.eye(4)) and np.array_equal(value, np.eye(4))
+    assert np.max(np.abs(partials)) == 0.0
 
 
 def test_metric_of_sphere_pair_at_origin():
@@ -184,9 +183,9 @@ class CountingField(ExpressionField):
         super().__init__(source, positive=True)
         self.values = self.jets = 0
 
-    def _raw_value(self, p):
+    def __call__(self, p):
         self.values += 1
-        return super()._raw_value(p)
+        return super().__call__(p)
 
     def _raw_jet(self, p):
         self.jets += 1
@@ -240,15 +239,6 @@ def test_conformal_reduction():
         assert np.max(np.abs(closed - remark)) < 1e-8
 
 
-def test_horizontal_commutator_has_no_vertical_part():
-    rng = np.random.default_rng(13)
-    for _ in range(10):
-        d = random_pair(rng)
-        p = random_point(rng, 0.4)
-        comm = horizontal_commutator(d, p)
-        assert np.max(np.abs(comm[2:])) < 1e-10
-
-
 def test_deformed_laplacian_examples():
     f1 = ExpressionField("x1^2")
     assert deformed_laplacian(UNIT_PAIR, f1, ORIGIN) == 2.0
@@ -288,21 +278,3 @@ def test_deformed_laplacian_matches_oracle_on_corpus():
         worst = max(worst, abs(closed - fd))
     print("laplacian agreement worst:", worst)
     assert worst < 1e-4
-
-
-def test_transformation_laws():
-    laws = transformation_laws(UNIT_PAIR, ORIGIN)
-    assert laws.dilation == 1.0
-    assert np.max(np.abs(laws.mean_curvature)) == 0.0
-    assert np.max(np.abs(laws.integrability_form)) == 0.0
-
-    d = DeformationPair.from_exprs("2", "exp(x1)")
-    laws = transformation_laws(d, (0.3, 0.0, 0.0, 0.0))
-    assert laws.dilation == 2.0
-    assert np.allclose(laws.mean_curvature, [4.0, 0.0, 0.0, 0.0])
-
-    rng = np.random.default_rng(16)
-    for _ in range(5):
-        d = random_pair(rng)
-        laws = transformation_laws(d, random_point(rng, 0.4))
-        assert np.max(np.abs(laws.integrability_form)) == 0.0

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from biconf import (
-    CallableField,
     DeformationPair,
     DomainError,
     ExpressionField,
     PositivityError,
     ProfileField,
+    ScalarField,
     as_point,
 )
 from helpers import fd_partial
@@ -99,7 +99,7 @@ def test_positivity_flag():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_positivity_rejects_nan_and_inf(bad):
     """Positive means finite and > 0: NaN and inf fail every check."""
-    f = CallableField(lambda p: bad, positive=True)
+    f = ProfileField(lambda t: (bad, 0.0, 0.0, 0.0, 0.0), positive=True)
     with pytest.raises(PositivityError):
         f(ORIGIN)
     with pytest.raises(PositivityError):
@@ -108,26 +108,13 @@ def test_positivity_rejects_nan_and_inf(bad):
         f.log_jet(ORIGIN)
     with pytest.raises(PositivityError):
         DeformationPair(f, ExpressionField("1", positive=True)).log_data(ORIGIN)
-    # the log derivatives require positivity of any field
+    # the log derivatives require positivity of any field: the profile's own
+    # log_jet, and the generic one that takes logs of the jet
+    unflagged = ProfileField(lambda t: (bad, 0.0, 0.0, 0.0, 0.0))
     with pytest.raises(PositivityError):
-        CallableField(lambda p: bad).log_jet(ORIGIN)
+        unflagged.log_jet(ORIGIN)
     with pytest.raises(PositivityError):
-        ProfileField(lambda t: (bad, 0.0, 0.0, 0.0, 0.0)).log_jet(ORIGIN)
-
-
-def test_callable_field_matches_expression_twin():
-    expr = ExpressionField("exp(0.4*x1 - 0.3*x2^2 + 0.2*x3*x4)")
-    black = CallableField(lambda p: expr(p))
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        p = rng.uniform(-0.8, 0.8, size=4)
-        je = expr.jet(p)
-        jb = black.jet(p)
-        assert abs(je.val - jb.val) < 1e-14
-        assert np.max(np.abs(je.g - jb.g)) < 1e-6
-        assert np.max(np.abs(je.h - jb.h)) < 1e-5
-        # FD Hessian is symmetric bitwise
-        assert np.array_equal(jb.h, jb.h.T)
+        ScalarField.log_jet(unflagged, ORIGIN)
 
 
 def test_profile_field():
@@ -200,7 +187,7 @@ def test_exact_derivatives_match_fd_on_random_points():
 
 @pytest.mark.parametrize("evaluate", ["value", "jet"])
 def test_overflow_is_a_domain_error(evaluate):
-    # (p) is the eval_value path of verify's metric, .jet(p) the closed forms'
+    # (p) is the value of the jet that .jet(p) returns to the closed forms and the oracle
     f = ExpressionField("exp(1000*x1)")
     p = (1.0, 0.0, 0.0, 0.0)
     with pytest.raises(DomainError, match="range"):

@@ -37,9 +37,12 @@ def constant_metric(m, partials=None):
     of a batch."""
 
     def at_every_point(x):
-        return None if x is None else lambda p: np.broadcast_to(x, p.shape[:-1] + np.shape(x))
+        return lambda p: np.broadcast_to(x, p.shape[:-1] + np.shape(x))
 
-    return MetricField(at_every_point(m), at_every_point(partials))
+    value = at_every_point(m)
+    if partials is None:
+        return MetricField(value)
+    return MetricField(value, lambda p: (value(p), at_every_point(partials)(p)))
 
 
 def flat_metric():
