@@ -22,9 +22,15 @@ straight-line classical RK4 step per system: on a bare float rho, and on
 an (alpha, gamma, delta) tuple.  Each does the float operations of the
 generic list-based RK4 (the reference in the tests) in the same order,
 so trajectories are bit-identical to it.
-Blow-up of rho is detected at |rho| > 1e3 and the escape time is refined
-by bisection on the last step down to 1e-6 in t; warped states stop at
-|component| > 1e6 or when gamma crosses zero.
+Blow-up of rho is detected at |rho| > max(1e3, 10 max(|beta|, |rho0|)),
+so the cap never lies below beta or rho0, and the escape time is
+refined by bisection on the last step down to 1e-6 in t.  The exact
+rho is monotone: it moves away from beta for alpha > 0, and towards it
+without crossing it for alpha < 0, where no member blows up.  A step
+that moves rho against rho' at its start or across beta, and for
+alpha < 0 a step rejected for overflow or the cap, raises DomainError
+(a step too large).  Warped states stop at |component| > 1e6 or when
+gamma crosses zero.
 """
 
 from __future__ import annotations
@@ -63,6 +69,7 @@ __all__ = [
 REACHED_T_MAX = "reached-t-max"
 BLOW_UP = "blow-up"
 SINGULAR_GAMMA = "singular-gamma"
+_STEP_TOO_LARGE = "step-too-large"  # integrate_rho raises it as DomainError
 
 MAX_STEPS = 10**6  # RK4 steps or profile samples per run; 50x the largest canned example
 RHO_BLOW_UP_CAP = 1e3
@@ -212,16 +219,9 @@ def _residual_slots(fr: FrameRicci, a: float) -> np.ndarray:
     ], axis=-1)
 
 
-def _vertical_curvature(beta: ScalarField, p) -> float:
-    """Gaussian curvature beta^2 (d33 + d44) ln beta of the vertical
-    surface metric (dx3^2 + dx4^2)/beta^2 at p."""
-    bv, _, bh = beta.log_jet(p)
-    return bv * bv * (bh[..., 2, 2] + bh[..., 3, 3])
-
-
-# offsets of the points around p at which beta's curvature must agree
+# offsets of the 4 points around p at which beta's curvature must agree with p's
 _CURVATURE_PROBES = np.array(
-    [[0.0, 0.0, off * (axis == 2), off * (axis == 3)] for off in (0.0, 0.05, -0.05) for axis in (2, 3)]
+    [[0.0, 0.0, off * (axis == 2), off * (axis == 3)] for off in (0.05, -0.05) for axis in (2, 3)]
 )
 
 
@@ -235,11 +235,15 @@ def warped_residuals(
 
     The metric is (dx1^2+dx2^2)/sigma^2 + (dx3^2+dx4^2)/(alpha^2 beta^2)
     with sigma, alpha functions of (x1, x2) and beta of (x3, x4); beta
-    must give the vertical surface constant Gaussian curvature, which is
-    checked to VERTICAL_CURVATURE_TOL on a small sample stencil around p.
+    must give the vertical surface constant Gaussian curvature
+    beta^2 (d33 + d44) ln beta, which is checked to VERTICAL_CURVATURE_TOL
+    at p and its four shifts by 0.05 in x3 and x4.  beta is evaluated once,
+    on those five points, and its log data at p come from the same call.
     """
     p = np.asarray(p, dtype=float)
-    ks = _vertical_curvature(beta, p + _CURVATURE_PROBES.reshape((6,) + (1,) * (p.ndim - 1) + (4,)))
+    probes = p + _CURVATURE_PROBES.reshape((4,) + (1,) * (p.ndim - 1) + (4,))
+    bv, bg, bh = beta.log_jet(np.concatenate([p[None], probes]))
+    ks = bv * bv * (bh[..., 2, 2] + bh[..., 3, 3])
     spread = np.max(ks, axis=0) - np.min(ks, axis=0)
     if np.any(spread > VERTICAL_CURVATURE_TOL):
         raise DomainError(
@@ -249,8 +253,8 @@ def warped_residuals(
 
     sv, sg, sh = sigma.log_jet(p)
     av, ag, ah = alpha.log_jet(p)
-    bv, bg, bh = beta.log_jet(p)  # ln rho = ln alpha + ln beta, so the log data add
-    fr = FrameRicci.from_log_data(sv, av * bv, sg, sh, ag + bg, ah + bh)
+    # ln rho = ln alpha + ln beta, so the log data add
+    fr = FrameRicci.from_log_data(sv, av * bv[0], sg, sh, ag + bg[0], ah + bh[0])
     return _residual_slots(fr, a_const)[..., [0, 1, 2, 7]]
 
 
@@ -295,10 +299,10 @@ def check_step_count(t0: float, t1: float, dt: float) -> None:
 def _integrate(step, y0, t0: float, t1: float, dt: float, stop, t_tol=None):
     """Fixed-step integration from y0 at t0 towards t1.
 
-    ``step(y, dt)`` is one RK4 step of the system; ``stop(y)`` returns a
-    termination name for a trial state that must not be accepted, else
-    None.  A step that raises ArithmeticError (a float overflow or
-    division by zero) is rejected as BLOW_UP.  With ``t_tol`` set, a
+    ``step(y, dt)`` is one RK4 step of the system; ``stop(y, trial)``
+    returns a termination name for a trial state from y that must not be
+    accepted, else None.  A step that raises ArithmeticError (a float
+    overflow or division by zero) is rejected as BLOW_UP.  With ``t_tol`` set, a
     rejected step is halved repeatedly down to ``t_tol``, keeping every
     accepted sub-step, which brackets the escape time in
     [t_last, t_last + t_tol].
@@ -313,7 +317,7 @@ def _integrate(step, y0, t0: float, t1: float, dt: float, stop, t_tol=None):
         h = min(dt, t1 - t)
         try:
             trial = step(y, h)
-            termination = stop(trial)
+            termination = stop(y, trial)
         except ArithmeticError:
             termination = BLOW_UP
         if termination is not None:
@@ -325,7 +329,7 @@ def _integrate(step, y0, t0: float, t1: float, dt: float, stop, t_tol=None):
                     trial = step(y, h)
                 except ArithmeticError:
                     continue
-                if stop(trial) is None:
+                if stop(y, trial) is None:
                     t += h
                     y = trial
                     ts.append(t)
@@ -390,8 +394,8 @@ def integrate_warped(
         raise ValueError(f"t_span must be increasing, got {t_span}")
     sign0 = math.copysign(1.0, s0.gamma)
 
-    def stop(y):
-        a, g, d = y
+    def stop(_, trial):
+        a, g, d = trial
         cap = WARPED_COMPONENT_CAP
         if not (abs(a) <= cap and abs(g) <= cap and abs(d) <= cap):  # also NaN
             return BLOW_UP
@@ -430,14 +434,25 @@ def rho_rhs(fp: FamilyParams, rho: float) -> float:
 def integrate_rho(fp: FamilyParams, rho0: float, dt: float, t_max: float) -> Trajectory:
     """RK4 trajectory of rho' = alpha (rho^3 - beta^3) from rho(0) = rho0.
 
-    When |rho| exceeds RHO_BLOW_UP_CAP the escape time is bracketed by
+    rho blows up when |rho| exceeds the cap max(RHO_BLOW_UP_CAP,
+    10 max(|beta|, |rho0|)).  Its escape time is then bracketed by
     repeated step halving from the last in-range state down to
     BLOW_UP_TIME_TOL; the accepted sub-steps are appended to the
     trajectory, so samples stay consistent with the equation all the way
     to the cap.
+
+    The exact solution moves monotonically away from beta for alpha > 0
+    and towards it, never crossing it, for alpha < 0, where no member
+    blows up.  So a step within the cap must move rho along the sign of
+    rho' at its start and must not cross beta: for alpha < 0 it lands
+    between rho and beta, both included, and for alpha > 0 on rho or
+    beyond it, away from beta.  A step that does not, and for alpha < 0
+    a step rejected for a float overflow or the cap, raises DomainError
+    (a step too large for the equation) naming its t, rho and dt.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
+    cap = max(RHO_BLOW_UP_CAP, 10.0 * max(abs(fp.beta), abs(rho0)))
 
     def step(r, dt):
         h = 0.5 * dt
@@ -447,12 +462,28 @@ def integrate_rho(fp: FamilyParams, rho0: float, dt: float, t_max: float) -> Tra
         k4 = rho_rhs(fp, r + dt * k3)
         return r + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    def stop(r):
-        return None if abs(r) <= RHO_BLOW_UP_CAP else BLOW_UP  # also NaN
+    towards = fp.alpha < 0.0  # rho' points towards beta
+
+    def stop(r, trial):
+        if not abs(trial) <= cap:  # also NaN
+            return BLOW_UP
+        if towards:  # between r and beta, both included
+            return None if min(r, fp.beta) <= trial <= max(r, fp.beta) else _STEP_TOO_LARGE
+        away = trial <= r if r < fp.beta else trial >= r if r > fp.beta else trial == r
+        return None if away else _STEP_TOO_LARGE
 
     ts, rhos, termination, blow_up_time = _integrate(
-        step, float(rho0), 0.0, t_max, dt, stop, BLOW_UP_TIME_TOL
+        step, float(rho0), 0.0, t_max, dt, stop, None if towards else BLOW_UP_TIME_TOL
     )
+    if termination == _STEP_TOO_LARGE or (termination == BLOW_UP and towards):
+        if termination == BLOW_UP:
+            what = f"overflows or leaves |rho| <= {cap:g}"
+        else:
+            what = "moves rho against rho' or across beta"
+        raise DomainError(
+            f"the RK4 step from t = {ts[-1]:g}, rho = {rhos[-1]:g} {what}, which no solution"
+            f" does for alpha = {fp.alpha:g}, beta = {fp.beta:g}; reduce --dt (now {dt:g})"
+        )
     rho_arr = np.array(rhos)
     prime = rho_rhs(fp, rho_arr)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -18,8 +18,13 @@ of row magnitudes at 1e-10, so it is relative to the metric's own scale.
 
 A ``MetricField`` is built from batch callables, and every function
 takes a point or an (N, 4) array of points (a batch) and works on the
-whole batch at once: ``ricci_fd`` evaluates the Christoffel symbols at
-the 9 N points of its stencil in one call.  Float overflow,
+whole batch at once, through one Levi-Civita pass (``_levi_civita``):
+the module's only ``partials`` and ``invert4`` calls, giving (g, g^-1,
+Gamma).  ``_stencil`` stacks each point with its 8 shifts p +- h e_k and
+``_split`` turns values there into the centre and centered differences,
+for metric partials without a provider and for dGamma alike; the Ricci
+contraction ``_contract`` takes (Gamma, dGamma) alone, so ``ricci_fd``
+reads the metric once, on the 9 N stencil points.  Float overflow,
 division by zero and invalid operations raise FloatingPointError.
 """
 
@@ -107,17 +112,17 @@ def _check_metric_value(g: np.ndarray, batch: tuple) -> np.ndarray:
 _SHIFTS = np.stack([np.eye(4), -np.eye(4)], axis=1).reshape(8, 4)
 
 
-def _shifted(p: np.ndarray, h: float) -> np.ndarray:
-    """The 8 points p +- h e_k of each point of the batch p, along a new
-    leading axis: shape (8,) + p.shape."""
-    return p + (h * _SHIFTS).reshape((8,) + (1,) * (p.ndim - 1) + (4,))
+def _stencil(p: np.ndarray, h: float) -> np.ndarray:
+    """Each point of the batch p, then its 8 points p +- h e_k, along a new
+    leading axis: shape (9,) + p.shape."""
+    return np.concatenate([p[None], p + (h * _SHIFTS).reshape((8,) + (1,) * (p.ndim - 1) + (4,))])
 
 
-def _difference(values: np.ndarray, h: float, batch_ndim: int) -> np.ndarray:
-    """Centered differences (f(p + h e_k) - f(p - h e_k)) / 2h from f on
-    the ``_shifted`` points, with k as the axis after the batch axes."""
-    pairs = values.reshape((4, 2) + values.shape[1:])
-    return np.moveaxis((pairs[:, 0] - pairs[:, 1]) / (2.0 * h), 0, batch_ndim)
+def _split(values: np.ndarray, h: float, batch_ndim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(f(p), d_k f(p)) from f on the ``_stencil`` of p, the differences
+    (f(p + h e_k) - f(p - h e_k)) / 2h with k after the batch axes."""
+    pairs = values[1:].reshape((4, 2) + values.shape[1:])
+    return values[0], np.moveaxis((pairs[:, 0] - pairs[:, 1]) / (2.0 * h), 0, batch_ndim)
 
 
 class MetricField:
@@ -152,7 +157,7 @@ class MetricField:
         p = as_point(p)
         if self.partials_fn is None:
             h = DEFAULT_METRIC_STEP
-            return self.value(p), _difference(self.value(_shifted(p, h)), h, p.ndim - 1)
+            return _split(self.value(_stencil(p, h)), h, p.ndim - 1)
         g, dg = self.partials_fn(p)
         g = _check_metric_value(np.asarray(g, dtype=float), p.shape[:-1])
         return g, np.asarray(dg, dtype=float)
@@ -163,28 +168,24 @@ class MetricField:
 
 
 @raise_float_errors
-def christoffel(g: MetricField, p) -> np.ndarray:
-    """Christoffel symbols Gamma[..., a, b, c] = Gamma^a_bc at a point or
-    at each point of a batch, from one ``partials`` call."""
+def _levi_civita(g: MetricField, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(g, g^-1, Gamma) at a point or at each point of a batch, with
+    Gamma[..., a, b, c] = Gamma^a_bc, from one ``partials`` call."""
     gmat, dg = g.partials(p)  # dg[..., c, a, b] = d_c g_ab
     ginv = invert4(gmat)
     # X[d, b, c] = d_b g_dc + d_c g_db - d_d g_bc
     x = np.einsum("...bdc->...dbc", dg) + np.einsum("...cdb->...dbc", dg) - dg
-    return 0.5 * np.einsum("...ad,...dbc->...abc", ginv, x)
+    return gmat, ginv, 0.5 * np.einsum("...ad,...dbc->...abc", ginv, x)
 
 
-def _gammas(g: MetricField, p, h: float):
-    """(Gamma, dGamma) at the batch p, with dGamma[..., k, a, b, c] =
-    d_k Gamma^a_bc by centered differences: one Christoffel call on each
-    point and its 8 shifted copies."""
-    p = as_point(p)
-    gammas = christoffel(g, np.concatenate([p[None], _shifted(p, h)]))
-    return gammas[0], _difference(gammas[1:], h, p.ndim - 1)
+def christoffel(g: MetricField, p) -> np.ndarray:
+    """Christoffel symbols Gamma[..., a, b, c] = Gamma^a_bc at a point or
+    at each point of a batch."""
+    return _levi_civita(g, p)[2]
 
 
-def _raw_ricci(g: MetricField, p, h: float) -> np.ndarray:
-    """Unsymmetrized Ricci tensor from the contraction formula."""
-    gamma, dgamma = _gammas(g, p, h)
+def _contract(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
+    """Unsymmetrized Ricci tensor from Gamma and dGamma[..., k, a, b, c] = d_k Gamma^a_bc."""
     return (
         np.einsum("...aabc->...bc", dgamma)
         - np.einsum("...caba->...bc", dgamma)
@@ -193,36 +194,35 @@ def _raw_ricci(g: MetricField, p, h: float) -> np.ndarray:
     )
 
 
-def _asymmetry(ric: np.ndarray) -> np.ndarray:
-    return np.max(np.abs(ric - np.swapaxes(ric, -1, -2)), axis=(-2, -1))
-
-
 @raise_float_errors
-def ricci_fd(g: MetricField, p, h: float = DEFAULT_GAMMA_STEP) -> np.ndarray:
-    """Symmetrized FD Ricci tensor (coordinate components) at a point or
-    at each point of a batch; the whole stencil is one Christoffel call.
-
-    Raises OracleError when the raw result is asymmetric beyond
-    MAX_RICCI_ASYMMETRY, which indicates an invalid metric or a step too
-    large for it.
-    """
-    ric = _raw_ricci(g, p, h)
-    asymmetry = _asymmetry(ric)
+def _metric_and_ricci(g: MetricField, p, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """(g, symmetrized Ricci) at p from one Levi-Civita pass over its step-h
+    stencil.  Raises OracleError when the raw Ricci is asymmetric beyond
+    MAX_RICCI_ASYMMETRY: an invalid metric or a step too large for it."""
+    p = as_point(p)
+    gmat, _, gammas = _levi_civita(g, _stencil(p, h))
+    ric = _contract(*_split(gammas, h, p.ndim - 1))
+    asymmetry = np.max(np.abs(ric - np.swapaxes(ric, -1, -2)), axis=(-2, -1))
     bad = ~(asymmetry <= MAX_RICCI_ASYMMETRY)
     if np.any(bad):
         raise OracleError(
             f"FD Ricci asymmetry {first_where(asymmetry, bad):.3e} exceeds "
             f"{MAX_RICCI_ASYMMETRY:.1e}; metric is invalid or the step is too large"
         )
-    return 0.5 * (ric + np.swapaxes(ric, -1, -2))
+    return gmat[0], 0.5 * (ric + np.swapaxes(ric, -1, -2))
+
+
+def ricci_fd(g: MetricField, p, h: float = DEFAULT_GAMMA_STEP) -> np.ndarray:
+    """Symmetrized FD Ricci tensor (coordinate components) at a point or
+    at each point of a batch; raises OracleError on excess asymmetry."""
+    return _metric_and_ricci(g, p, h)[1]
 
 
 @raise_float_errors
 def laplace_beltrami_fd(g: MetricField, f: ScalarField, p):
     """Laplace-Beltrami operator of f: g^{ab}(f_ab - Gamma^c_ab f_c)."""
-    ginv = invert4(g.value(p))
+    _, ginv, gamma = _levi_civita(g, p)
     jet = f.jet(p)
-    gamma = christoffel(g, p)
     hess = jet.h - np.einsum("...cab,...c->...ab", gamma, jet.g)
     return np.einsum("...ab,...ab->...", ginv, hess)
 
@@ -230,4 +230,5 @@ def laplace_beltrami_fd(g: MetricField, f: ScalarField, p):
 @raise_float_errors
 def einstein_residual_fd(g: MetricField, a_const: float, p, h: float = DEFAULT_GAMMA_STEP):
     """Max-norm of Ric_fd - A g, at a point or at each point of a batch."""
-    return np.max(np.abs(ricci_fd(g, p, h) - a_const * g.value(p)), axis=(-2, -1))
+    gmat, ric = _metric_and_ricci(g, p, h)
+    return np.max(np.abs(ric - a_const * gmat), axis=(-2, -1))

@@ -522,6 +522,33 @@ def test_verify_walks_each_field_a_fixed_number_of_times(monkeypatch, capsys):
     assert one == many == {("eval_jet", f): 2 for f in fields}
 
 
+@pytest.mark.parametrize(
+    "steps",
+    [
+        "--rho0 0 --dt 2",  # the first step goes 0 -> -1.33 while rho'(0) = 1
+        "--rho0 3 --dt 0.5",  # the first step leaves the cap
+        "--rho0 3 --dt 0.2",  # the first step goes 3 -> 0.994, across beta = 1
+    ],
+)
+def test_solve_family_step_too_large_for_negative_alpha_exits_2(steps, tmp_path, capsys):
+    """For alpha < 0, rho = beta attracts and no member blows up: a step
+    that overshoots is a step-size failure naming t, rho and --dt."""
+    line = f"solve-family --alpha -1 --beta 1 {steps} --t-max 10 --out"
+    assert main(shlex.split(line) + [str(tmp_path / "f.csv")]) == 2
+    out, err = capsys.readouterr()
+    assert "blow-up" not in out
+    assert err.startswith("numerical failure: the RK4 step from t = 0, rho = ")
+    assert "reduce --dt" in err
+
+
+def test_solve_family_cap_lies_above_beta(tmp_path, capsys):
+    line = "solve-family --alpha -1e-6 --beta 2000 --dt 1e-3 --t-max 10 --out"
+    assert main(shlex.split(line) + [str(tmp_path / "f.csv")]) == 0
+    out = capsys.readouterr().out
+    assert "termination: reached-t-max" in out
+    assert "blow-up" not in out
+
+
 def test_solve_family_one_sample_trajectory(tmp_path, capsys):
     # the first step blows up: one sample, no interpolant, no residuals
     out = tmp_path / "f.csv"

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biconf import (
     BLOW_UP,
@@ -154,6 +156,23 @@ def test_warped_residuals_are_four_slots_of_the_ten():
         assert np.max(np.abs(warped_residuals(sigma, alpha, beta, a_const, points) - slots)) < 1e-12
 
 
+def test_warped_residuals_evaluate_beta_once_per_point():
+    """beta's curvature probes and its log data at p come from one jet of
+    beta on each point and its four shifts."""
+    shapes = []
+
+    class CountedField(ExpressionField):
+        def jet(self, p):
+            shapes.append(np.shape(p))
+            return super().jet(p)
+
+    sigma, alpha = ExpressionField("(1 + x1^2 + x2^2)/2", positive=True), ExpressionField("1")
+    beta = CountedField("1 + 0.5*(x3^2 + x4^2)/4", positive=True)
+    points = np.random.default_rng(5).uniform(-0.3, 0.3, size=(7, 4))
+    warped_residuals(sigma, alpha, beta, 1.0, points)
+    assert shapes == [(5, 7, 4)]
+
+
 def test_warped_residuals_rejects_nonconstant_curvature():
     sigma = ExpressionField("1", positive=True)
     alpha = ExpressionField("1", positive=True)
@@ -273,6 +292,45 @@ def test_integrate_rho_blow_up_time():
     assert abs(traj.blow_up_time - T0_BLOWUP) < 1e-4
     # t is strictly increasing through the refinement samples too
     assert np.all(np.diff(traj.t) > 0.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    log_alpha=st.floats(-6.0, 1.0),
+    log_beta=st.floats(-3.0, 4.0),
+    rho0_frac=st.floats(0.0, 2.0),
+    log_dt=st.floats(-3.0, 0.0),
+    t_max=st.floats(0.0, 5.0),
+)
+def test_integrate_rho_never_blows_up_or_crosses_beta_for_negative_alpha(
+    log_alpha, log_beta, rho0_frac, log_dt, t_max
+):
+    """For alpha < 0 < beta the exact solution is monotone and stays on
+    the side of beta it starts on, so a run either raises DomainError (a
+    step too large) or reaches t-max with rho doing the same."""
+    beta = 10.0**log_beta
+    fp = FamilyParams(-(10.0**log_alpha), beta)
+    try:
+        traj = integrate_rho(fp, rho0_frac * beta, 10.0**log_dt, t_max)
+    except DomainError as exc:
+        assert "--dt" in str(exc)
+        return
+    rho = traj["rho"]
+    assert traj.termination == REACHED_T_MAX
+    assert np.all(np.diff(rho) >= 0.0) or np.all(np.diff(rho) <= 0.0)
+    assert np.all(rho <= beta) or np.all(rho >= beta)
+
+
+def test_integrate_rho_blow_up_cap_scales_with_beta_and_rho0():
+    # 1e3 lies below beta = 2000, which rho approaches but never exceeds
+    traj = integrate_rho(FamilyParams(-1e-6, 2000.0), 0.0, 1e-3, 10.0)
+    assert traj.termination == REACHED_T_MAX
+    assert 1999.0 < traj["rho"][-1] <= 2000.0
+    # from rho0 = 500 the cap is 5000: family ii still blows up, and its
+    # samples run past the old cap of 1e3
+    traj = integrate_rho(FAMILY_II, 500.0, 1e-7, 1e-5)
+    assert traj.termination == BLOW_UP
+    assert 1e3 < traj["rho"][-1] <= 5000.0
 
 
 def test_trajectory_samples_satisfy_equation():

@@ -6,7 +6,10 @@ known constants, the conformally flat hyperbolic metric, and an
 inversion cross-check against numpy.
 """
 
+import math
 import warnings
+from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from biconf import (
     metric_of,
     ricci_fd,
 )
+import biconf.fields
 from biconf import oracle
 from biconf.oracle import invert4
 from helpers import hyperbolic_pair, random_point, sphere_pair
@@ -207,8 +211,10 @@ def test_ricci_symmetry_noise_floor():
     g = metric_of(d)
     for _ in range(5):
         p = random_point(rng, 0.4)
-        raw = oracle._raw_ricci(g, p, oracle.DEFAULT_GAMMA_STEP)
-        assert oracle._asymmetry(raw) < 1e-6
+        h = oracle.DEFAULT_GAMMA_STEP
+        gammas = christoffel(g, oracle._stencil(p, h))
+        raw = oracle._contract(*oracle._split(gammas, h, 0))
+        assert np.max(np.abs(raw - raw.T)) < 1e-6
         ric = ricci_fd(g, p)
         assert np.array_equal(ric, ric.T)
 
@@ -266,3 +272,49 @@ def test_conformal_sanity():
     print("conformal sanity worst:", worst)
     assert worst < 1e-5
 
+
+
+
+def test_each_oracle_entry_point_reads_and_inverts_the_metric_once(monkeypatch):
+    """One Levi-Civita pass per call: the Ricci entry points read the
+    metric on the 9 N points of their stencil and take g at p from its
+    centre, the Laplacian reads it at p, and each inverts it once; the
+    same on 1 point as on 81.  Counts are keyed by (name, points)."""
+    calls = Counter()
+
+    def counting(name, fn, batch_of):
+        def wrapper(*args):
+            calls[name, math.prod(batch_of(args))] += 1
+            return fn(*args)
+
+        return wrapper
+
+    def points(args):
+        return np.shape(args[1])[:-1]
+
+    for name in ("value", "partials"):
+        monkeypatch.setattr(MetricField, name, counting(name, getattr(MetricField, name), points))
+    monkeypatch.setattr(oracle, "invert4", counting("invert4", invert4, lambda a: a[0].shape[:-2]))
+    eval_jet = counting("eval_jet", biconf.fields.eval_jet, points)
+    monkeypatch.setattr(biconf.fields, "eval_jet", eval_jet)
+
+    g = metric_of(sphere_pair())
+    f = ExpressionField("x1*x3 + x2^2")
+    grid = np.array(list(product((-0.3, 0.0, 0.3), repeat=4)))
+    for p, n in ((np.array([0.1, -0.2, 0.05, 0.15]), 1), (grid, 81)):
+        ricci = {("partials", 9 * n): 1, ("invert4", 9 * n): 1, ("eval_jet", 9 * n): 2}
+        expected = [
+            (lambda: ricci_fd(g, p), ricci),
+            (lambda: einstein_residual_fd(g, 1.0, p), ricci),
+            (lambda: christoffel(g, p),
+             {("partials", n): 1, ("invert4", n): 1, ("eval_jet", n): 2}),
+            (lambda: laplace_beltrami_fd(g, f, p),
+             {("partials", n): 1, ("invert4", n): 1, ("eval_jet", n): 3}),
+            (lambda: laplace_beltrami_fd(g.without_partials(), f, p),
+             {("partials", n): 1, ("value", 9 * n): 1, ("invert4", n): 1,
+              ("eval_jet", 9 * n): 2, ("eval_jet", n): 1}),
+        ]
+        for evaluate, counts in expected:
+            calls.clear()
+            evaluate()
+            assert calls == counts

@@ -4,6 +4,10 @@
 its own copies of the right-hand sides, stop predicates and trajectory
 columns.  The library's straight-line kernels must reproduce it bit for
 bit: every time, every column, the termination and the blow-up time.
+The rho stop predicate carries the rules of ``integrate_rho``: the cap
+max(RHO_BLOW_UP_CAP, 10 max(|beta|, |rho0|)), and DomainError for a step
+it would accept that moves rho against rho' or across beta, or, for
+alpha < 0, for a step it rejects.
 """
 
 import math
@@ -17,6 +21,7 @@ from biconf import (
     BLOW_UP,
     REACHED_T_MAX,
     SINGULAR_GAMMA,
+    DomainError,
     FamilyParams,
     WarpedState,
     integrate_rho,
@@ -51,14 +56,14 @@ def _reference_integrate(rhs, y0: list, t0, t1, dt, stop, t_tol=None):
     while t < t1 - 1e-12:
         step = min(dt, t1 - t)
         trial = _reference_step(rhs, y, step)
-        termination = stop(trial)
+        termination = stop(y, trial)
         if termination is not None:
             if t_tol is None:
                 return ts, ys, termination, None
             while step > t_tol:
                 step *= 0.5
                 trial = _reference_step(rhs, y, step)
-                if stop(trial) is None:
+                if stop(y, trial) is None:
                     t += step
                     y = trial
                     ts.append(t)
@@ -72,8 +77,20 @@ def _reference_integrate(rhs, y0: list, t0, t1, dt, stop, t_tol=None):
 
 
 def _reference_rho(fp, rho0, dt, t_max):
-    def stop(y):
-        return None if math.isfinite(y[0]) and abs(y[0]) <= RHO_BLOW_UP_CAP else BLOW_UP
+    cap = max(RHO_BLOW_UP_CAP, 10.0 * max(abs(fp.beta), abs(rho0)))
+
+    def stop(y, trial):
+        r, new, beta = y[0], trial[0], fp.beta
+        if not (math.isfinite(new) and abs(new) <= cap):
+            if fp.alpha < 0.0:
+                raise DomainError("no member blows up for alpha < 0")
+            return BLOW_UP
+        slope = fp.alpha * (r**3 - beta**3)
+        if (new > r and not slope > 0.0) or (new < r and not slope < 0.0):
+            raise DomainError("the step moves rho against rho'")
+        if r < beta < new or r > beta > new:
+            raise DomainError("the step crosses beta")
+        return None
 
     ts, ys, termination, blow_up_time = _reference_integrate(
         lambda y: [fp.alpha * (y[0] ** 3 - fp.beta**3)], [float(rho0)], 0.0, t_max, dt, stop,
@@ -94,7 +111,7 @@ def _reference_warped(s0, dt, t_span):
         a, g, d = y
         return [g, d, 2.0 * g * d / a + d * d / g - 2.0 * ctilde * g * g]
 
-    def stop(y):
+    def stop(_, y):
         if not all(map(math.isfinite, y)) or max(map(abs, y)) > WARPED_COMPONENT_CAP:
             return BLOW_UP
         if abs(y[1]) < GAMMA_SINGULAR_TOL or math.copysign(1.0, y[1]) != sign0:
@@ -139,7 +156,7 @@ def _outcome(integrate, *args):
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             return integrate(*args)
-    except ArithmeticError as exc:
+    except (ArithmeticError, DomainError) as exc:
         return type(exc)
 
 
