@@ -13,7 +13,9 @@ Exit codes: 0 success, 1 validation/parse failure, 2 numerical failure
 (singular metric, domain error, float overflow or division by zero, a
 warped trajectory stopped before t-max), 3 tolerance exceeded.
 
-Each option is declared once, in ``build_parser()``.  A ``--config`` file
+Each option is declared once, in ``build_parser()``.  The parser is built
+once per process and never changed; settings from a ``--config`` file or
+BICONF_TOL become the defaults of a freshly built copy.  A ``--config`` file
 of ``key = value`` lines names flags (``t_max`` or ``t-max``) and goes
 through their own converters and choices; keys of another subcommand
 are ignored, other keys are errors.  Flags override the config file,
@@ -25,6 +27,7 @@ parser's defaults.  CSV output is deterministic: fixed headers,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -194,10 +197,18 @@ def _join_numbers(argv: list[str]) -> list[str]:
     return joined
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser of every plain command line, built once per process and
+    never changed: parsing leaves a parser as it was."""
+    return build_parser()
+
+
 def resolve_args(argv: list[str] | None) -> argparse.Namespace:
-    """Parse ``argv``, then parse it again with BICONF_TOL and the --config
-    file installed as defaults of the subcommand's parser."""
-    parser = build_parser()
+    """Parse ``argv``, then, if BICONF_TOL or a --config file gives
+    settings, parse it again with them installed as defaults of the
+    subcommand's parser in a fresh copy of the parser."""
+    parser = _shared_parser()
     argv = _join_numbers(sys.argv[1:] if argv is None else argv)
     args = parser.parse_args(argv)
     defaults = {}
@@ -211,6 +222,7 @@ def resolve_args(argv: list[str] | None) -> argparse.Namespace:
         defaults.update(_config_defaults(parser, args.command, args.config))
     if not defaults:
         return args
+    parser = build_parser()
     parser.commands[args.command].set_defaults(**defaults)
     return parser.parse_args(argv)
 
@@ -252,27 +264,60 @@ def _parse_grid(spec: str) -> list[np.ndarray]:
     return [np.array([lo]) if n == 1 else np.linspace(lo, hi, n) for lo, hi, n in axes]
 
 
-def _slices(columns, empty):
-    """Each slice of CHUNK rows of ``columns`` (float arrays of one length)
-    as a (values, empty) pair per column, where ``empty`` gives a column
-    the mask of its empty cells, or None.  Writers write slice by slice."""
+def _texts(values: np.ndarray, text) -> np.ndarray:
+    """``text(v)`` of each of ``values``, as an object array to index."""
+    return np.array(list(map(text, values.tolist())), dtype=object)
+
+
+class _Axis:
+    """A grid coordinate column: row k holds ``values[codes[k]]``, the axis
+    values and each row's position on the axis.  A writer formats each
+    value once (``formatted``); a slice of rows then looks its cells up."""
+
+    def __init__(self, values: np.ndarray, codes: np.ndarray):
+        self.values, self.codes = values, codes
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, part: slice) -> "_Axis":
+        return _Axis(self.values, self.codes[part])
+
+    def formatted(self, text) -> "_Axis":
+        """This column with each value replaced by ``text(value)``."""
+        return _Axis(_texts(self.values, text), self.codes)
+
+    def cells(self) -> list:
+        return self.values[self.codes].tolist()
+
+
+def _slices(columns, empty, text):
+    """Each slice of CHUNK rows of ``columns`` (float arrays and _Axis
+    columns of one length) as a (values, empty) pair per column, where
+    ``empty`` gives a column the mask of its empty cells, or None.  Each
+    _Axis column comes formatted by ``text``.  Writers write slice by slice."""
     empty = empty or [None] * len(columns)
+    columns = [c.formatted(text) if isinstance(c, _Axis) else c for c in columns]
     for start in range(0, len(columns[0]), CHUNK):
         part = slice(start, start + CHUNK)
         yield [(c[part], None if e is None else e[part]) for c, e in zip(columns, empty)]
 
 
-def _csv_cells(values: np.ndarray, empty) -> tuple[str, list]:
+def _csv_cells(values, empty) -> tuple[str, list]:
     """(template field, cells) of one column slice: 17 significant digits,
     "" for an empty cell."""
+    if isinstance(values, _Axis):
+        return "%s", values.cells()
     if empty is None or not empty.any():
         return "%.17g", values.tolist()
     return "%s", ["" if e else "%.17g" % v for v, e in zip(values.tolist(), empty.tolist())]
 
 
-def _json_cells(values: np.ndarray, empty) -> list:
+def _json_cells(values, empty) -> list:
     """One column slice as json writes it: a float's repr (``%s``), NaN,
     Infinity or -Infinity, and null for an empty cell."""
+    if isinstance(values, _Axis):
+        return values.cells()
     cells = values.tolist()
     for i in np.flatnonzero(~np.isfinite(values)):
         cells[i] = json.dumps(cells[i])
@@ -284,7 +329,7 @@ def _json_cells(values: np.ndarray, empty) -> list:
 def _write_csv(path: str, header: list[str], columns, empty=None) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for part in _slices(columns, empty):
+        for part in _slices(columns, empty, _fmt):
             fields, cells = zip(*(_csv_cells(*column) for column in part))
             fh.write("".join(map((",".join(fields) + "\n").__mod__, zip(*cells))))
 
@@ -296,7 +341,7 @@ def _write_json(path: str, key: str, header: list[str], columns, summary: dict, 
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"{{\n  {json.dumps(key)}: [")
         sep = "\n"
-        for part in _slices(columns, empty):
+        for part in _slices(columns, empty, json.dumps):
             cells = [_json_cells(*column) for column in part]
             fh.write(sep + ",\n".join(map(record.__mod__, zip(*cells))))
             sep = ",\n"
@@ -333,14 +378,13 @@ def _chunks(values: np.ndarray):
     return (values[start:start + CHUNK] for start in range(0, len(values), CHUNK))
 
 
-def _grid_chunks(axes: list[np.ndarray]):
-    """The points of the grid spanned by ``axes`` as (n, 4) arrays of at
-    most CHUNK rows, in the order of itertools.product (x1 slowest)."""
-    shape = tuple(map(len, axes))
+def _grid_chunks(shape: tuple[int, ...]):
+    """The codes (positions on each axis) of the points of a grid of
+    ``shape`` as (n, 4) arrays of at most CHUNK rows, in the order of
+    itertools.product (x1 slowest)."""
     total = math.prod(shape)
     for start in range(0, total, CHUNK):
-        index = np.unravel_index(np.arange(start, min(start + CHUNK, total)), shape)
-        yield np.stack([axis[i] for axis, i in zip(axes, index)], axis=-1)
+        yield np.stack(np.unravel_index(np.arange(start, min(start + CHUNK, total)), shape), axis=-1)
 
 
 def _blocks(evaluate, batches):
@@ -381,23 +425,32 @@ def _on_t_axis(t: np.ndarray) -> np.ndarray:
     return np.column_stack([t, np.zeros((len(t), 3))])
 
 
-def _grid_scan(args: argparse.Namespace, label: str, evaluate) -> tuple[np.ndarray, float]:
-    """The table (x1, x2, x3, x4, *values) over the grid, one row per
+def _grid_scan(args: argparse.Namespace, label: str, evaluate) -> tuple[list, float]:
+    """The columns (x1, x2, x3, x4, *values) over the grid, one row per
     point, where ``evaluate`` maps a batch of points to one row of values
     per point, the last being the point's maximum (printed as ``label``);
-    returns the table and the grid maximum.  The first point that fails
-    raises its error after the lines of the points before it."""
-    line = f"x=(%.17g, %.17g, %.17g, %.17g)  {label} = %.6e"
-    blocks = []
+    returns those columns, the coordinates as _Axis columns, and the grid
+    maximum.  The first point that fails raises its error after the lines
+    of the points before it."""
+    axes = _parse_grid(args.grid)
+    texts = [_texts(axis, _fmt) for axis in axes]
+    line = f"x=(%s, %s, %s, %s)  {label} = %.6e"
+    codes, blocks = [], []
     grid_max = 0.0
-    for batch, values in _blocks(evaluate, _grid_chunks(_parse_grid(args.grid))):
+
+    def at(code):
+        return evaluate(np.stack([axis[c] for axis, c in zip(axes, code.T)], axis=-1))
+
+    for code, values in _blocks(at, _grid_chunks(tuple(map(len, axes)))):
         if isinstance(values, Exception):
             raise values
-        blocks.append(np.column_stack([batch, values]))
-        shown = blocks[-1][:, [0, 1, 2, 3, -1]].T.tolist()
+        codes.append(code)
+        blocks.append(values)
+        shown = [text[c].tolist() for text, c in zip(texts, code.T)] + [values[:, -1].tolist()]
         grid_max = max(grid_max, *shown[-1])
         print("\n".join(map(line.__mod__, zip(*shown))))
-    return np.concatenate(blocks), grid_max
+    columns = [_Axis(axis, c) for axis, c in zip(axes, np.concatenate(codes).T)]
+    return columns + list(np.concatenate(blocks).T), grid_max
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -408,10 +461,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         closed = frame_to_coords(ricci_frame(d, p))
         return np.max(np.abs(closed - ricci_fd(g, p, h=args.h)), axis=(1, 2))[:, None]
 
-    table, grid_max = _grid_scan(args, "max|closed - fd|", evaluate)
+    columns, grid_max = _grid_scan(args, "max|closed - fd|", evaluate)
     passed = grid_max < args.tol
-    summary = {"grid_max": grid_max, "tol": args.tol, "pass": passed, "points": len(table)}
-    _emit(args, "points", ["x1", "x2", "x3", "x4", "max_abs_diff"], table.T, summary)
+    summary = {"grid_max": grid_max, "tol": args.tol, "pass": passed, "points": len(columns[0])}
+    _emit(args, "points", ["x1", "x2", "x3", "x4", "max_abs_diff"], columns, summary)
     print(f"grid max |closed-form - FD| = {grid_max:.6e}  (tol {args.tol:g})")
     return 0 if passed else 3
 
@@ -424,11 +477,11 @@ def cmd_residual(args: argparse.Namespace) -> int:
         res = einstein_residuals(d, args.A, p)
         return np.column_stack([res, np.max(np.abs(res), axis=1)])
 
-    table, grid_max = _grid_scan(args, "max|residual|", evaluate)
+    columns, grid_max = _grid_scan(args, "max|residual|", evaluate)
     passed = grid_max < args.tol
     summary = {"grid_max": grid_max, "tol": args.tol, "pass": passed, "A": args.A}
     header = ["x1", "x2", "x3", "x4", *RESIDUAL_COLUMNS, "max_abs"]
-    _emit(args, "points", header, table.T, summary)
+    _emit(args, "points", header, columns, summary)
     print(f"grid max residual = {grid_max:.6e}  (tol {args.tol:g}, A = {args.A:g})")
     return 0 if passed else 3
 
@@ -595,7 +648,7 @@ EXAMPLE_NAMES = list(EXAMPLE_COMMANDS)
 def _run_example(args: argparse.Namespace, name: str) -> int:
     if name not in EXAMPLE_COMMANDS:
         raise UsageError(f"unknown example {name!r}; names: {', '.join(EXAMPLE_NAMES)}")
-    sub = build_parser().parse_args(shlex.split(EXAMPLE_COMMANDS[name]))
+    sub = _shared_parser().parse_args(shlex.split(EXAMPLE_COMMANDS[name]))
     sub.out, sub.format = args.out, args.format
     if args.tol is not None and "tol" in vars(sub):  # only verify and residual take --tol
         sub.tol = args.tol

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import biconf
 import biconf.fields
+from biconf import cli
 from biconf.cli import (
     EXAMPLE_COMMANDS,
     EXAMPLE_NAMES,
@@ -729,6 +730,63 @@ def test_config_tolerance_overrides_env_var(tmp_path, monkeypatch, capsys):
     assert main(base) == 3
     monkeypatch.setenv("BICONF_TOL", "-1")
     assert main(base) == 1
+
+
+# One plain run of each command that takes --tol, and the tolerance its
+# summary line shows on the parser's defaults.
+PLAIN_TOL_RUNS = [
+    (["verify", "--sigma", "1", "--rho", "1", "--grid", "x1=0:0:1"], "(tol 0.0001)"),
+    (["residual", "--sigma", "1", "--rho", "1", "--A", "0", "--grid", "x1=0:0:1"], "(tol 1e-08, "),
+    (["examples", "hyperbolic"], "(tol 1e-08, "),
+]
+
+
+def test_the_parser_is_built_once_per_process(monkeypatch, capsys):
+    monkeypatch.delenv("BICONF_TOL", raising=False)
+    builds = Counter()
+    original = cli.build_parser
+
+    def counting():
+        builds["parser"] += 1
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._shared_parser.cache_clear()
+    try:
+        for argv, _ in PLAIN_TOL_RUNS * 3 + [(["examples", "list"], None)]:
+            assert main(argv) == 0
+    finally:
+        cli._shared_parser.cache_clear()
+    assert builds["parser"] <= 1
+
+
+@pytest.mark.parametrize("order", [("config", "env"), ("env", "config")])
+def test_settings_of_one_run_leave_the_next_run_on_the_defaults(order, tmp_path, monkeypatch, capsys):
+    """A --config file and BICONF_TOL set the defaults of a fresh parser:
+    the next plain run of each command is back on the parser's defaults,
+    and the shared parser's defaults never change."""
+    monkeypatch.delenv("BICONF_TOL", raising=False)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tol = 0.5\n")
+
+    def defaults():
+        return {name: dict(sub._defaults) for name, sub in cli._shared_parser().commands.items()}
+
+    before = defaults()
+    for source in order:
+        with monkeypatch.context() as mp:
+            extra = ["--config", str(cfg)] if source == "config" else []
+            if source == "env":
+                mp.setenv("BICONF_TOL", "0.5")
+            for argv, _ in PLAIN_TOL_RUNS:
+                capsys.readouterr()
+                assert main(argv + extra) == 0
+                assert "(tol 0.5" in capsys.readouterr().out
+        for argv, shown in PLAIN_TOL_RUNS:
+            assert main(argv) == 0
+            assert shown in capsys.readouterr().out.splitlines()[-1]
+            assert vars(resolve_args(argv)) == vars(build_parser().parse_args(argv))
+        assert defaults() == before
 
 
 FAMILY_I_SHORT = ["solve-family", "--alpha", "-1", "--beta", "1", "--t-max", "0.1"]

@@ -8,6 +8,8 @@ import json
 import math
 import shlex
 import tracemalloc
+from contextlib import redirect_stdout
+from itertools import product
 
 import numpy as np
 import pytest
@@ -150,6 +152,67 @@ def test_grid_lines_are_the_per_point_lines(tmp_path, capsys):
     ]
     assert lines[:-1] == expected
     assert lines[-1].startswith("grid max residual = ")
+
+
+BOUNDS = st.sampled_from([-0.0, 0.0, 0.1, 1e-300, -1e-300, -0.4, 0.3, 1 / 3])
+
+
+@st.composite
+def grid_specs(draw):
+    """(spec, points): 1-4 axes of 1-7 points with bounds from BOUNDS, and
+    the grid's points in the order of itertools.product; an axis left out
+    is the single point 0.0."""
+    names = draw(st.lists(st.sampled_from(["x1", "x2", "x3", "x4"]), min_size=1, max_size=4,
+                          unique=True))
+    axes = {name: [0.0] for name in ("x1", "x2", "x3", "x4")}
+    parts = []
+    for name in names:
+        lo, hi, n = draw(BOUNDS), draw(BOUNDS), draw(st.integers(1, 7))
+        parts.append(f"{name}={lo!r}:{hi!r}:{n}")
+        axes[name] = [lo] if n == 1 else np.linspace(lo, hi, n).tolist()
+    return ",".join(parts), list(product(*axes.values()))
+
+
+GRID_COMMANDS = {
+    "verify": (["verify", "--sigma", "(1 + x1^2 + x2^2)/2", "--rho", "(1 + x3^2 + x4^2)/2"],
+               "max|closed - fd|"),
+    "residual": (["residual", "--sigma", "(1 + x1^2 + x2^2)/2", "--rho", "(1 + x3^2 + x4^2)/2",
+                  "--A", "1"], "max|residual|"),
+}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(grid=grid_specs(), command=st.sampled_from(sorted(GRID_COMMANDS)))
+def test_grid_runs_match_the_per_cell_writers(grid, command, tmp_path_factory):
+    """Slices of 3 rows, so that slices cut across the axis codes.  The
+    JSON file is json.dump of its own values, the CSV file and each
+    stdout line format each cell with format(x, ".17g"), and the
+    coordinates are the grid's, -0.0 included."""
+    spec, points = grid
+    base, label = GRID_COMMANDS[command]
+    tmp = tmp_path_factory.mktemp("g")
+    runs = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "CHUNK", 3)
+        for fmt in ("csv", "json"):
+            out, path = io.StringIO(), tmp / f"out.{fmt}"
+            with redirect_stdout(out):
+                code = main(base + ["--grid", spec, "--format", fmt, "--out", str(path)])
+            runs[fmt] = code, out.getvalue(), path.read_bytes().decode("utf-8")
+    (code, stdout, json_text), (csv_code, csv_stdout, csv_text) = runs["json"], runs["csv"]
+    assert code == csv_code == 0 and stdout == csv_stdout
+    payload = json.loads(json_text)
+    header = list(payload["points"][0])
+    rows = [list(record.values()) for record in payload["points"]]
+    assert [tuple(map(repr, row[:4])) for row in rows] == [tuple(map(repr, p)) for p in points]
+    assert json_text == reference_json("points", header, rows, payload["summary"])
+    assert csv_text == reference_csv(header, rows)
+    fmt = lambda x: format(float(x), ".17g")  # noqa: E731
+    lines = stdout.splitlines()
+    assert lines[:-1] == [
+        f"x=({fmt(row[0])}, {fmt(row[1])}, {fmt(row[2])}, {fmt(row[3])})  {label} = {row[-1]:.6e}"
+        for row in rows
+    ]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

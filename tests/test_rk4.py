@@ -76,24 +76,36 @@ def _reference_integrate(rhs, y0: list, t0, t1, dt, stop, t_tol=None):
     return ts, ys, REACHED_T_MAX, None
 
 
+def _rule_1(fp, r: float, new: float) -> tuple[bool, bool]:
+    """The two halves of rule 1 a step from ``r`` to ``new`` may break:
+    (it moves rho against rho' at r, it crosses beta)."""
+    slope = fp.alpha * (r**3 - fp.beta**3)
+    against = (new > r and not slope > 0.0) or (new < r and not slope < 0.0)
+    return against, r < fp.beta < new or r > fp.beta > new
+
+
+def _rho_rhs(fp):
+    return lambda y: [fp.alpha * (y[0] ** 3 - fp.beta**3)]
+
+
 def _reference_rho(fp, rho0, dt, t_max):
     cap = max(RHO_BLOW_UP_CAP, 10.0 * max(abs(fp.beta), abs(rho0)))
 
     def stop(y, trial):
-        r, new, beta = y[0], trial[0], fp.beta
+        r, new = y[0], trial[0]
         if not (math.isfinite(new) and abs(new) <= cap):
             if fp.alpha < 0.0:
                 raise DomainError("no member blows up for alpha < 0")
             return BLOW_UP
-        slope = fp.alpha * (r**3 - beta**3)
-        if (new > r and not slope > 0.0) or (new < r and not slope < 0.0):
+        against, across = _rule_1(fp, r, new)
+        if against:
             raise DomainError("the step moves rho against rho'")
-        if r < beta < new or r > beta > new:
+        if across:
             raise DomainError("the step crosses beta")
         return None
 
     ts, ys, termination, blow_up_time = _reference_integrate(
-        lambda y: [fp.alpha * (y[0] ** 3 - fp.beta**3)], [float(rho0)], 0.0, t_max, dt, stop,
+        _rho_rhs(fp), [float(rho0)], 0.0, t_max, dt, stop,
         BLOW_UP_TIME_TOL,
     )
     rho = np.array([y[0] for y in ys])
@@ -215,6 +227,32 @@ def test_warped_kernel_matches_the_list_driver(alpha0, gamma0, delta0, b_scale, 
     # B carries gamma's sign, so both signs of B and gamma and of Ctilde = C/B occur
     s0 = WarpedState(alpha0, gamma0, delta0, B=math.copysign(b_scale, gamma0), C=c_const)
     check_warped(s0, dt, (0.0, t_max))
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, rho0, dt, halves",
+    [
+        (-1.0, 2.0, 2.5, 0.25, (False, True)),  # from above beta to below it
+        (-2.0, -1.0, -1.2, 0.5, (False, True)),  # from below beta to above it
+        (-2.0, -0.5, 2.4, 0.25, (True, False)),  # up, away from beta above it
+        (-1.0, 1.0, 0.0, 2.0, (True, False)),  # down, away from beta below it
+        (1.0, 1.0, 1.0, 2.0, (False, False)),  # alpha > 0 at the equilibrium rho = beta
+        (2.0, 1.0, 0.999, 0.5, (False, False)),  # alpha > 0 from just below beta
+        (0.5, -0.5, -0.4, 1.0, (False, False)),  # alpha > 0 from just above beta
+    ],
+)
+def test_first_step_breaking_one_half_of_rule_1(alpha, beta, rho0, dt, halves):
+    """One step, so a step that breaks one half of rule 1 must raise on its
+    own, not at a later step that breaks the other half.  For alpha > 0
+    every RK4 stage has the sign of rho' at the start, so no step breaks
+    either half, and large steps from either side of beta are accepted."""
+    fp = FamilyParams(alpha, beta)
+    first = _reference_step(_rho_rhs(fp), [rho0], dt)[0]
+    assert abs(first) <= RHO_BLOW_UP_CAP and _rule_1(fp, rho0, first) == halves
+    if any(halves):
+        with pytest.raises(DomainError, match="against rho' or across beta"):
+            integrate_rho(fp, rho0, dt, dt)
+    check_rho(fp, rho0, dt, dt)
 
 
 def test_blow_up_bisection_matches_the_list_driver():
