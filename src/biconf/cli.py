@@ -264,40 +264,43 @@ def _parse_grid(spec: str) -> list[np.ndarray]:
     return [np.array([lo]) if n == 1 else np.linspace(lo, hi, n) for lo, hi, n in axes]
 
 
-def _texts(values: np.ndarray, text) -> np.ndarray:
-    """``text(v)`` of each of ``values``, as an object array to index."""
-    return np.array(list(map(text, values.tolist())), dtype=object)
-
-
 class _Axis:
     """A grid coordinate column: row k holds ``values[codes[k]]``, the axis
-    values and each row's position on the axis.  A writer formats each
-    value once (``formatted``); a slice of rows then looks its cells up."""
+    values and each row's position on the axis.  ``text(fmt)`` formats each
+    value once per format and shares the result with every column of the
+    axis (``at``, slices), so the stdout lines and a writer each look their
+    cells up."""
 
-    def __init__(self, values: np.ndarray, codes: np.ndarray):
+    def __init__(self, values: np.ndarray, codes: np.ndarray | None = None, texts=None):
         self.values, self.codes = values, codes
+        self.texts = {} if texts is None else texts
 
     def __len__(self) -> int:
         return len(self.codes)
 
+    def at(self, codes: np.ndarray) -> "_Axis":
+        """The column of the rows at positions ``codes`` on this axis."""
+        return _Axis(self.values, codes, self.texts)
+
     def __getitem__(self, part: slice) -> "_Axis":
-        return _Axis(self.values, self.codes[part])
+        return self.at(self.codes[part])
 
-    def formatted(self, text) -> "_Axis":
-        """This column with each value replaced by ``text(value)``."""
-        return _Axis(_texts(self.values, text), self.codes)
+    def text(self, fmt) -> np.ndarray:
+        """``fmt(v)`` of each axis value, as an object array to index."""
+        if fmt not in self.texts:
+            self.texts[fmt] = np.array(list(map(fmt, self.values.tolist())), dtype=object)
+        return self.texts[fmt]
 
-    def cells(self) -> list:
-        return self.values[self.codes].tolist()
+    def cells(self, fmt) -> list:
+        return self.text(fmt)[self.codes].tolist()
 
 
-def _slices(columns, empty, text):
+def _slices(columns, empty):
     """Each slice of CHUNK rows of ``columns`` (float arrays and _Axis
     columns of one length) as a (values, empty) pair per column, where
-    ``empty`` gives a column the mask of its empty cells, or None.  Each
-    _Axis column comes formatted by ``text``.  Writers write slice by slice."""
+    ``empty`` gives a column the mask of its empty cells, or None.  Writers
+    write slice by slice."""
     empty = empty or [None] * len(columns)
-    columns = [c.formatted(text) if isinstance(c, _Axis) else c for c in columns]
     for start in range(0, len(columns[0]), CHUNK):
         part = slice(start, start + CHUNK)
         yield [(c[part], None if e is None else e[part]) for c, e in zip(columns, empty)]
@@ -307,7 +310,7 @@ def _csv_cells(values, empty) -> tuple[str, list]:
     """(template field, cells) of one column slice: 17 significant digits,
     "" for an empty cell."""
     if isinstance(values, _Axis):
-        return "%s", values.cells()
+        return "%s", values.cells(_fmt)
     if empty is None or not empty.any():
         return "%.17g", values.tolist()
     return "%s", ["" if e else "%.17g" % v for v, e in zip(values.tolist(), empty.tolist())]
@@ -317,7 +320,7 @@ def _json_cells(values, empty) -> list:
     """One column slice as json writes it: a float's repr (``%s``), NaN,
     Infinity or -Infinity, and null for an empty cell."""
     if isinstance(values, _Axis):
-        return values.cells()
+        return values.cells(json.dumps)
     cells = values.tolist()
     for i in np.flatnonzero(~np.isfinite(values)):
         cells[i] = json.dumps(cells[i])
@@ -329,7 +332,7 @@ def _json_cells(values, empty) -> list:
 def _write_csv(path: str, header: list[str], columns, empty=None) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for part in _slices(columns, empty, _fmt):
+        for part in _slices(columns, empty):
             fields, cells = zip(*(_csv_cells(*column) for column in part))
             fh.write("".join(map((",".join(fields) + "\n").__mod__, zip(*cells))))
 
@@ -341,7 +344,7 @@ def _write_json(path: str, key: str, header: list[str], columns, summary: dict, 
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"{{\n  {json.dumps(key)}: [")
         sep = "\n"
-        for part in _slices(columns, empty, json.dumps):
+        for part in _slices(columns, empty):
             cells = [_json_cells(*column) for column in part]
             fh.write(sep + ",\n".join(map(record.__mod__, zip(*cells))))
             sep = ",\n"
@@ -432,24 +435,23 @@ def _grid_scan(args: argparse.Namespace, label: str, evaluate) -> tuple[list, fl
     returns those columns, the coordinates as _Axis columns, and the grid
     maximum.  The first point that fails raises its error after the lines
     of the points before it."""
-    axes = _parse_grid(args.grid)
-    texts = [_texts(axis, _fmt) for axis in axes]
+    axes = [_Axis(values) for values in _parse_grid(args.grid)]
     line = f"x=(%s, %s, %s, %s)  {label} = %.6e"
     codes, blocks = [], []
     grid_max = 0.0
 
     def at(code):
-        return evaluate(np.stack([axis[c] for axis, c in zip(axes, code.T)], axis=-1))
+        return evaluate(np.stack([axis.values[c] for axis, c in zip(axes, code.T)], axis=-1))
 
-    for code, values in _blocks(at, _grid_chunks(tuple(map(len, axes)))):
+    for code, values in _blocks(at, _grid_chunks(tuple(len(axis.values) for axis in axes))):
         if isinstance(values, Exception):
             raise values
         codes.append(code)
         blocks.append(values)
-        shown = [text[c].tolist() for text, c in zip(texts, code.T)] + [values[:, -1].tolist()]
+        shown = [axis.at(c).cells(_fmt) for axis, c in zip(axes, code.T)] + [values[:, -1].tolist()]
         grid_max = max(grid_max, *shown[-1])
         print("\n".join(map(line.__mod__, zip(*shown))))
-    columns = [_Axis(axis, c) for axis, c in zip(axes, np.concatenate(codes).T)]
+    columns = [axis.at(c) for axis, c in zip(axes, np.concatenate(codes).T)]
     return columns + list(np.concatenate(blocks).T), grid_max
 
 

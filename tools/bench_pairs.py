@@ -1,7 +1,7 @@
 """Alternating parent/change benchmark pairs, written to one BENCH file.
 
     python3 tools/bench_pairs.py PARENT_TREE CHANGE_TREE --out BENCH.json
-        [--workload W ...] [--pairs N] [--seconds S] [--seed K] [--trace-seconds T]
+        [--workload W ...] [--pairs N] [--seconds S] [--seed K]
 
 Runs ``perfbench/run.py`` of each tree as a subprocess, in that tree, for
 N pairs per workload; pair i runs the parent first when i is even and the
@@ -12,12 +12,11 @@ run's ``correct``, ``attempted``, ``failed`` and metrics, and per metric
 the pairs the change won (ties count for neither side), whether it meets
 the gain rule (nine tenths of the pairs won and a median difference larger
 than the parent's IQR) and whether its median is worse than the parent's
-by more than the metric's bound.  With ``--trace-seconds T`` (default 1;
-0 skips it) each side also runs one ``--trace 1`` pass per workload, and
-the file lists the call, step, row and byte counts that differ.  Each
-side's commit, whether its ``src/`` differs from that commit, its source
-digest and its Python and numpy versions come from the runs' own
-environment stamps.  The exit status is 1 if a run fails its checks.
+by more than the metric's bound.  Each side also runs one ``--trace 1``
+pass of TRACE_SECONDS per workload, and the file lists the call, step, row
+and byte counts that differ.  Each side's commit, whether its ``src/``
+differs from that commit, its source digest and its Python and numpy
+versions come from the runs' own environment stamps.  The exit status is 1 if a run fails its checks.
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ SIDES = ("parent", "change")
 # the counts of a traced run that depend only on the program and the seed
 COUNT_SUFFIXES = (".calls", ".steps", ".failed")
 COUNTS = ("cli.rows", "cli.bytes_out", "cli.cells_empty")
+TRACE_SECONDS = 1.0
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
@@ -109,11 +109,11 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=6.0)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--trace-seconds", type=float, default=1.0)
     args = parser.parse_args(argv)
     trees = dict(zip(SIDES, (args.parent.resolve(), args.change.resolve())))
 
-    report = {"settings": {"pairs": args.pairs, "seconds": args.seconds, "seed": args.seed},
+    report = {"settings": {"pairs": args.pairs, "seconds": args.seconds, "seed": args.seed,
+                           "trace_seconds": TRACE_SECONDS},
               "sides": {}, "workloads": {}}
     all_correct = True
     for workload in args.workload or WORKLOADS:
@@ -131,17 +131,16 @@ def main(argv=None) -> int:
                   + " -> ".join(f"{pair[s]['metrics']['rows_per_s']['value']:.0f}" for s in SIDES),
                   file=sys.stderr)
         entry = {"metrics": {name: compare(name, pairs) for name in END_TO_END}, "runs": pairs}
-        if args.trace_seconds > 0:
-            counts = {}
-            for side in SIDES:
-                _, result = run(trees[side], workload, args.seed, args.trace_seconds, 1)
-                counts[side] = trace_counts(result)
-                all_correct &= result["correct"] and result["failed"] == 0
-            entry["trace_counts"] = counts["change"]
-            entry["trace_counts_differing"] = {
-                name: [counts["parent"].get(name), value]
-                for name, value in counts["change"].items() if counts["parent"].get(name) != value
-            }
+        counts = {}
+        for side in SIDES:
+            _, result = run(trees[side], workload, args.seed, TRACE_SECONDS, 1)
+            counts[side] = trace_counts(result)
+            all_correct &= result["correct"] and result["failed"] == 0
+        entry["trace_counts"] = counts["change"]
+        entry["trace_counts_differing"] = {
+            name: [counts["parent"].get(name), value]
+            for name, value in counts["change"].items() if counts["parent"].get(name) != value
+        }
         report["workloads"][workload] = entry
     args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     return 0 if all_correct else 1
