@@ -596,28 +596,30 @@ def cmd_solve_family(args: argparse.Namespace) -> int:
 
 def cmd_solve_warped(args: argparse.Namespace) -> int:
     _require(args, "alpha0", "gamma0", "delta0")
-    if args.C is not None and args.Ctilde is not None and args.C != args.Ctilde * args.B:
-        raise UsageError("--C and --Ctilde are inconsistent; give one of them")
     c_const = args.C if args.C is not None else (args.Ctilde or 0.0) * args.B
+    # both flags agree when C = Ctilde B to rounding; C is then used
+    if args.Ctilde is not None and not math.isclose(c_const, args.Ctilde * args.B, rel_tol=1e-12):
+        raise UsageError("--C and --Ctilde are inconsistent; give one of them")
     try:
         state = WarpedState(args.alpha0, args.gamma0, args.delta0, B=args.B, C=c_const)
     except ValueError as exc:
         raise UsageError(f"invalid initial state: {exc}") from None
     _check_steps(0.0, args)
-    traj = integrate_warped(state, args.dt, (0.0, args.t_max))
+    traj = integrate_warped(state, args.dt, args.t_max)
     a_int = traj["A_integral"]
     drift = float(np.max(np.abs(a_int - a_int[0])))
-    span = float(traj.t[-1] - traj.t[0])
+    span = float(traj.t[-1])
+    rate = drift / span if span > 0 else drift  # one sample: no drift
     header = ["t", "alpha", "gamma", "delta", "sigma", "A_integral"]
     summary = {
         "A0": float(a_int[0]),
         "max_drift": drift,
-        "drift_per_unit_time": drift / span if span > 0 else drift,
+        "drift_per_unit_time": rate,
         "termination": traj.termination,
     }
     _emit(args, "samples", header, [traj[name] for name in header], summary)
     print(f"A(0) = {_fmt(a_int[0])}")
-    print(f"|A drift| = {drift:.6e} over t span {span:g} ({drift / max(span, 1e-300):.6e} per unit time)")
+    print(f"|A drift| = {drift:.6e} over t span {span:g} ({rate:.6e} per unit time)")
     print(f"termination: {traj.termination}")
     if traj.termination != REACHED_T_MAX:
         print(

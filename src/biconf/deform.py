@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import raise_float_errors
-from .fields import ScalarField
+from .fields import ExpressionField, ScalarField, require_positive
 from .oracle import MetricField
 
 __all__ = [
@@ -46,8 +46,11 @@ __all__ = [
 class DeformationPair:
     """The (sigma, rho) pair defining the deformed metric.
 
-    Positivity is enforced pointwise at every evaluation; callers own
-    any domain restriction (e.g. the unit bidisc for the hyperbolic
+    The metric is a biconformal deformation only where sigma and rho are
+    finite and > 0, so every evaluation of the pair (``log_data`` and
+    ``metric_of``) requires it, whatever fields back the pair, and raises
+    PositivityError naming the first point where it fails.  Callers own
+    any other domain restriction (e.g. the unit bidisc for the hyperbolic
     product example).
     """
 
@@ -56,12 +59,7 @@ class DeformationPair:
 
     @classmethod
     def from_exprs(cls, sigma_text: str, rho_text: str) -> "DeformationPair":
-        from .fields import ExpressionField
-
-        return cls(
-            ExpressionField(sigma_text, positive=True),
-            ExpressionField(rho_text, positive=True),
-        )
+        return cls(ExpressionField(sigma_text), ExpressionField(rho_text))
 
     def log_data(self, p):
         """(sigma, rho, grad ln sigma, Hess ln sigma, grad ln rho, Hess ln rho)
@@ -141,7 +139,8 @@ def _block(scale, k, ug, uh, vg, vh, own, other):
 def metric_of(d: DeformationPair) -> MetricField:
     """The deformed metric diag(1/sigma^2, 1/sigma^2, 1/rho^2, 1/rho^2)
     as a MetricField whose value and analytic partial derivatives come
-    from one jet of each field, evaluated a batch of points at a time."""
+    from one jet of each field, evaluated a batch of points at a time;
+    sigma and rho must be positive there, as in ``log_data``."""
 
     def _diag(a, b):
         g = np.zeros(np.shape(a) + (4, 4))
@@ -151,7 +150,9 @@ def metric_of(d: DeformationPair) -> MetricField:
 
     def partials(p):
         sjet = d.sigma.jet(p)
+        require_positive(sjet.val, p)
         rjet = d.rho.jet(p)
+        require_positive(rjet.val, p)
         g = _diag(1.0 / np.square(sjet.val), 1.0 / np.square(rjet.val))
         ds = -2.0 * sjet.g / np.power(sjet.val, 3)[..., None]  # d_c (sigma^-2)
         dr = -2.0 * rjet.g / np.power(rjet.val, 3)[..., None]

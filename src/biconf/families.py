@@ -281,9 +281,12 @@ def single_param_residuals(
 
 
 def check_step_count(t0: float, t1: float, dt: float) -> None:
-    """Raise ValueError unless steps of dt cross [t0, t1], with t1 >= t0,
-    in at most MAX_STEPS steps, each of which moves t (dt above the float
-    resolution of t)."""
+    """Raise ValueError unless steps of dt > 0 cross [t0, t1], with
+    t1 >= t0, in at most MAX_STEPS steps, each of which moves t (dt above
+    the float resolution of t).  This is the one check of an RK4 span and
+    step."""
+    if not dt > 0.0:  # also NaN
+        raise ValueError(f"dt must be positive, got {dt:g}")
     if t1 < t0:
         raise ValueError(f"the t span [{t0:g}, {t1:g}] ends before it starts")
     steps = (t1 - t0) / dt
@@ -296,8 +299,8 @@ def check_step_count(t0: float, t1: float, dt: float) -> None:
         raise ValueError(f"dt = {dt:g} is below the float resolution of t on [{t0:g}, {t1:g}]")
 
 
-def _integrate(step, y0, t0: float, t1: float, dt: float, stop, t_tol=None):
-    """Fixed-step integration from y0 at t0 towards t1.
+def _integrate(step, y0, t_max: float, dt: float, stop, t_tol=None):
+    """Fixed-step integration from y0 at t = 0 towards t_max.
 
     ``step(y, dt)`` is one RK4 step of the system; ``stop(y, trial)``
     returns a termination name for a trial state from y that must not be
@@ -309,12 +312,12 @@ def _integrate(step, y0, t0: float, t1: float, dt: float, stop, t_tol=None):
 
     Returns (times, states, termination, escape time or None).
     """
-    check_step_count(t0, t1, dt)
-    t, y = t0, y0
+    check_step_count(0.0, t_max, dt)
+    t, y = 0.0, y0
     ts, ys = [t], [y]
-    end = t1 - min(1e-12, 0.5 * dt)  # slack for the rounding of t += h
+    end = t_max - min(1e-12, 0.5 * dt)  # slack for the rounding of t += h
     while t < end:
-        h = min(dt, t1 - t)
+        h = min(dt, t_max - t)
         try:
             trial = step(y, h)
             termination = stop(y, trial)
@@ -378,20 +381,14 @@ def _integral(B, C, alpha, gamma, delta):
     return C * alpha**2 + (B * alpha**2 / gamma) * (delta / alpha - 3.0 * gamma**2 / alpha**2)
 
 
-def integrate_warped(
-    s0: WarpedState, dt: float, t_span: tuple[float, float] = (0.0, 1.0)
-) -> Trajectory:
-    """RK4 trajectory of the warped system from state s0 over t_span.
+def integrate_warped(s0: WarpedState, dt: float, t_max: float) -> Trajectory:
+    """RK4 trajectory of the warped system from state s0 at t = 0 to t_max
+    (the system is autonomous, so any other start is a shift of t).
 
     Halts with SINGULAR_GAMMA when |gamma| drops below GAMMA_SINGULAR_TOL
     (or gamma changes sign), with BLOW_UP when any component exceeds
     WARPED_COMPONENT_CAP in magnitude or turns non-finite.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    t0, t1 = t_span
-    if t1 <= t0:
-        raise ValueError(f"t_span must be increasing, got {t_span}")
     sign0 = math.copysign(1.0, s0.gamma)
 
     def stop(_, trial):
@@ -404,7 +401,7 @@ def integrate_warped(
         return None
 
     ts, ys, termination, _ = _integrate(
-        _warped_step(s0.ctilde), (s0.alpha, s0.gamma, s0.delta), t0, t1, dt, stop
+        _warped_step(s0.ctilde), (s0.alpha, s0.gamma, s0.delta), t_max, dt, stop
     )
     alpha, gamma, delta = np.array(ys).T
     return Trajectory(
@@ -450,8 +447,6 @@ def integrate_rho(fp: FamilyParams, rho0: float, dt: float, t_max: float) -> Tra
     a step rejected for a float overflow or the cap, raises DomainError
     (a step too large for the equation) naming its t, rho and dt.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
     cap = max(RHO_BLOW_UP_CAP, 10.0 * max(abs(fp.beta), abs(rho0)))
 
     def step(r, dt):
@@ -473,7 +468,7 @@ def integrate_rho(fp: FamilyParams, rho0: float, dt: float, t_max: float) -> Tra
         return None if away else _STEP_TOO_LARGE
 
     ts, rhos, termination, blow_up_time = _integrate(
-        step, float(rho0), 0.0, t_max, dt, stop, None if towards else BLOW_UP_TIME_TOL
+        step, float(rho0), t_max, dt, stop, None if towards else BLOW_UP_TIME_TOL
     )
     if termination == _STEP_TOO_LARGE or (termination == BLOW_UP and towards):
         if termination == BLOW_UP:
@@ -613,7 +608,7 @@ def family_fields(fp: FamilyParams, traj: Trajectory) -> tuple[ScalarField, Scal
             -((f / r) ** 2),
         )
 
-    return ProfileField(sigma_profile, positive=True), ProfileField(rho_profile, positive=True)
+    return ProfileField(sigma_profile), ProfileField(rho_profile)
 
 
 def ricci_flat_fields(a: float = 1.0) -> tuple[ScalarField, ScalarField]:
@@ -621,9 +616,7 @@ def ricci_flat_fields(a: float = 1.0) -> tuple[ScalarField, ScalarField]:
     rho = t^(-1/2) (the e = 0 member of the family)."""
     if a <= 0.0:
         raise ValueError(f"a must be positive, got {a}")
-    sigma = ExpressionField(f"{a!r}*t^0.25", positive=True)
-    rho = ExpressionField("t^-0.5", positive=True)
-    return sigma, rho
+    return ExpressionField(f"{a!r}*t^0.25"), ExpressionField("t^-0.5")
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,10 @@ A backing supplies one evaluator, the jet (value, gradient, Hessian) of
 a batch of points; a field's value is the value of its jet.
 
 Fields are immutable after construction and safe to evaluate from any
-thread.  Positive means finite and > 0 (``require_positive``): a field
-constructed with ``positive=True`` raises ``PositivityError`` whenever an
-evaluation returns anything else, NaN and inf included, and the log
-derivatives require it of every field.
+thread.  Positive means finite and > 0 (``require_positive``).  It is not
+a property of a field: the log derivatives require it of every field, and
+so does every evaluation of a ``DeformationPair``, raising
+``PositivityError`` on anything else, NaN and inf included.
 """
 
 from __future__ import annotations
@@ -112,9 +112,6 @@ class ScalarField:
     of points; results carry the batch axis (N,) in front, and none for
     one point."""
 
-    def __init__(self, positive: bool = False):
-        self.positive = positive
-
     # subclasses implement this on a validated batch of points
     def _raw_jet(self, p: np.ndarray) -> Jet:
         raise NotImplementedError
@@ -124,10 +121,7 @@ class ScalarField:
 
     @_evaluation
     def jet(self, p) -> Jet:
-        jet = self._raw_jet(p)
-        if self.positive:
-            require_positive(jet.val, p)
-        return jet
+        return self._raw_jet(p)
 
     @_evaluation
     def log_jet(self, p):
@@ -143,8 +137,7 @@ class ExpressionField(ScalarField):
     """Field backed by a parsed expression; derivatives are exact.  A
     batch of points costs one walk of the AST."""
 
-    def __init__(self, source: str | Expr, positive: bool = False):
-        super().__init__(positive)
+    def __init__(self, source: str | Expr):
         self.ast = parse_expr(source) if isinstance(source, str) else source
 
     def _raw_jet(self, p: np.ndarray) -> Jet:
@@ -168,12 +161,7 @@ class ProfileField(ScalarField):
     log-derivatives are many orders smaller than the quotient terms.
     """
 
-    def __init__(
-        self,
-        profile: Callable[[np.ndarray], tuple],
-        positive: bool = False,
-    ):
-        super().__init__(positive)
+    def __init__(self, profile: Callable[[np.ndarray], tuple]):
         self.profile = profile
 
     def _at(self, p: np.ndarray) -> list:

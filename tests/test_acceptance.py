@@ -163,14 +163,14 @@ def test_criterion_6_ricci_flat_profile():
 def test_criterion_7_warped_conservation():
     def drift(dt):
         st = WarpedState(1.0, 0.5, 0.2, B=1.0, C=1.0)
-        tr = integrate_warped(st, dt, (0.0, 1.0))
+        tr = integrate_warped(st, dt, 1.0)
         a = tr["A_integral"]
         return float(np.max(np.abs(a - a[0])))
 
     fine = drift(1e-3)
     d0, d1, d2 = drift(0.05), drift(0.025), drift(0.0125)
     r1, r2 = d0 / d1, d1 / d2
-    hyper = integrate_warped(WarpedState(1.0, 1.0, 0.0, C=0.0), 1e-3, (0.0, 1.0))
+    hyper = integrate_warped(WarpedState(1.0, 1.0, 0.0, C=0.0), 1e-3, 1.0)
     hyper_err = float(np.max(np.abs(hyper["alpha"] - (1.0 + hyper.t))))
     drift_hyper = float(np.max(np.abs(hyper["A_integral"] + 3.0)))
     ok = (
@@ -206,7 +206,7 @@ def test_criterion_8_laplacian_law():
         fd = laplace_beltrami_fd(metric_of(d).without_partials(), f, p)
         worst = max(worst, abs(closed - fd))
 
-    sigma = ExpressionField("exp(0.25*x1 - 0.1*x2^2 + 0.15*x3*x4)", positive=True)
+    sigma = ExpressionField("exp(0.25*x1 - 0.1*x2^2 + 0.15*x3*x4)")
     dconf = DeformationPair(sigma, sigma)
     worst_conf = 0.0
     for k in range(20):

@@ -347,6 +347,7 @@ def test_env_var_overrides_default_tolerance(monkeypatch, capsys):
 
 def test_bad_grid_specs(capsys):
     base = ["verify", "--sigma", "1", "--rho", "1"]
+    assert main(base + ["--grid", "x1"]) == 1
     assert main(base + ["--grid", "x9=0:1:2"]) == 1
     assert main(base + ["--grid", "x1=0:1"]) == 1
     assert main(base + ["--grid", "x1=0:1:0"]) == 1
@@ -381,6 +382,27 @@ def test_grid_axis_given_twice_exits_1(capsys):
     argv = "residual --sigma 1 --rho 1 --A 0 --grid x1=0:1:2,x1=5:6:2"
     assert main(shlex.split(argv)) == 1
     assert "grid axis x1 is given twice" in _single_error_line(capsys)
+
+
+WARPED = "solve-warped --alpha0 1 --gamma0 1 --delta0 0"
+
+
+@pytest.mark.parametrize(
+    "line,code,err",
+    [
+        # 0.1 * 3 != 0.3 in floats: the flags agree to rounding and C is used
+        (f"{WARPED} --C 0.3 --Ctilde 0.1 --B 3", 0, ""),
+        (f"{WARPED} --C 0.3 --Ctilde 0.2 --B 3", 1, "error: --C and --Ctilde are inconsistent"),
+        (f"{WARPED} --B 0", 1, "error: invalid initial state: B must be nonzero"),
+        ("solve-family --alpha -1 --beta 1 --rho0 1", 1, "error: initial state is an equilibrium"),
+        ("solve-family --alpha 0 --beta 1", 1, "error: alpha must be nonzero"),
+        ("solve-family --ricci-flat --t-min -1 --t-max 1", 2, "numerical failure: "),
+    ],
+)
+def test_exit_code_of_a_command_line(line, code, err, capsys):
+    assert main(shlex.split(line)) == code
+    stderr = capsys.readouterr().err
+    assert stderr.startswith(err) and bool(stderr) == bool(err)
 
 
 def test_invalid_numeric_settings(capsys):
@@ -706,6 +728,13 @@ def test_config_rejects_keys_that_name_no_option(line, tmp_path, capsys):
     cfg.write_text(line + "\n")
     assert main(["examples", "--config", str(cfg)]) == 1
     assert repr(line.split()[0]) in capsys.readouterr().err
+
+
+def test_config_line_without_equals_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# settings\ntol 1e-6\n")
+    assert main(["examples", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}:2: expected key = value\n"
 
 
 def test_config_ignores_keys_of_other_subcommands(tmp_path, capsys):

@@ -13,8 +13,10 @@ from biconf import (
     DeformationPair,
     ExpressionField,
     PositivityError,
+    ProfileField,
     conformal_ricci_coords,
     deformed_laplacian,
+    einstein_residual_fd,
     einstein_residuals,
     frame_to_coords,
     laplace_beltrami_fd,
@@ -50,6 +52,38 @@ def test_metric_positivity_guard():
     d = DeformationPair.from_exprs("x1", "1")
     with pytest.raises(PositivityError):
         metric_of(d).value((-1.0, 0, 0, 0))
+
+
+# x1 as an expression and as a profile of t = x1 (its log derivatives are
+# never reached where it is not positive)
+X1_FIELDS = [ExpressionField("x1"), ProfileField(lambda t: (t, 1.0, 0.0, 1.0, 0.0))]
+
+
+@pytest.mark.parametrize("x1", [-1.0, -0.5, 0.0])
+@pytest.mark.parametrize("side", ["sigma", "rho"])
+@pytest.mark.parametrize("field", X1_FIELDS, ids=["expression", "profile"])
+def test_both_paths_reject_a_non_positive_field_alike(field, side, x1):
+    """Positivity belongs to the pair, whatever fields back it: the oracle's
+    metric rejects sigma or rho <= 0 as the closed form does, with the same
+    message naming the point."""
+    one = ExpressionField("1")
+    d = DeformationPair(field, one) if side == "sigma" else DeformationPair(one, field)
+    p = (x1, 0.0, 0.0, 0.0)
+    with pytest.raises(PositivityError) as closed:
+        ricci_frame(d, p)
+    message = str(closed.value)
+    assert message.endswith(f" at {p}")
+    g = metric_of(d)
+    oracle_calls = [
+        g.value,
+        g.partials,
+        lambda q: ricci_fd(g, q),
+        lambda q: einstein_residual_fd(g, 1.0, q),
+    ]
+    for call in oracle_calls:
+        with pytest.raises(PositivityError) as exc:
+            call(p)
+        assert str(exc.value) == message
 
 
 def test_horizontal_block():
@@ -156,8 +190,8 @@ def test_frame_ricci_swaps_blocks_with_the_planes():
     for _ in range(20):
         d = random_pair(rng)
         swapped = DeformationPair(
-            ExpressionField(_swap_planes(d.rho.ast), positive=True),
-            ExpressionField(_swap_planes(d.sigma.ast), positive=True),
+            ExpressionField(_swap_planes(d.rho.ast)),
+            ExpressionField(_swap_planes(d.sigma.ast)),
         )
         points = rng.uniform(-0.4, 0.4, size=(50, 4))
         m = ricci_frame(d, points).matrix
@@ -180,7 +214,7 @@ class CountingField(ExpressionField):
     """Expression field that counts its value and jet evaluations."""
 
     def __init__(self, source):
-        super().__init__(source, positive=True)
+        super().__init__(source)
         self.values = self.jets = 0
 
     def __call__(self, p):
@@ -230,7 +264,7 @@ def test_conformal_reduction():
     """sigma = rho: frame Ricci equals the conformal-change formula, both
     closed forms, so the agreement is near machine precision."""
     rng = np.random.default_rng(10)
-    sigma = ExpressionField("exp(0.3*x1 - 0.2*x2 + 0.1*x3*x4 - 0.05*x2^2)", positive=True)
+    sigma = ExpressionField("exp(0.3*x1 - 0.2*x2 + 0.1*x3*x4 - 0.05*x2^2)")
     d = DeformationPair(sigma, sigma)
     for _ in range(10):
         p = random_point(rng, 0.5)
@@ -253,7 +287,7 @@ def test_deformed_laplacian_examples():
 def test_deformed_laplacian_conformal_reduction():
     """sigma = rho: matches sigma^2 Lap0 f - 2 sigma^2 df(grad0 ln sigma)."""
     rng = np.random.default_rng(14)
-    sigma = ExpressionField("exp(0.2*x1 + 0.1*x2^2 - 0.15*x3)", positive=True)
+    sigma = ExpressionField("exp(0.2*x1 + 0.1*x2^2 - 0.15*x3)")
     d = DeformationPair(sigma, sigma)
     f = ExpressionField("sin(x1 + 0.3*x2) + x3^2*x4")
     for _ in range(20):

@@ -75,6 +75,14 @@ def test_parse_error_offset():
     with pytest.raises(ParseError) as err:
         parse_expr("x1 + ")
     assert "end of input" in str(err.value)
+    with pytest.raises(ParseError) as err:
+        parse_expr("(x1")
+    assert "expected ')'" in str(err.value)
+    assert err.value.offset == 3
+    with pytest.raises(ParseError) as err:
+        parse_expr("1.2.3")
+    assert "malformed number" in str(err.value)
+    assert err.value.offset == 0
 
 
 def test_number_outside_the_float_range():
@@ -250,6 +258,10 @@ def test_jet_of_power_at_zero_base():
     assert jet.val == 0.0 and jet.g[0] == 0.0 and jet.h[0, 0] == 2.0
     jet = eval_jet(parse_expr("x1^1"), ORIGIN)
     assert jet.g[0] == 1.0 and jet.h[0, 0] == 0.0
+    # x^0 is 1 with zero derivatives, at a zero base too
+    for x1 in (0.0, 2.0, -3.0):
+        jet = eval_jet(parse_expr("x1^0"), (x1, 0, 0, 0))
+        assert jet.val == 1.0 and not np.any(jet.g) and not np.any(jet.h)
 
 
 def test_pretty_prints_known_forms():

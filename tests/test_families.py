@@ -31,7 +31,7 @@ from biconf import (
     single_param_residuals,
     warped_residuals,
 )
-from biconf.families import _delta_prime
+from biconf.families import _delta_prime, check_step_count
 from helpers import hyperbolic_pair, random_point, sphere_pair
 
 ORIGIN = (0.0, 0.0, 0.0, 0.0)
@@ -96,9 +96,9 @@ def test_einstein_residuals_flat_pattern():
 
 
 def test_warped_residuals_product_reduction():
-    sigma = ExpressionField("(1 + x1^2 + x2^2)/2", positive=True)
-    alpha = ExpressionField("1", positive=True)
-    beta = ExpressionField("(1 + x3^2 + x4^2)/2", positive=True)
+    sigma = ExpressionField("(1 + x1^2 + x2^2)/2")
+    alpha = ExpressionField("1")
+    beta = ExpressionField("(1 + x3^2 + x4^2)/2")
     rng = np.random.default_rng(22)
     for _ in range(5):
         p = random_point(rng, 0.3)
@@ -108,23 +108,23 @@ def test_warped_residuals_product_reduction():
 
 def test_warped_residuals_hyperbolic_member():
     # alpha(t) = t, sigma^2 = B t^2 with B = 1, flat beta (C = 0), A = -3
-    sigma = ExpressionField("t", positive=True)
-    alpha = ExpressionField("t", positive=True)
-    beta = ExpressionField("1", positive=True)
+    sigma = ExpressionField("t")
+    alpha = ExpressionField("t")
+    beta = ExpressionField("1")
     for t in np.linspace(0.5, 2.0, 7):
         res = warped_residuals(sigma, alpha, beta, -3.0, (float(t), 0.3, 0.1, -0.2))
         assert np.max(np.abs(res)) < 1e-8
     # cross-check through the FD oracle on the assembled metric
-    d = DeformationPair(sigma, ExpressionField("t", positive=True))
+    d = DeformationPair(sigma, ExpressionField("t"))
     assert einstein_residual_fd(metric_of(d), -3.0, (1.0, 0, 0, 0)) < 1e-5
 
 
 def test_warped_residuals_vertical_curvature_mismatch():
     # alpha = 1: the fourth residual collapses to A = C alpha^2, so a
     # hyperbolic vertical factor (C = -1) reports |A - C| when A != -1
-    sigma = ExpressionField("(1 - x1^2 - x2^2)/2", positive=True)
-    alpha = ExpressionField("1", positive=True)
-    beta = ExpressionField("(1 - x3^2 - x4^2)/2", positive=True)
+    sigma = ExpressionField("(1 - x1^2 - x2^2)/2")
+    alpha = ExpressionField("1")
+    beta = ExpressionField("(1 - x3^2 - x4^2)/2")
     res = warped_residuals(sigma, alpha, beta, -1.0, ORIGIN)
     assert np.max(np.abs(res)) < 1e-12
     res_bad = warped_residuals(sigma, alpha, beta, -0.25, ORIGIN)
@@ -147,9 +147,9 @@ def test_warped_residuals_are_four_slots_of_the_ten():
         curvature = float(rng.uniform(-1.0, 1.0))
         beta_text = f"1 + {curvature!r}*(x3^2 + x4^2)/4"
         sigma, alpha, beta = (
-            ExpressionField(text, positive=True) for text in (sigma_text, alpha_text, beta_text)
+            ExpressionField(text) for text in (sigma_text, alpha_text, beta_text)
         )
-        rho = ExpressionField(f"({alpha_text})*({beta_text})", positive=True)
+        rho = ExpressionField(f"({alpha_text})*({beta_text})")
         a_const = float(rng.uniform(-2.0, 2.0))
         points = rng.uniform(-0.4, 0.4, size=(50, 4))
         slots = einstein_residuals(DeformationPair(sigma, rho), a_const, points)[:, [0, 1, 2, 7]]
@@ -166,17 +166,17 @@ def test_warped_residuals_evaluate_beta_once_per_point():
             shapes.append(np.shape(p))
             return super().jet(p)
 
-    sigma, alpha = ExpressionField("(1 + x1^2 + x2^2)/2", positive=True), ExpressionField("1")
-    beta = CountedField("1 + 0.5*(x3^2 + x4^2)/4", positive=True)
+    sigma, alpha = ExpressionField("(1 + x1^2 + x2^2)/2"), ExpressionField("1")
+    beta = CountedField("1 + 0.5*(x3^2 + x4^2)/4")
     points = np.random.default_rng(5).uniform(-0.3, 0.3, size=(7, 4))
     warped_residuals(sigma, alpha, beta, 1.0, points)
     assert shapes == [(5, 7, 4)]
 
 
 def test_warped_residuals_rejects_nonconstant_curvature():
-    sigma = ExpressionField("1", positive=True)
-    alpha = ExpressionField("1", positive=True)
-    beta = ExpressionField("exp(x3^2)", positive=True)
+    sigma = ExpressionField("1")
+    alpha = ExpressionField("1")
+    beta = ExpressionField("exp(x3^2)")
     with pytest.raises(DomainError):
         warped_residuals(sigma, alpha, beta, 0.0, ORIGIN)
 
@@ -194,7 +194,7 @@ def test_warped_state_validation():
         WarpedState(1.0, -1.0, 0.0, B=1.0)  # sigma^2 = B a^2/gamma < 0
     s = WarpedState(1.0, -2.0, 0.5, B=-1.0, C=0.5)
     assert s.ctilde == -0.5
-    assert integrate_warped(s, 1e-3, (0, 1e-3))["sigma"][0] == math.sqrt(0.5)
+    assert integrate_warped(s, 1e-3, 1e-3)["sigma"][0] == math.sqrt(0.5)
 
 
 def test_warped_rhs_examples():
@@ -208,7 +208,7 @@ def test_warped_rhs_examples():
 
 def test_warped_integral_examples():
     def warped_integral(s):
-        return integrate_warped(s, 1e-3, (0, 1e-3))["A_integral"][0]
+        return integrate_warped(s, 1e-3, 1e-3)["A_integral"][0]
 
     # alpha(t) = t states: A = -3B for every t
     for t in (0.5, 1.0, 3.0):
@@ -219,7 +219,7 @@ def test_warped_integral_examples():
 
 def test_integrate_warped_linear_solution():
     # from (1, 1, 0) with Ctilde = 0 the profile is alpha(t) = 1 + t
-    traj = integrate_warped(WarpedState(1.0, 1.0, 0.0, C=0.0), 1e-3, (0.0, 1.0))
+    traj = integrate_warped(WarpedState(1.0, 1.0, 0.0, C=0.0), 1e-3, 1.0)
     assert traj.termination == REACHED_T_MAX
     assert np.max(np.abs(traj["alpha"] - (1.0 + traj.t))) < 1e-10
     assert np.max(np.abs(traj["A_integral"] + 3.0)) < 1e-10
@@ -231,7 +231,7 @@ def test_integrate_warped_conservation_and_order():
 
     def drift(dt):
         st = WarpedState(1.0, 0.5, 0.2, B=1.0, C=1.0)
-        tr = integrate_warped(st, dt, (0.0, 1.0))
+        tr = integrate_warped(st, dt, 1.0)
         assert tr.termination == REACHED_T_MAX
         a = tr["A_integral"]
         return float(np.max(np.abs(a - a[0])))
@@ -244,14 +244,14 @@ def test_integrate_warped_conservation_and_order():
 
 
 def test_integrate_warped_singular_gamma():
-    traj = integrate_warped(WarpedState(1.0, 0.05, -3.0, C=0.0), 1e-3, (0.0, 10.0))
+    traj = integrate_warped(WarpedState(1.0, 0.05, -3.0, C=0.0), 1e-3, 10.0)
     assert traj.termination == SINGULAR_GAMMA
     assert abs(traj["gamma"][-1]) > 0.0  # last stored sample is still valid
 
 
 def test_integrate_warped_blow_up_cap():
     # Ctilde < 0 drives delta' up through -2*Ctilde*gamma^2
-    traj = integrate_warped(WarpedState(1.0, 1.0, 5.0, C=-40.0), 1e-3, (0.0, 10.0))
+    traj = integrate_warped(WarpedState(1.0, 1.0, 5.0, C=-40.0), 1e-3, 10.0)
     assert traj.termination == BLOW_UP
     assert np.all(np.abs(traj["delta"]) <= 1e6)
 
@@ -264,10 +264,25 @@ def test_integrators_bound_the_step_count():
     with pytest.raises(ValueError, match="steps"):
         integrate_rho(FAMILY_I, 0.0, 1e-9, 10.0)
     with pytest.raises(ValueError, match="steps"):
-        integrate_warped(WarpedState(1.0, 1.0, 0.0), 1e-9, (0.0, 10.0))
-    # a step below the float resolution of t would never advance it
+        integrate_warped(WarpedState(1.0, 1.0, 0.0), 1e-9, 10.0)
+    # a step below the float resolution of t would never advance it; with
+    # t0 = 0 only a span that starts far from 0 (the Ricci-flat --t-min) has one
     with pytest.raises(ValueError, match="resolution"):
-        integrate_warped(WarpedState(1.0, 1.0, 0.0), 1.0, (1e20, 1e20 + 1e5))
+        check_step_count(1e20, 1e20 + 1e5, 1.0)
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan])
+def test_check_step_count_requires_a_positive_step(dt):
+    with pytest.raises(ValueError, match="dt must be positive"):
+        check_step_count(0.0, 1.0, dt)
+
+
+def test_a_zero_span_is_one_sample():
+    rho = integrate_rho(FAMILY_I, 0.5, 1e-3, 0.0)
+    warped = integrate_warped(WarpedState(1.0, 1.0, 0.0), 1e-3, 0.0)
+    for traj in (rho, warped):
+        assert list(traj.t) == [0.0] and traj.termination == REACHED_T_MAX
+    assert rho["rho"][0] == 0.5 and warped["alpha"][0] == 1.0
 
 
 def test_integrate_rho_family_i_monotone_bounded():
@@ -376,7 +391,7 @@ def test_single_param_residuals_family():
 
 
 def test_single_param_residuals_hyperbolic():
-    sigma = rho = ExpressionField("t", positive=True)
+    sigma = rho = ExpressionField("t")
     for t in (0.5, 1.0, 2.0):
         res = single_param_residuals(sigma, rho, -3.0, t)
         assert np.max(np.abs(res)) < 1e-10
@@ -385,7 +400,7 @@ def test_single_param_residuals_hyperbolic():
 
 
 def test_single_param_residuals_flat():
-    one = ExpressionField("1", positive=True)
+    one = ExpressionField("1")
     assert np.array_equal(single_param_residuals(one, one, 0.0, 0.7), np.zeros(3))
 
 
@@ -399,8 +414,8 @@ def test_equation_pair_equivalence():
         ("exp(sin(t))", "1.5 + 0.1*t^3"),
     ]
     for sig_text, rho_text in profiles:
-        sigma = ExpressionField(sig_text, positive=True)
-        rho = ExpressionField(rho_text, positive=True)
+        sigma = ExpressionField(sig_text)
+        rho = ExpressionField(rho_text)
         for _ in range(5):
             t = float(rng.uniform(0.2, 1.5))
             a_const = float(rng.uniform(-2, 2))

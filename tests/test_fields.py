@@ -13,6 +13,7 @@ from biconf import (
     ProfileField,
     ScalarField,
     as_point,
+    metric_of,
 )
 from helpers import fd_partial
 
@@ -87,41 +88,28 @@ def test_grad_ln_requires_positive():
         f.log_jet((-1.0, 0, 0, 0))
 
 
-def test_positivity_flag():
-    f = ExpressionField("x1", positive=True)
-    assert f((2.0, 0, 0, 0)) == 2.0
-    with pytest.raises(PositivityError):
-        f((-0.5, 0, 0, 0))
-    with pytest.raises(PositivityError):
-        f.jet(ORIGIN)
-
-
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_positivity_rejects_nan_and_inf(bad):
-    """Positive means finite and > 0: NaN and inf fail every check."""
-    f = ProfileField(lambda t: (bad, 0.0, 0.0, 0.0, 0.0), positive=True)
+    """Positive means finite and > 0: NaN and inf fail every check, the
+    deformed metric's as well as the log derivatives'."""
+    f = ProfileField(lambda t: (bad, 0.0, 0.0, 0.0, 0.0))
+    d = DeformationPair(f, ExpressionField("1"))
     with pytest.raises(PositivityError):
-        f(ORIGIN)
+        metric_of(d).value(ORIGIN)
     with pytest.raises(PositivityError):
-        f.jet(ORIGIN)
+        metric_of(d).partials(ORIGIN)
+    with pytest.raises(PositivityError):
+        d.log_data(ORIGIN)
+    # the log derivatives require positivity of any field: the profile's own
+    # log_jet, and the generic one that takes logs of the jet
     with pytest.raises(PositivityError):
         f.log_jet(ORIGIN)
     with pytest.raises(PositivityError):
-        DeformationPair(f, ExpressionField("1", positive=True)).log_data(ORIGIN)
-    # the log derivatives require positivity of any field: the profile's own
-    # log_jet, and the generic one that takes logs of the jet
-    unflagged = ProfileField(lambda t: (bad, 0.0, 0.0, 0.0, 0.0))
-    with pytest.raises(PositivityError):
-        unflagged.log_jet(ORIGIN)
-    with pytest.raises(PositivityError):
-        ScalarField.log_jet(unflagged, ORIGIN)
+        ScalarField.log_jet(f, ORIGIN)
 
 
 def test_profile_field():
-    prof = ProfileField(
-        lambda t: (t * t, 2.0 * t, 2.0, 2.0 / t, -2.0 / (t * t)),
-        positive=True,
-    )
+    prof = ProfileField(lambda t: (t * t, 2.0 * t, 2.0, 2.0 / t, -2.0 / (t * t)))
     p = (1.5, 9.0, 9.0, 9.0)  # other coordinates are ignored
     assert prof(p) == 2.25
     jet = prof.jet(p)

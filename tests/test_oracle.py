@@ -241,10 +241,7 @@ def test_second_order_convergence():
     so the FD truncation term dominates; an affine ln(sigma) would make
     the Christoffel symbols polynomial and central differences exact.
     """
-    sigma = ExpressionField(
-        "exp(0.2*sin(x1 + 0.5*x2) + 0.15*cos(x3 - x4) + 0.1*sin(x2*x3))",
-        positive=True,
-    )
+    sigma = ExpressionField("exp(0.2*sin(x1 + 0.5*x2) + 0.15*cos(x3 - x4) + 0.1*sin(x2*x3))")
     d = DeformationPair(sigma, sigma)
     g = metric_of(d)
     p = (0.1, -0.2, 0.05, 0.15)
@@ -262,7 +259,7 @@ def test_second_order_convergence():
 def test_conformal_sanity():
     """Oracle Ricci vs the conformal-change closed form, sigma = rho."""
     rng = np.random.default_rng(6)
-    sigma = ExpressionField("exp(0.2*x1 - 0.3*x2 + 0.1*x3^2 - 0.2*x4)", positive=True)
+    sigma = ExpressionField("exp(0.2*x1 - 0.3*x2 + 0.1*x3^2 - 0.2*x4)")
     g = metric_of(DeformationPair(sigma, sigma))
     worst = 0.0
     for _ in range(20):

@@ -20,7 +20,7 @@ def parity(old, new):
 def test_a_tree_matches_itself():
     run = parity(ROOT, ROOT)
     assert run.returncode == 0, run.stderr
-    assert run.stdout == "parity: 8 runs, 0 differ\n"
+    assert run.stdout == "parity: 10 runs, 0 differ\n"
 
 
 def test_a_changed_tree_is_listed(tmp_path):
@@ -31,5 +31,5 @@ def test_a_changed_tree_is_listed(tmp_path):
     run = parity(ROOT, tmp_path)
     assert run.returncode == 1, run.stderr
     lines = run.stdout.splitlines()
-    assert lines[-1].startswith("parity: 8 runs, ") and lines[-1] != "parity: 8 runs, 0 differ"
+    assert lines[-1].startswith("parity: 10 runs, ") and lines[-1] != "parity: 10 runs, 0 differ"
     assert sum(line.startswith("differs in stdout, out: [\"verify\"") for line in lines) == 2

@@ -115,7 +115,7 @@ def _reference_rho(fp, rho0, dt, t_max):
     return np.array(ts), {"rho": rho, "rho_prime": prime, "sigma": sigma}, termination, blow_up_time
 
 
-def _reference_warped(s0, dt, t_span):
+def _reference_warped(s0, dt, t_max):
     sign0 = math.copysign(1.0, s0.gamma)
     ctilde = s0.ctilde
 
@@ -131,7 +131,7 @@ def _reference_warped(s0, dt, t_span):
         return None
 
     ts, ys, termination, _ = _reference_integrate(
-        rhs, [s0.alpha, s0.gamma, s0.delta], *t_span, dt, stop
+        rhs, [s0.alpha, s0.gamma, s0.delta], 0.0, t_max, dt, stop
     )
     alpha, gamma, delta = np.array(ys).T
     B, C = s0.B, s0.C
@@ -226,7 +226,7 @@ def test_rho_kernel_matches_the_list_driver(alpha, beta, rho0, dt, t_max):
 def test_warped_kernel_matches_the_list_driver(alpha0, gamma0, delta0, b_scale, c_const, dt, t_max):
     # B carries gamma's sign, so both signs of B and gamma and of Ctilde = C/B occur
     s0 = WarpedState(alpha0, gamma0, delta0, B=math.copysign(b_scale, gamma0), C=c_const)
-    check_warped(s0, dt, (0.0, t_max))
+    check_warped(s0, dt, t_max)
 
 
 @pytest.mark.parametrize(
@@ -265,8 +265,8 @@ def test_blow_up_bisection_matches_the_list_driver():
 
 def test_singular_gamma_matches_the_list_driver():
     s0 = WarpedState(1.0, 0.05, -3.0, C=0.0)
-    assert integrate_warped(s0, 1e-3, (0.0, 10.0)).termination == SINGULAR_GAMMA
-    check_warped(s0, 1e-3, (0.0, 10.0))
+    assert integrate_warped(s0, 1e-3, 10.0).termination == SINGULAR_GAMMA
+    check_warped(s0, 1e-3, 10.0)
 
 
 def test_overflow_inside_a_rho_step_is_a_blow_up():
@@ -282,7 +282,7 @@ def test_overflow_inside_a_rho_step_is_a_blow_up():
 def test_division_by_zero_inside_a_warped_step_is_a_blow_up():
     # the second stage has alpha = 1 + 0.5 * 1.0 * -2 = 0
     s0 = WarpedState(1.0, -2.0, 0.0, B=-1.0)
-    traj = integrate_warped(s0, 1.0, (0.0, 3.0))
+    traj = integrate_warped(s0, 1.0, 3.0)
     assert traj.termination == BLOW_UP and len(traj) == 1
-    check_warped(s0, 1.0, (0.0, 3.0))
+    check_warped(s0, 1.0, 3.0)
 

@@ -4,16 +4,18 @@
 
 Runs every seed-1 request of the three benchmark workloads (taken from
 ``perfbench/workloads.py`` next to this directory, which is only
-imported) and the canned examples (``examples list``, then each name
-bare, with ``--out`` as CSV and with ``--out`` as JSON) against the
+imported), the canned examples (``examples list``, then each name
+bare, with ``--out`` as CSV and with ``--out`` as JSON) and a fixed list
+of command lines that hit a validation or numerical failure
+(``FAILURES``: exit 1 or 2, or residual cells left empty) against the
 ``src/`` of each tree.  Each tree runs in its own subprocess, which
 calls ``biconf.cli.main(argv)`` in-process for one request after
 another inside a fresh working directory, so an ``--out`` path reads the
 same in both.  The exit code, stdout, stderr and ``--out`` bytes of each
 run are compared through their SHA-256 digests.  Every argv that differs
 is listed with what differs, and the exit status is 1 on any difference,
-else 0.  ``--limit N`` keeps the first N requests of each workload and
-the first N example runs.
+else 0.  ``--limit N`` keeps the first N requests of each workload, the
+first N example runs and the first N failure lines.
 """
 
 from __future__ import annotations
@@ -32,6 +34,29 @@ import workloads  # noqa: E402
 
 SEED = 1
 FIELDS = ("code", "stdout", "stderr", "out")
+
+# a config file with a line that is not ``key = value``, written into the
+# working directory of each tree
+BAD_CONFIG = ("bad.cfg", "tol 1e-6\n")
+
+# command lines that fail validation (exit 1) or numerically (exit 2), or
+# leave every residual cell empty (sigma < 0 along the whole trajectory)
+FAILURES = [
+    line.split()
+    for line in (
+        "verify --sigma x1 --rho 1 --grid x1=-0.2:0.2:3 --out out.csv",
+        "verify --sigma 1 --rho x3 --grid x3=-0.2:0.2:3",
+        "residual --sigma x1 --rho 1 --A 0 --grid x1=-0.2:0.2:3 --out out.csv",
+        "solve-family --alpha -1 --beta 1 --b -1 --t-max 1 --fd-every 100 --out out.csv",
+        "solve-family --ricci-flat --t-min 0 --t-max 1",
+        "solve-family --ricci-flat --t-min -1 --t-max 1",
+        "solve-family --alpha -1 --beta 1 --rho0 1",
+        "solve-family --alpha 0 --beta 1",
+        "solve-warped --alpha0 1 --gamma0 1 --delta0 0 --B 0",
+        f"examples --config {BAD_CONFIG[0]}",
+        "verify --sigma 1 --rho 1 --grid x1",
+    )
+]
 
 # Runs in the subprocess of one tree: argv[1] is the tree, argv[2] a JSON
 # list of argvs; prints one JSON record of digests per argv.
@@ -67,7 +92,8 @@ for argv in argvs:
 
 def requests(limit: int | None) -> list[list[str]]:
     """The argvs to compare: each workload's seed-1 requests, with the
-    ``--out`` file the benchmark driver adds, then the example runs."""
+    ``--out`` file the benchmark driver adds, then the example runs and
+    the failure lines."""
     argvs = []
     for workload in workloads.WORKLOADS:
         for req in workloads.generate(workload, SEED)[:limit]:
@@ -79,7 +105,7 @@ def requests(limit: int | None) -> list[list[str]]:
             ["examples", name, "--out", "out.csv"],
             ["examples", name, "--out", "out.json", "--format", "json"],
         ]
-    return argvs + examples[:limit]
+    return argvs + examples[:limit] + FAILURES[:limit]
 
 
 def start(tree: Path, argv_file: str, workdir: str) -> subprocess.Popen:
@@ -104,6 +130,8 @@ def main(argv=None) -> int:
         dirs = [os.path.join(tmp, side) for side in ("old", "new")]
         for d in dirs:
             os.mkdir(d)
+            with open(os.path.join(d, BAD_CONFIG[0]), "w", encoding="utf-8") as fh:
+                fh.write(BAD_CONFIG[1])
         procs = [start(tree, argv_file, d) for tree, d in zip((args.old, args.new), dirs)]
         outputs = [proc.communicate()[0].splitlines() for proc in procs]
     if any(proc.returncode != 0 for proc in procs):
