@@ -727,10 +727,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("solve-family", help="integrate a single-parameter family")
     p.add_argument("--alpha", type=finite)
     p.add_argument("--beta", type=finite)
-    p.add_argument("--b", type=finite, default=1.0)
+    p.add_argument("--b", type=positive, default=1.0)
     p.add_argument("--rho0", type=finite, default=0.0, help="initial rho (default 0)")
     _add_steps(p)
-    p.add_argument("--t-min", type=finite, default=0.5, help="start of the ricci-flat sample range")
+    p.add_argument(
+        "--t-min", type=positive, default=0.5, help="start of the ricci-flat sample range"
+    )
     p.add_argument(
         "--h",
         type=positive,

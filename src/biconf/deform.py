@@ -139,8 +139,9 @@ def _block(scale, k, ug, uh, vg, vh, own, other):
 def metric_of(d: DeformationPair) -> MetricField:
     """The deformed metric diag(1/sigma^2, 1/sigma^2, 1/rho^2, 1/rho^2)
     as a MetricField whose value and analytic partial derivatives come
-    from one jet of each field, evaluated a batch of points at a time;
-    sigma and rho must be positive there, as in ``log_data``."""
+    from one first-order jet of each field (g and dg need no second
+    partials), evaluated a batch of points at a time; sigma and rho must
+    be positive there, as in ``log_data``."""
 
     def _diag(a, b):
         g = np.zeros(np.shape(a) + (4, 4))
@@ -149,9 +150,9 @@ def metric_of(d: DeformationPair) -> MetricField:
         return g
 
     def partials(p):
-        sjet = d.sigma.jet(p)
+        sjet = d.sigma.jet(p, order=1)
         require_positive(sjet.val, p)
-        rjet = d.rho.jet(p)
+        rjet = d.rho.jet(p, order=1)
         require_positive(rjet.val, p)
         g = _diag(1.0 / np.square(sjet.val), 1.0 / np.square(rjet.val))
         ds = -2.0 * sjet.g / np.power(sjet.val, 3)[..., None]  # d_c (sigma^-2)

@@ -13,8 +13,11 @@ tighter than unary minus (so ``-x1^2`` is ``-(x1^2)``).  Variables are
 ``x1 .. x4``; ``t`` is accepted as a synonym for ``x1``.  The function
 set is ``exp``, ``ln``, ``sqrt``, ``sin``, ``cos``, ``atan``.
 
-Evaluation is done on second-order jets (value, gradient, Hessian), so
-every parsed expression carries exact first and second partials.  The
+Evaluation is done on jets, so every parsed expression carries exact
+partials: second-order jets (value, gradient, Hessian) by default, or
+first-order jets (value, gradient; no Hessian) for callers that need no
+second partials.  A first-order walk does the same value and gradient
+arithmetic as a second-order one and skips every Hessian term.  The
 ``^`` operator accepts any base when the exponent is an integer literal;
 otherwise the base must be strictly positive (it is rewritten as
 ``exp(y*ln x)``).
@@ -321,12 +324,14 @@ def first_where(x, mask):
 
 
 # ---------------------------------------------------------------------------
-# Second-order jets over a batch of points
+# First- and second-order jets over a batch of points
 #
 # A batch is an array of points whose last axis holds the 4 coordinates: a
 # single point has batch shape (), an (N, 4) array batch shape (N,).  Every
 # operation acts on the batch axes elementwise, so row k of a batched result
 # is computed by exactly the operations that compute it for point k alone.
+# A first-order jet has ``h = None``, and every operation on it skips the
+# Hessian terms; the value and gradient terms are the same in both orders.
 
 _ZERO_G = np.zeros(4)
 _ZERO_H = np.zeros((4, 4))
@@ -347,26 +352,34 @@ class Jet:
     """Value, gradient and Hessian of a scalar on R^4 at each point of a
     batch: ``val`` has the batch shape ((N,) for N points, () for one
     point), ``g`` that shape + (4,) and ``h`` that shape + (4, 4),
-    symmetric."""
+    symmetric, or None for a first-order jet.  Both operands of an
+    operation have the same order."""
 
     val: np.ndarray
     g: np.ndarray
-    h: np.ndarray
+    h: np.ndarray | None
 
     def __add__(self, other: "Jet") -> "Jet":
-        return Jet(self.val + other.val, self.g + other.g, self.h + other.h)
+        return Jet(
+            self.val + other.val, self.g + other.g, None if self.h is None else self.h + other.h
+        )
 
     def __sub__(self, other: "Jet") -> "Jet":
-        return Jet(self.val - other.val, self.g - other.g, self.h - other.h)
+        return Jet(
+            self.val - other.val, self.g - other.g, None if self.h is None else self.h - other.h
+        )
 
     def __neg__(self) -> "Jet":
-        return Jet(-self.val, -self.g, -self.h)
+        return Jet(-self.val, -self.g, None if self.h is None else -self.h)
 
     def __mul__(self, other: "Jet") -> "Jet":
         a, b = self.val, other.val
+        val, g = a * b, a[..., None] * other.g + b[..., None] * self.g
+        if self.h is None:
+            return Jet(val, g, None)
         return Jet(
-            a * b,
-            a[..., None] * other.g + b[..., None] * self.g,
+            val,
+            g,
             a[..., None, None] * other.h
             + b[..., None, None] * self.h
             + _symmetrized(_outer(self.g, other.g)),
@@ -378,18 +391,24 @@ class Jet:
         inv = 1.0 / other.val
         q = self.val * inv
         qg = (self.g - q[..., None] * other.g) * inv[..., None]
+        if self.h is None:
+            return Jet(q, qg, None)
         qh = (
             self.h - q[..., None, None] * other.h - _symmetrized(_outer(qg, other.g))
         ) * inv[..., None, None]
         return Jet(q, qg, qh)
 
 
-def _constant(value: float) -> Jet:
-    return Jet(np.float64(value), _ZERO_G, _ZERO_H)
+def _constant(value: float, order: int) -> Jet:
+    return Jet(np.float64(value), _ZERO_G, _ZERO_H if order == 2 else None)
 
 
 def _chain(u: Jet, f0, f1, f2) -> Jet:
-    """Jet of f(u) given f, f', f'' at u.val."""
+    """Jet of f(u) given f and f' at u.val and a function returning f''
+    there, which only a second-order ``u`` calls."""
+    if u.h is None:
+        return Jet(f0, f1[..., None] * u.g, None)
+    f2 = f2()
     return Jet(
         f0,
         f1[..., None] * u.g,
@@ -401,23 +420,23 @@ def _jet_call(fn: str, u: Jet) -> Jet:
     v = u.val
     if fn == "exp":
         e = np.exp(v)
-        return _chain(u, e, e, e)
+        return _chain(u, e, e, lambda: e)
     if fn == "ln":
         if np.any(v <= 0.0):
             raise DomainError(f"ln of non-positive value {first_where(v, v <= 0.0)}")
-        return _chain(u, np.log(v), 1.0 / v, -1.0 / (v * v))
+        return _chain(u, np.log(v), 1.0 / v, lambda: -1.0 / (v * v))
     if fn == "sqrt":
         if np.any(v <= 0.0):
             raise DomainError(f"sqrt derivative undefined at {first_where(v, v <= 0.0)}")
         r = np.sqrt(v)
-        return _chain(u, r, 0.5 / r, -0.25 / (v * r))
+        return _chain(u, r, 0.5 / r, lambda: -0.25 / (v * r))
     if fn == "sin":
-        return _chain(u, np.sin(v), np.cos(v), -np.sin(v))
+        return _chain(u, np.sin(v), np.cos(v), lambda: -np.sin(v))
     if fn == "cos":
-        return _chain(u, np.cos(v), -np.sin(v), -np.cos(v))
+        return _chain(u, np.cos(v), -np.sin(v), lambda: -np.cos(v))
     if fn == "atan":
         d = 1.0 + v * v
-        return _chain(u, np.arctan(v), 1.0 / d, -2.0 * v / (d * d))
+        return _chain(u, np.arctan(v), 1.0 / d, lambda: -2.0 * v / (d * d))
     raise ValueError(f"unknown function {fn!r}")
 
 
@@ -432,7 +451,7 @@ def _int_exponent(node: Expr):
     return None
 
 
-def _jet_pow(base: Jet, exponent: Expr, x) -> Jet:
+def _jet_pow(base: Jet, exponent: Expr, x, order: int) -> Jet:
     """base^exponent: any base for an integer literal exponent (powers by
     ``np.power``, since a numpy scalar's ``**`` rounds differently from
     the array loop), else a positive base, as exp(exponent * ln base)."""
@@ -443,30 +462,33 @@ def _jet_pow(base: Jet, exponent: Expr, x) -> Jet:
             raise DomainError(
                 f"non-integer power requires a positive base, got base {first_where(v, v <= 0.0)}"
             )
-        return _jet_call("exp", _jet(exponent, x) * _jet_call("ln", base))
+        return _jet_call("exp", _jet(exponent, x, order) * _jet_call("ln", base))
     if n == 0:
-        return _constant(1.0)
+        return _constant(1.0, order)
     if n < 0 and np.any(v == 0.0):
         raise DomainError(f"zero raised to negative power {n}")
-    f0 = np.power(v, n)
-    f2 = n * (n - 1) * np.power(v, n - 2) if n * (n - 1) != 0 else np.zeros_like(v)
-    return _chain(base, f0, n * np.power(v, n - 1), f2)
+    return _chain(
+        base,
+        np.power(v, n),
+        n * np.power(v, n - 1),
+        lambda: n * (n - 1) * np.power(v, n - 2) if n * (n - 1) != 0 else np.zeros_like(v),
+    )
 
 
-def _jet(node: Expr, x) -> Jet:
+def _jet(node: Expr, x, order: int) -> Jet:
     if isinstance(node, Num):
-        return _constant(node.value)
+        return _constant(node.value, order)
     if isinstance(node, Var):
-        return Jet(x[..., node.index - 1], _UNIT[node.index - 1], _ZERO_H)
+        return Jet(x[..., node.index - 1], _UNIT[node.index - 1], _ZERO_H if order == 2 else None)
     if isinstance(node, Neg):
-        return -_jet(node.arg, x)
+        return -_jet(node.arg, x, order)
     if isinstance(node, Call):
-        return _jet_call(node.fn, _jet(node.arg, x))
+        return _jet_call(node.fn, _jet(node.arg, x, order))
     if isinstance(node, Bin):
         if node.op == "^":
-            return _jet_pow(_jet(node.lhs, x), node.rhs, x)
-        a = _jet(node.lhs, x)
-        b = _jet(node.rhs, x)
+            return _jet_pow(_jet(node.lhs, x, order), node.rhs, x, order)
+        a = _jet(node.lhs, x, order)
+        b = _jet(node.rhs, x, order)
         if node.op == "+":
             return a + b
         if node.op == "-":
@@ -480,16 +502,22 @@ def _jet(node: Expr, x) -> Jet:
 
 def filled(a, shape: tuple):
     """A new array of ``shape`` holding ``a`` broadcast (a numpy scalar
-    when the shape is ())."""
+    when the shape is ()); None for None, the Hessian of a first-order
+    jet."""
+    if a is None:
+        return None
     return np.array(np.broadcast_to(a, shape))[()]
 
 
 @raise_float_errors
-def eval_jet(node: Expr, points) -> Jet:
+def eval_jet(node: Expr, points, order: int = 2) -> Jet:
     """Jet of ``node`` at a point (4 coordinates) or at each row of an
-    (N, 4) array, from one walk of the AST."""
+    (N, 4) array, from one walk of the AST: with the Hessian for
+    ``order`` 2, without it (``h`` None) for ``order`` 1."""
+    if order not in (1, 2):
+        raise ValueError(f"jet order must be 1 or 2, got {order!r}")
     x = np.asarray(points, dtype=float)
-    jet = _jet(node, x)
+    jet = _jet(node, x, order)
     batch = x.shape[:-1]
     return Jet(
         filled(jet.val, batch), filled(jet.g, batch + (4,)), filled(jet.h, batch + (4, 4))

@@ -87,7 +87,9 @@ LARGE_T_FRACTION = 0.1  # ... and large-t limits over this last fraction of t
 
 @dataclass(frozen=True)
 class FamilyParams:
-    """Parameters (alpha, beta, b) of the single-parameter family.
+    """Parameters (alpha, beta, b) of the single-parameter family; alpha
+    is nonzero and b > 0, since sigma = b rho |rho'|^(-1/2) must be
+    positive (a b < 0 gives the metric of |b| with a negative sigma).
 
     Derived constants: ``c`` = 3 alpha / 2 (exponent coefficient in the
     sigma reconstruction) and ``e`` = -alpha beta^3 (the slope of rho at
@@ -102,8 +104,8 @@ class FamilyParams:
     def __post_init__(self):
         if self.alpha == 0.0:
             raise ValueError("alpha must be nonzero")
-        if self.b == 0.0:
-            raise ValueError("b must be nonzero")
+        if not self.b > 0.0:
+            raise ValueError("b must be positive")
 
     @property
     def c(self) -> float:

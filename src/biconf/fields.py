@@ -6,8 +6,9 @@ Two backings are provided:
 * ``ProfileField``    -- function of t = x1 alone with one caller-supplied
   profile closure (used for ODE-generated profiles).
 
-A backing supplies one evaluator, the jet (value, gradient, Hessian) of
-a batch of points; a field's value is the value of its jet.
+A backing supplies one evaluator, the jet of a batch of points: value,
+gradient and Hessian, or value and gradient alone for a first-order jet
+(``jet(p, order=1)``); a field's value is the value of its jet.
 
 Fields are immutable after construction and safe to evaluate from any
 thread.  Positive means finite and > 0 (``require_positive``).  It is not
@@ -90,11 +91,11 @@ def _evaluation(method):
     callers handle."""
 
     @functools.wraps(method)
-    def evaluate(self, p):
+    def evaluate(self, p, *args, **kwargs):
         p = as_point(p)
         try:
             with np.errstate(**FLOAT_ERRORS):
-                return method(self, p)
+                return method(self, p, *args, **kwargs)
         except ArithmeticError as exc:
             where = _point_where(p, True) if p.size == 4 else f"one of {p.size // 4} points"
             raise DomainError(
@@ -112,16 +113,19 @@ class ScalarField:
     of points; results carry the batch axis (N,) in front, and none for
     one point."""
 
-    # subclasses implement this on a validated batch of points
-    def _raw_jet(self, p: np.ndarray) -> Jet:
+    # subclasses implement this on a validated batch of points, for
+    # order 2 (with the Hessian) or 1 (``h`` None)
+    def _raw_jet(self, p: np.ndarray, order: int) -> Jet:
         raise NotImplementedError
 
     def __call__(self, p):
         return self.jet(p).val
 
     @_evaluation
-    def jet(self, p) -> Jet:
-        return self._raw_jet(p)
+    def jet(self, p, order: int = 2) -> Jet:
+        """The jet of order 2 (value, gradient, Hessian) or 1 (value and
+        gradient, ``h`` None) at p."""
+        return self._raw_jet(p, order)
 
     @_evaluation
     def log_jet(self, p):
@@ -140,8 +144,8 @@ class ExpressionField(ScalarField):
     def __init__(self, source: str | Expr):
         self.ast = parse_expr(source) if isinstance(source, str) else source
 
-    def _raw_jet(self, p: np.ndarray) -> Jet:
-        return eval_jet(self.ast, p)
+    def _raw_jet(self, p: np.ndarray, order: int) -> Jet:
+        return eval_jet(self.ast, p, order)
 
     def __repr__(self):
         from .expr import pretty
@@ -168,9 +172,9 @@ class ProfileField(ScalarField):
         t = p[..., 0]
         return [filled(c, t.shape) for c in self.profile(t)]
 
-    def _raw_jet(self, p: np.ndarray) -> Jet:
+    def _raw_jet(self, p: np.ndarray, order: int) -> Jet:
         f, d1, d2, _, _ = self._at(p)
-        return Jet(f, *_t_only(d1, d2))
+        return Jet(f, *_t_only(d1, d2 if order == 2 else None))
 
     @_evaluation
     def log_jet(self, p):
@@ -178,10 +182,13 @@ class ProfileField(ScalarField):
         return (require_positive(f, p), *_t_only(l1, l2))
 
 
-def _t_only(d1, d2) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient and Hessian of a function of t = x1 alone."""
+def _t_only(d1, d2) -> tuple[np.ndarray, np.ndarray | None]:
+    """Gradient and Hessian of a function of t = x1 alone; no Hessian
+    (None) when d2 is None."""
     g = np.zeros(np.shape(d1) + (4,))
     g[..., 0] = d1
+    if d2 is None:
+        return g, None
     h = np.zeros(np.shape(d2) + (4, 4))
     h[..., 0, 0] = d2
     return g, h

@@ -1,9 +1,12 @@
 """tools/bench_pairs.py on made-up pairs: the change's wins, the gain rule
 (nine tenths of the pairs won and a median difference beyond the parent's
-IQR) and the regression bound of BENCHMARK.json."""
+IQR), the regression bound of BENCHMARK.json and the tail that is no
+tail."""
 
 import importlib.util
+import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -48,3 +51,44 @@ def test_lower_is_better_and_the_bound_is_relative(change, worse):
     result = bench_pairs.compare("req_p50_ms", pairs("req_p50_ms", parent, [change] * 10))
     assert result["worse_than_bound"] is worse
     assert result["gain"] is (change < 10.0)
+
+
+def tail_pairs(percentiles):
+    """Made-up pairs of req_tail_ms runs, each run with its tail percentile."""
+    runs = pairs("req_tail_ms", [20.0] * len(percentiles), [19.0] * len(percentiles))
+    for pair, (parent, change) in zip(runs, percentiles):
+        for side, pct in zip(bench_pairs.SIDES, (parent, change)):
+            pair[side]["tail_percentile"] = pct
+    return runs
+
+
+@pytest.mark.parametrize(
+    "percentiles, not_a_tail",
+    [
+        ([(99.0, 99.0)] * 10, False),
+        ([(99.0, 99.0)] * 9 + [(99.0, 16.7)], True),  # 12 requests: the 2nd fastest
+        ([(50.0, 50.0)] * 10, False),
+        ([(49.9, 99.0)] * 10, True),
+    ],
+)
+def test_a_tail_below_the_median_is_marked(percentiles, not_a_tail):
+    result = bench_pairs.compare("req_tail_ms", tail_pairs(percentiles))
+    assert result["not_a_tail"] is not_a_tail
+    assert "not_a_tail" not in bench_pairs.compare("req_p50_ms", pairs("req_p50_ms", PARENT, PARENT))
+
+
+@pytest.mark.parametrize(
+    "details, kept",
+    [
+        ({"tail_percentile": 16.7, "samples": 12, "rounds": 2}, {"tail_percentile": 16.7, "samples": 12}),
+        ({"batch": 27, "passes": 3}, {}),  # a traced run
+    ],
+)
+def test_each_timed_run_keeps_its_tail_percentile_and_samples(details, kept, monkeypatch):
+    result = {"correct": True, "failed": 0, "metrics": {}}
+    stdout = "stamp\n" + json.dumps(details) + "\n" + json.dumps(result) + "\n"
+    monkeypatch.setattr(bench_pairs.subprocess, "run",
+                        lambda *args, **kwargs: SimpleNamespace(stdout=stdout))
+    got_details, got = bench_pairs.run(ROOT, "residual-scan", 1, 1.0, 0)
+    assert got_details == details
+    assert got == {**result, **kept}

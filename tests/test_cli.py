@@ -14,6 +14,7 @@ from collections import Counter
 from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -396,7 +397,12 @@ WARPED = "solve-warped --alpha0 1 --gamma0 1 --delta0 0"
         (f"{WARPED} --B 0", 1, "error: invalid initial state: B must be nonzero"),
         ("solve-family --alpha -1 --beta 1 --rho0 1", 1, "error: initial state is an equilibrium"),
         ("solve-family --alpha 0 --beta 1", 1, "error: alpha must be nonzero"),
-        ("solve-family --ricci-flat --t-min -1 --t-max 1", 2, "numerical failure: "),
+        ("solve-family --ricci-flat --t-min -1 --t-max 1", 1,
+         "error: argument --t-min: invalid positive value: '-1'"),
+        ("solve-family --ricci-flat --t-min 0 --t-max 1", 1,
+         "error: argument --t-min: invalid positive value: '0'"),
+        ("solve-family --alpha -1 --beta 1 --b -1 --t-max 1 --fd-every 100", 1,
+         "error: argument --b: invalid positive value: '-1'"),
     ],
 )
 def test_exit_code_of_a_command_line(line, code, err, capsys):
@@ -518,16 +524,17 @@ def test_solve_family_leaves_only_the_rho_zero_residual_empty(tmp_path, capsys):
 
 
 def test_verify_walks_each_field_a_fixed_number_of_times(monkeypatch, capsys):
-    """One jet walk of each AST for the closed form and one for the
-    oracle's whole stencil, which takes the metric and its partials from
-    the same jets, and no value walk: the same on 1 point as on 81."""
+    """One second-order jet walk of each AST for the closed form, at the N
+    grid points, and one first-order walk for the oracle's whole stencil
+    of 9 N points, which takes the metric and its partials from the same
+    jets; no value walk.  The same on 1 point as on 81."""
     walks = Counter()
     for name in ("eval_jet", "eval_value"):
         original = getattr(biconf.expr, name)
 
-        def counting(node, points, original=original, name=name):
-            walks[name, node] += 1
-            return original(node, points)
+        def counting(node, points, *order, original=original, name=name):
+            walks[(name, node, *order, np.size(points) // 4)] += 1
+            return original(node, points, *order)
 
         for module in (biconf.expr, biconf.fields, biconf.deform, biconf.oracle, biconf.cli):
             for attr, value in list(vars(module).items()):
@@ -537,12 +544,14 @@ def test_verify_walks_each_field_a_fixed_number_of_times(monkeypatch, capsys):
     def count(grid):
         walks.clear()
         assert main(["verify", "--sigma", S2_SIGMA, "--rho", S2_RHO, "--grid", grid]) == 0
-        return Counter({(name, biconf.pretty(node)): n for (name, node), n in walks.items()})
+        return Counter({(key[0], biconf.pretty(key[1]), *key[2:]): n for key, n in walks.items()})
 
-    one = count("x1=0.1:0.1:1")
-    many = count("x1=-0.3:0.3:3,x2=-0.3:0.3:3,x3=-0.3:0.3:3,x4=-0.3:0.3:3")
     fields = [biconf.pretty(biconf.parse_expr(text)) for text in (S2_SIGMA, S2_RHO)]
-    assert one == many == {("eval_jet", f): 2 for f in fields}
+    for grid, n in (("x1=0.1:0.1:1", 1),
+                    ("x1=-0.3:0.3:3,x2=-0.3:0.3:3,x3=-0.3:0.3:3,x4=-0.3:0.3:3", 81)):
+        expected = {("eval_jet", f, order, points): 1
+                    for f in fields for order, points in ((2, n), (1, 9 * n))}
+        assert count(grid) == expected
 
 
 @pytest.mark.parametrize(
@@ -644,11 +653,17 @@ VALUE_CASES = [
 SWITCH_CASES = [("solve-family", "--expect-complete"), ("solve-family", "--ricci-flat")]
 FINITE_CASES = [
     ("residual", "--A"),
-    *[("solve-family", flag) for flag in ("--alpha", "--beta", "--b", "--rho0", "--t-min")],
+    *[("solve-family", flag) for flag in ("--alpha", "--beta", "--rho0")],
     *[
         ("solve-warped", flag)
         for flag in ("--alpha0", "--gamma0", "--delta0", "--B", "--C", "--Ctilde")
     ],
+]
+POSITIVE_CASES = [
+    *[(command, "--tol") for command in ("verify", "residual", "examples")],
+    ("verify", "--h"),
+    *[("solve-family", flag) for flag in ("--b", "--dt", "--t-max", "--t-min", "--h", "--a")],
+    *[("solve-warped", flag) for flag in ("--dt", "--t-max")],
 ]
 
 
@@ -699,6 +714,25 @@ def test_finite_flags_reject_non_finite_numbers(command, flag, bad, tmp_path, ca
     cfg.write_text(f"{_key(flag)} = {bad}\n")
     assert main([command, "--config", str(cfg)]) == 1
     assert f"config value for '{_key(flag)}' is invalid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["0", "-1", "nan", "-inf"])
+@pytest.mark.parametrize("command,flag", POSITIVE_CASES)
+def test_positive_flags_reject_numbers_that_are_not(command, flag, bad, tmp_path, capsys):
+    assert main([command, f"{flag}={bad}"]) == 1
+    assert f"argument {flag}: invalid positive value: '{bad}'" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{_key(flag)} = {bad}\n")
+    assert main([command, "--config", str(cfg)]) == 1
+    assert f"config value for '{_key(flag)}' is invalid" in capsys.readouterr().err
+
+
+def test_number_flag_cases_follow_the_parser():
+    """FINITE_CASES and POSITIVE_CASES name every float flag, by its type."""
+    for cases, kind in ((FINITE_CASES, finite), (POSITIVE_CASES, positive)):
+        assert sorted(cases) == sorted(
+            (command, flag) for command, flag, action in FLOAT_FLAGS if action.type is kind
+        )
 
 
 @pytest.mark.parametrize("command,flag", SWITCH_CASES)

@@ -221,9 +221,9 @@ class CountingField(ExpressionField):
         self.values += 1
         return super().__call__(p)
 
-    def _raw_jet(self, p):
+    def _raw_jet(self, p, order):
         self.jets += 1
-        return super()._raw_jet(p)
+        return super()._raw_jet(p, order)
 
 
 def test_closed_forms_evaluate_each_field_once_per_point():

@@ -198,6 +198,42 @@ def test_pretty_round_trips_random_trees(expr):
     assert parse_expr(pretty(expr)) == expr
 
 
+# coordinates that reach the domain errors and the float range of the jets
+COORDINATES = st.sampled_from([-3.0, -0.5, 0.0, 0.25, 1.0, 2.0, 1e-160, 1e160])
+POINTS = st.lists(st.tuples(*[COORDINATES] * 4), min_size=1, max_size=4)
+
+
+def _walk(expr, points, order):
+    try:
+        return eval_jet(expr, points, order)
+    except (DomainError, ArithmeticError) as exc:
+        return exc
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(EXPRESSIONS, POINTS, st.booleans())
+def test_first_order_jets_are_second_order_jets_without_the_hessian(expr, points, single):
+    """On the random trees above, at one point or a batch: the first-order
+    walk's value and gradient are the second-order walk's, bit for bit,
+    and it has no Hessian; where it raises, the second-order walk raises
+    too (the Hessian terms alone may overflow)."""
+    points = np.array(points[0] if single else points)
+    first, second = _walk(expr, points, 1), _walk(expr, points, 2)
+    if isinstance(first, Exception):
+        assert isinstance(second, Exception)
+        return
+    assert first.h is None
+    if not isinstance(second, Exception):
+        assert first.val.tobytes() == second.val.tobytes()
+        assert first.g.tobytes() == second.g.tobytes()
+        assert first.g.shape == second.g.shape == points.shape
+
+
+def test_jet_order_is_1_or_2():
+    with pytest.raises(ValueError, match="order"):
+        eval_jet(parse_expr("x1"), ORIGIN, 3)
+
+
 def test_jet_matches_finite_differences():
     """Exact first/second partials vs centered differences on smooth fields."""
     rng = np.random.default_rng(42)

@@ -54,8 +54,9 @@ def test_family_params_derived_constants():
     assert fp.e == -2.0 * (-0.5) ** 3
     with pytest.raises(ValueError):
         FamilyParams(alpha=0.0, beta=1.0)
-    with pytest.raises(ValueError):
-        FamilyParams(alpha=1.0, beta=1.0, b=0.0)
+    for b in (0.0, -1.0, math.nan):  # sigma = b rho |rho'|^(-1/2) must be positive
+        with pytest.raises(ValueError, match="b must be positive"):
+            FamilyParams(alpha=1.0, beta=1.0, b=b)
 
 
 def test_rho_rhs():
@@ -162,9 +163,9 @@ def test_warped_residuals_evaluate_beta_once_per_point():
     shapes = []
 
     class CountedField(ExpressionField):
-        def jet(self, p):
+        def jet(self, p, order=2):
             shapes.append(np.shape(p))
-            return super().jet(p)
+            return super().jet(p, order)
 
     sigma, alpha = ExpressionField("(1 + x1^2 + x2^2)/2"), ExpressionField("1")
     beta = CountedField("1 + 0.5*(x3^2 + x4^2)/4")

@@ -115,6 +115,8 @@ def test_profile_field():
     jet = prof.jet(p)
     assert jet.g[0] == 3.0 and np.count_nonzero(jet.g) == 1
     assert jet.h[0, 0] == 2.0 and np.count_nonzero(jet.h) == 1
+    first = prof.jet(p, order=1)
+    assert first.val == jet.val and np.array_equal(first.g, jet.g) and first.h is None
     with pytest.raises(DomainError):
         prof((0.0, 0, 0, 0))
 

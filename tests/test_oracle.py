@@ -276,7 +276,10 @@ def test_each_oracle_entry_point_reads_and_inverts_the_metric_once(monkeypatch):
     """One Levi-Civita pass per call: the Ricci entry points read the
     metric on the 9 N points of their stencil and take g at p from its
     centre, the Laplacian reads it at p, and each inverts it once; the
-    same on 1 point as on 81.  Counts are keyed by (name, points)."""
+    same on 1 point as on 81.  Counts are keyed by (name, points), and
+    the metric's jet walks by ("eval_jet", order, points): the metric
+    and its partials need first-order jets, the Laplacian's f a
+    second-order one."""
     calls = Counter()
 
     def counting(name, fn, batch_of):
@@ -292,24 +295,30 @@ def test_each_oracle_entry_point_reads_and_inverts_the_metric_once(monkeypatch):
     for name in ("value", "partials"):
         monkeypatch.setattr(MetricField, name, counting(name, getattr(MetricField, name), points))
     monkeypatch.setattr(oracle, "invert4", counting("invert4", invert4, lambda a: a[0].shape[:-2]))
-    eval_jet = counting("eval_jet", biconf.fields.eval_jet, points)
+    original = biconf.fields.eval_jet
+
+    def eval_jet(node, p, order):
+        calls["eval_jet", order, math.prod(np.shape(p)[:-1])] += 1
+        return original(node, p, order)
+
     monkeypatch.setattr(biconf.fields, "eval_jet", eval_jet)
 
     g = metric_of(sphere_pair())
     f = ExpressionField("x1*x3 + x2^2")
     grid = np.array(list(product((-0.3, 0.0, 0.3), repeat=4)))
     for p, n in ((np.array([0.1, -0.2, 0.05, 0.15]), 1), (grid, 81)):
-        ricci = {("partials", 9 * n): 1, ("invert4", 9 * n): 1, ("eval_jet", 9 * n): 2}
+        ricci = {("partials", 9 * n): 1, ("invert4", 9 * n): 1, ("eval_jet", 1, 9 * n): 2}
         expected = [
             (lambda: ricci_fd(g, p), ricci),
             (lambda: einstein_residual_fd(g, 1.0, p), ricci),
             (lambda: christoffel(g, p),
-             {("partials", n): 1, ("invert4", n): 1, ("eval_jet", n): 2}),
+             {("partials", n): 1, ("invert4", n): 1, ("eval_jet", 1, n): 2}),
             (lambda: laplace_beltrami_fd(g, f, p),
-             {("partials", n): 1, ("invert4", n): 1, ("eval_jet", n): 3}),
+             {("partials", n): 1, ("invert4", n): 1, ("eval_jet", 1, n): 2,
+              ("eval_jet", 2, n): 1}),
             (lambda: laplace_beltrami_fd(g.without_partials(), f, p),
              {("partials", n): 1, ("value", 9 * n): 1, ("invert4", n): 1,
-              ("eval_jet", 9 * n): 2, ("eval_jet", n): 1}),
+              ("eval_jet", 1, 9 * n): 2, ("eval_jet", 2, n): 1}),
         ]
         for evaluate, counts in expected:
             calls.clear()

@@ -8,11 +8,14 @@ N pairs per workload; pair i runs the parent first when i is even and the
 change first when i is odd.  Every run has the same workload, seed and
 ``--seconds``.  The output file holds, per workload and side, the median,
 quartiles and IQR of each end-to-end metric of ``BENCHMARK.json``, each
-run's ``correct``, ``attempted``, ``failed`` and metrics, and per metric
-the pairs the change won (ties count for neither side), whether it meets
-the gain rule (nine tenths of the pairs won and a median difference larger
-than the parent's IQR) and whether its median is worse than the parent's
-by more than the metric's bound.  Each side also runs one ``--trace 1``
+run's ``correct``, ``attempted``, ``failed``, metrics, ``tail_percentile``
+and ``samples``, and per metric the pairs the change won (ties count for
+neither side), whether it meets the gain rule (nine tenths of the pairs
+won and a median difference larger than the parent's IQR) and whether its
+median is worse than the parent's by more than the metric's bound.
+``req_tail_ms`` is marked ``not_a_tail`` when any run's tail percentile
+is below 50: a run with few requests reports a low-ranked request, not a
+tail, as its ``req_tail_ms``.  Each side also runs one ``--trace 1``
 pass of TRACE_SECONDS per workload, and the file lists the call, step, row
 and byte counts that differ.  Each side's commit, whether its ``src/``
 differs from that commit, its source digest and its Python and numpy
@@ -38,17 +41,21 @@ SIDES = ("parent", "change")
 COUNT_SUFFIXES = (".calls", ".steps", ".failed")
 COUNTS = ("cli.rows", "cli.bytes_out", "cli.cells_empty")
 TRACE_SECONDS = 1.0
+# the details of a run kept with its result
+RUN_DETAILS = ("tail_percentile", "samples")
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
-    """(environment details, result) of one ``perfbench/run.py`` run in ``tree``."""
+    """(environment details, result) of one ``perfbench/run.py`` run in
+    ``tree``; the result of a timed run also holds the details named in
+    RUN_DETAILS (a traced run has none of them)."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True, check=True,
     )
     details, result = map(json.loads, proc.stdout.splitlines()[-2:])
-    return details, result
+    return details, {**result, **{key: details[key] for key in RUN_DETAILS if key in details}}
 
 
 def src_modified(tree: Path) -> bool | None:
@@ -76,13 +83,16 @@ def compare(name: str, pairs: list[dict]) -> dict:
     wins = sum((c > p) if higher else (c < p) for p, c in zip(values["parent"], values["change"]))
     parent, change = stats["parent"]["median"], stats["change"]["median"]
     gain = change - parent if higher else parent - change
-    return {
+    entry = {
         "unit": spec["unit"], "better": spec["better"], "bound": spec["bound"], **stats,
         "change_wins": wins, "pairs": len(pairs),
         "median_ratio": change / parent if parent else None,
         "gain": wins >= 0.9 * len(pairs) and gain > stats["parent"]["iqr"],
         "worse_than_bound": -gain > spec["bound"] * abs(parent),
     }
+    if name == "req_tail_ms":
+        entry["not_a_tail"] = any(p[side]["tail_percentile"] < 50.0 for p in pairs for side in SIDES)
+    return entry
 
 
 def trace_counts(result: dict) -> dict:

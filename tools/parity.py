@@ -7,11 +7,10 @@ Runs every seed-1 request of the three benchmark workloads (taken from
 imported), the canned examples (``examples list``, then each name
 bare, with ``--out`` as CSV and with ``--out`` as JSON) and a fixed list
 of command lines that hit a validation or numerical failure
-(``FAILURES``: exit 1 or 2, or residual cells left empty) against the
-``src/`` of each tree.  Each tree runs in its own subprocess, which
-calls ``biconf.cli.main(argv)`` in-process for one request after
-another inside a fresh working directory, so an ``--out`` path reads the
-same in both.  The exit code, stdout, stderr and ``--out`` bytes of each
+(``FAILURES``: exit 1 or 2) against the ``src/`` of each tree.  Each
+tree runs in its own subprocess, which calls ``biconf.cli.main(argv)``
+in-process for one request after another inside a fresh working
+directory, so an ``--out`` path reads the same in both.  The exit code, stdout, stderr and ``--out`` bytes of each
 run are compared through their SHA-256 digests.  Every argv that differs
 is listed with what differs, and the exit status is 1 on any difference,
 else 0.  ``--limit N`` keeps the first N requests of each workload, the
@@ -39,8 +38,7 @@ FIELDS = ("code", "stdout", "stderr", "out")
 # working directory of each tree
 BAD_CONFIG = ("bad.cfg", "tol 1e-6\n")
 
-# command lines that fail validation (exit 1) or numerically (exit 2), or
-# leave every residual cell empty (sigma < 0 along the whole trajectory)
+# command lines that fail validation (exit 1) or numerically (exit 2)
 FAILURES = [
     line.split()
     for line in (
