@@ -37,7 +37,7 @@ import sys
 import numpy as np
 
 from .deform import DeformationPair, frame_to_coords, metric_of, ricci_frame
-from .expr import FLOAT_ERRORS, DomainError, ParseError
+from .expr import FLOAT_ERRORS, DomainError, ParseError, parse_expr
 from .families import (
     BLOW_UP,
     REACHED_T_MAX,
@@ -177,20 +177,39 @@ def _config_defaults(parser: argparse.ArgumentParser, command: str, path: str) -
     return defaults
 
 
+# flags whose value is an expression
+EXPRESSION_FLAGS = ("--sigma", "--rho")
+
+
+def _is_value(flag: str, token: str) -> bool:
+    """Whether ``token`` is the value of ``flag``: a float, or for an
+    expression flag an expression starting with ``-`` (only those are
+    parsed here; a flag such as ``--rho`` never parses)."""
+    try:
+        float(token)
+        return True
+    except ValueError:
+        pass
+    if flag in EXPRESSION_FLAGS and token.startswith("-"):
+        try:
+            parse_expr(token)
+            return True
+        except ParseError:
+            pass
+    return False
+
+
 def _join_numbers(argv: list[str]) -> list[str]:
-    """``argv`` with each ``--flag`` and a following token that parses as a
-    float joined into ``--flag=token``, which argparse reads alike.  Apart,
-    argparse takes a token for a value only if it looks like ``-1`` or
-    ``-.5``, so ``--A -1e-3`` would be an option."""
+    """``argv`` with each ``--flag`` and a following token that is its
+    value (``_is_value``) joined into ``--flag=token``, which argparse reads
+    alike.  Apart, argparse takes a token for a value only if it looks like
+    ``-1`` or ``-.5``, so ``--A -1e-3`` or ``--sigma -x1+2`` would be an
+    option."""
     joined = []
     for token in argv:
         flag = joined[-1] if joined else ""
         if flag.startswith("--") and "=" not in flag and "--" not in joined:
-            try:
-                float(token)
-            except ValueError:
-                pass
-            else:
+            if _is_value(flag, token):
                 joined[-1] += "=" + token
                 continue
         joined.append(token)
@@ -523,7 +542,7 @@ def cmd_solve_family(args: argparse.Namespace) -> int:
 
         def sample(t):
             p = _on_t_axis(t)
-            r = rho.jet(p)
+            r = rho.jet(p, 1)
             return np.column_stack([t, r.val, r.g[:, 0], sigma(p)])
 
         samples = [np.empty((0, 4))]

@@ -190,7 +190,7 @@ def deformed_laplacian(d: DeformationPair, f: ScalarField, p) -> float:
     where Lap0 is the flat Laplacian and LapV0 f = f_33 + f_44.
     """
     sv, rv, sg, _, rg, _ = d.log_data(p)
-    jet = f.jet(p)
+    jet = f.jet(p, 2)
     sg, rg, fg = (np.moveaxis(a, -1, 0) for a in (sg, rg, jet.g))  # component-major
     fh = np.moveaxis(jet.h, (-2, -1), (0, 1))
     lap0 = fh[0, 0] + fh[1, 1] + fh[2, 2] + fh[3, 3]

@@ -24,15 +24,28 @@ otherwise the base must be strictly positive (it is rewritten as
 
 ``eval_jet`` takes one point or an (N, 4) array of points and walks the
 AST once for the whole array (Taylor-mode automatic differentiation over
-a batch axis); ``eval_value`` is the value of that jet.  Float overflow,
-division by zero and invalid operations raise FloatingPointError instead
-of warning.
+a batch axis), at the order its caller states; ``eval_value`` is the
+value of a first-order jet.  Float overflow, division by zero and invalid
+operations raise FloatingPointError instead of warning.
+
+``fold`` gives a tree's evaluation form, which fields walk in place of
+the parsed tree: each maximal subtree that is a sum of monomials of
+degree <= 2 (numbers times at most two variable factors), times constant
+factors applied after the sum, becomes one ``Quadratic`` node
+s*(c0 + c.x + x^T Q x), whose jet costs a few array operations where the
+tree costs one chain of them per node.  No product or power of a sum is
+expanded, a subtree is folded only when it holds a variable and a term
+with ``*``, ``/`` or ``^``, and only when its coefficients are finite.
+Its jets agree with the tree's to a few units in the last place of the
+summed monomial magnitudes, not bit for bit, and raise where the tree's
+raise.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,8 +58,10 @@ __all__ = [
     "Neg",
     "Bin",
     "Call",
+    "Quadratic",
     "Jet",
     "parse_expr",
+    "fold",
     "pretty",
     "eval_value",
     "eval_jet",
@@ -465,6 +480,8 @@ def _jet_pow(base: Jet, exponent: Expr, x, order: int) -> Jet:
         return _jet_call("exp", _jet(exponent, x, order) * _jet_call("ln", base))
     if n == 0:
         return _constant(1.0, order)
+    if n == 1:  # the base itself: no f'' = 0 times g g^T, which may overflow
+        return base
     if n < 0 and np.any(v == 0.0):
         raise DomainError(f"zero raised to negative power {n}")
     return _chain(
@@ -476,6 +493,8 @@ def _jet_pow(base: Jet, exponent: Expr, x, order: int) -> Jet:
 
 
 def _jet(node: Expr, x, order: int) -> Jet:
+    if isinstance(node, Quadratic):
+        return _jet_quadratic(node, x, order)
     if isinstance(node, Num):
         return _constant(node.value, order)
     if isinstance(node, Var):
@@ -500,6 +519,205 @@ def _jet(node: Expr, x, order: int) -> Jet:
     raise TypeError(f"not an expression node: {node!r}")
 
 
+# ---------------------------------------------------------------------------
+# Evaluation form: monomial sums folded into coefficient nodes
+#
+# ``fold`` rewrites a tree once, bottom up.  A subtree's *form* is its
+# polynomial, kept only while it is a sum of monomials times constant
+# factors applied after the sum:
+#
+# * a monomial is a number or a variable, or built from monomials by
+#   unary minus, ``*`` (at most two variable factors in all), ``/`` by a
+#   nonzero constant monomial, and ``^`` 1 or 2 (``^`` 0 of a constant);
+# * a sum is built from monomials and sums by ``+``, ``-`` and unary
+#   minus, which negates every coefficient exactly;
+# * a constant factor (``k*s``, ``s*k``) or a constant divisor (``s/k``,
+#   applied as the tree applies it: times ``1/k``) scales a sum after it.
+#
+# No product or power of a sum is ever expanded, so ``(x1 - c)^2`` stays a
+# tree: expanded about the origin it would cancel catastrophically far
+# from it.  A form with a non-finite coefficient is no form, so overflow
+# in the coefficients stays where the tree raises it.  A maximal subtree
+# with a form is folded into one ``Quadratic`` node only where that saves
+# work: when it has a variable and a term built with ``*``, ``/`` or
+# ``^``.  So bare sums (``x1 + 1.27``), scaled bare sums (``2*(x1 + 1)``)
+# and constants stay trees.
+
+
+@dataclass
+class _Form:
+    """Coefficients of a monomial sum by monomial (a sorted tuple of 0-based
+    variable indices, at most two), the constant factors applied after it,
+    whether it was built with ``+``/``-`` (else it is one monomial) and
+    whether a term was built with ``*``, ``/`` or ``^``."""
+
+    terms: dict
+    scales: tuple = ()
+    summed: bool = False
+    ops: bool = False
+
+    @property
+    def monomial(self) -> bool:
+        return not self.summed and not self.scales
+
+    @property
+    def constant(self):
+        """The value of a constant monomial, else None."""
+        if self.monomial and () in self.terms:
+            return self.terms[()]
+        return None
+
+
+def _finite(form: _Form, *new) -> _Form | None:
+    """``form``, or None when one of its ``new`` coefficients or factors,
+    doubled (as the Hessian's diagonal holds a coefficient), is not
+    finite."""
+    return form if all(math.isfinite(2.0 * c) for c in new) else None
+
+
+def _combine(op: str, a: _Form | None, b: _Form | None, exponent: Expr):
+    """The form of ``a op b`` from the forms of its operands (``exponent``,
+    the right operand of ``^``), or None."""
+    if a is None:
+        return None
+    if op == "^":
+        n = _int_exponent(exponent)
+        if not a.monomial or n not in (0, 1, 2):
+            return None
+        ((key, coef),) = a.terms.items()
+        if n == 0:
+            return _Form({(): 1.0}, ops=True) if key == () else None
+        if n == 1:
+            return _Form(a.terms, ops=True)
+        if len(key) == 2:
+            return None
+        return _finite(_Form({key + key: coef * coef}, ops=True), coef * coef)
+    if b is None:
+        return None
+    if op in "+-":
+        if a.scales or b.scales:
+            return None
+        sign = 1.0 if op == "+" else -1.0
+        terms = dict(a.terms)
+        for key, coef in b.terms.items():
+            terms[key] = terms.get(key, 0.0) + sign * coef
+        return _finite(_Form(terms, (), True, a.ops or b.ops), *(terms[key] for key in b.terms))
+    if op == "*":
+        if a.monomial and b.monomial:
+            ((ka, ca),), ((kb, cb),) = a.terms.items(), b.terms.items()
+            if len(ka) + len(kb) > 2:
+                return None
+            return _finite(_Form({tuple(sorted(ka + kb)): ca * cb}, ops=True), ca * cb)
+        if a.constant is not None:
+            a, b = b, a
+        k = b.constant
+        return None if k is None else _Form(a.terms, a.scales + (k,), a.summed, a.ops)
+    if op == "/":
+        k = b.constant
+        if k is None or k == 0.0:
+            return None
+        inv = 1.0 / k
+        if a.monomial:
+            ((key, coef),) = a.terms.items()
+            return _finite(_Form({key: coef * inv}, ops=True), coef * inv)
+        return _finite(_Form(a.terms, a.scales + (inv,), a.summed, a.ops), inv)
+    return None
+
+
+@dataclass(frozen=True)
+class Quadratic(Expr):
+    """A folded monomial sum: ``s1 * s2 * ... * (c0 + c.x + x^T Q x)``, with
+    the factors ``scales`` applied after the sum in order.  ``terms``
+    holds its coefficients as sorted (monomial, coefficient) pairs, a
+    monomial being a sorted tuple of 0-based variable indices.  Its jet is
+    val, g = c + (Q + Q^T) x and the constant Hessian Q + Q^T, each times
+    the factors."""
+
+    terms: tuple
+    scales: tuple
+    const: float = field(init=False, compare=False, repr=False)
+    linear: np.ndarray = field(init=False, compare=False, repr=False)
+    hessian: np.ndarray | None = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        linear, hessian = np.zeros(4), np.zeros((4, 4))
+        for key, coef in self.terms:
+            if len(key) == 1:
+                linear[key] += coef
+            elif len(key) == 2:
+                hessian[key] += coef
+                hessian[key[::-1]] += coef
+        linear.flags.writeable = hessian.flags.writeable = False
+        quadratic = any(len(key) == 2 for key, _ in self.terms)
+        object.__setattr__(self, "const", dict(self.terms).get((), 0.0))
+        object.__setattr__(self, "linear", linear)
+        object.__setattr__(self, "hessian", hessian if quadratic else None)
+
+
+def _folded(form: _Form | None, node: Expr) -> Expr:
+    """``node``, or its Quadratic when it has a form whose fold saves work."""
+    if form is None or not form.ops or all(key == () for key in form.terms):
+        return node
+    return Quadratic(tuple(sorted(form.terms.items())), form.scales)
+
+
+def _fold(node: Expr) -> tuple[_Form | None, Expr]:
+    """(form of ``node`` or None, ``node`` with every maximal foldable
+    subtree below it folded).  A node with a form is returned as it is:
+    a term with ``*``, ``/`` or ``^`` and a variable below it gives it
+    both, so no subtree below it folds unless it does."""
+    if isinstance(node, Num):
+        return _finite(_Form({(): node.value}), node.value), node
+    if isinstance(node, Var):
+        return _Form({(node.index - 1,): 1.0}), node
+    if isinstance(node, Neg):
+        form, arg = _fold(node.arg)
+        if form is None:
+            return None, Neg(arg)
+        terms = {key: -coef for key, coef in form.terms.items()}
+        return _Form(terms, form.scales, form.summed, form.ops), node
+    if isinstance(node, Call):
+        form, arg = _fold(node.arg)
+        return None, Call(node.fn, _folded(form, arg))
+    if isinstance(node, Bin):
+        (a, lhs), (b, rhs) = _fold(node.lhs), _fold(node.rhs)
+        form = _combine(node.op, a, b, node.rhs)
+        if form is not None:
+            return form, node
+        return None, Bin(node.op, _folded(a, lhs), _folded(b, rhs))
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def fold(node: Expr) -> Expr:
+    """The evaluation form of ``node``: every maximal subtree that is a
+    monomial sum of degree <= 2 times constant factors, and whose fold
+    saves work, replaced by one ``Quadratic`` node.  Its jets agree with
+    the tree's to rounding; ``parse_expr`` and ``pretty`` never see it."""
+    return _folded(*_fold(node))
+
+
+def _sum4(a):
+    """Sum over the last axis (of length 4), elementwise in a fixed order."""
+    return a[..., 0] + a[..., 1] + a[..., 2] + a[..., 3]
+
+
+def _jet_quadratic(node: Quadratic, x, order: int) -> Jet:
+    """Jet of a folded monomial sum, by elementwise ufuncs only: float
+    errors raise, and each row of a batch is computed as it would be
+    alone."""
+    if node.hessian is None:
+        g = node.linear
+        val = node.const + _sum4(x * node.linear)
+    else:
+        sx = _sum4(x[..., None, :] * node.hessian)  # (Q + Q^T) x
+        g = node.linear + sx
+        val = node.const + _sum4(x * (node.linear + 0.5 * sx))
+    h = None if order == 1 else _ZERO_H if node.hessian is None else node.hessian
+    for s in node.scales:
+        val, g, h = val * s, g * s, None if h is None else h * s
+    return Jet(val, g, h)
+
+
 def filled(a, shape: tuple):
     """A new array of ``shape`` holding ``a`` broadcast (a numpy scalar
     when the shape is ()); None for None, the Hessian of a first-order
@@ -510,7 +728,7 @@ def filled(a, shape: tuple):
 
 
 @raise_float_errors
-def eval_jet(node: Expr, points, order: int = 2) -> Jet:
+def eval_jet(node: Expr, points, order: int) -> Jet:
     """Jet of ``node`` at a point (4 coordinates) or at each row of an
     (N, 4) array, from one walk of the AST: with the Hessian for
     ``order`` 2, without it (``h`` None) for ``order`` 1."""
@@ -526,5 +744,5 @@ def eval_jet(node: Expr, points, order: int = 2) -> Jet:
 
 def eval_value(node: Expr, points):
     """Value of ``node`` at a point or at each row of an (N, 4) array: the
-    value of its jet."""
-    return eval_jet(node, points).val
+    value of its first-order jet."""
+    return eval_jet(node, points, 1).val

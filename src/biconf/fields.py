@@ -2,13 +2,16 @@
 
 Two backings are provided:
 
-* ``ExpressionField`` -- parsed expression, exact derivatives via jets;
+* ``ExpressionField`` -- parsed expression, exact derivatives via jets of
+  its evaluation form (``expr.fold``: monomial sums as coefficient nodes);
 * ``ProfileField``    -- function of t = x1 alone with one caller-supplied
   profile closure (used for ODE-generated profiles).
 
 A backing supplies one evaluator, the jet of a batch of points: value,
-gradient and Hessian, or value and gradient alone for a first-order jet
-(``jet(p, order=1)``); a field's value is the value of its jet.
+gradient and Hessian (``jet(p, 2)``), or value and gradient alone
+(``jet(p, 1)``).  Every caller states the order, and one that reads no
+Hessian takes order 1; a field's value is the value of its first-order
+jet, which a second-order jet repeats bit for bit.
 
 Fields are immutable after construction and safe to evaluate from any
 thread.  Positive means finite and > 0 (``require_positive``).  It is not
@@ -33,6 +36,7 @@ from .expr import (
     eval_jet,
     filled,
     first_where,
+    fold,
     parse_expr,
 )
 
@@ -119,18 +123,18 @@ class ScalarField:
         raise NotImplementedError
 
     def __call__(self, p):
-        return self.jet(p).val
+        return self.jet(p, 1).val
 
     @_evaluation
-    def jet(self, p, order: int = 2) -> Jet:
+    def jet(self, p, order: int) -> Jet:
         """The jet of order 2 (value, gradient, Hessian) or 1 (value and
-        gradient, ``h`` None) at p."""
+        gradient, ``h`` None) at p; both have the same value."""
         return self._raw_jet(p, order)
 
     @_evaluation
     def log_jet(self, p):
         """(f, grad ln f, Hessian of ln f); requires f > 0."""
-        jet = self.jet(p)
+        jet = self.jet(p, 2)
         value = require_positive(jet.val, p)
         lg = jet.g / value[..., None]
         lh = jet.h / value[..., None, None] - lg[..., :, None] * lg[..., None, :]
@@ -138,14 +142,16 @@ class ScalarField:
 
 
 class ExpressionField(ScalarField):
-    """Field backed by a parsed expression; derivatives are exact.  A
-    batch of points costs one walk of the AST."""
+    """Field backed by a parsed expression; derivatives are exact.  ``ast``
+    is the parsed tree, for printing; ``form`` is its evaluation form
+    (``expr.fold``), and a batch of points costs one walk of it."""
 
     def __init__(self, source: str | Expr):
         self.ast = parse_expr(source) if isinstance(source, str) else source
+        self.form = fold(self.ast)
 
     def _raw_jet(self, p: np.ndarray, order: int) -> Jet:
-        return eval_jet(self.ast, p, order)
+        return eval_jet(self.form, p, order)
 
     def __repr__(self):
         from .expr import pretty

@@ -222,7 +222,7 @@ def ricci_fd(g: MetricField, p, h: float = DEFAULT_GAMMA_STEP) -> np.ndarray:
 def laplace_beltrami_fd(g: MetricField, f: ScalarField, p):
     """Laplace-Beltrami operator of f: g^{ab}(f_ab - Gamma^c_ab f_c)."""
     _, ginv, gamma = _levi_civita(g, p)
-    jet = f.jet(p)
+    jet = f.jet(p, 2)
     hess = jet.h - np.einsum("...cab,...c->...ab", gamma, jet.g)
     return np.einsum("...ab,...ab->...", ginv, hess)
 

@@ -212,7 +212,7 @@ def test_criterion_8_laplacian_law():
     for k in range(20):
         f = function_pool[k % len(function_pool)]
         p = random_point(rng, 0.4)
-        jet = f.jet(p)
+        jet = f.jet(p, 2)
         sv, sg, _ = sigma.log_jet(p)
         remark = sv**2 * (float(np.trace(jet.h)) - 2.0 * float(np.dot(jet.g, sg)))
         worst_conf = max(worst_conf, abs(deformed_laplacian(dconf, f, p) - remark))

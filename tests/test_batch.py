@@ -20,7 +20,7 @@ from biconf import (
     ricci_fd,
     ricci_frame,
 )
-from biconf.expr import eval_jet, eval_value, parse_expr
+from biconf.expr import eval_jet, eval_value, fold, parse_expr
 from test_expr import ROUND_TRIP_CORPUS
 
 SETTINGS = settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -81,8 +81,9 @@ def _assert_rows_match_single_points(evaluate, points):
 @given(text=CORPUS, points=_points(64))
 def test_expression_rows_are_single_point_evaluations(text, points):
     ast = parse_expr(text)
-    _assert_rows_match_single_points(lambda p: eval_jet(ast, p), points)
-    _assert_rows_match_single_points(lambda p: eval_value(ast, p), points)
+    for form in (ast, fold(ast)):
+        _assert_rows_match_single_points(lambda p: eval_jet(form, p, 2), points)
+        _assert_rows_match_single_points(lambda p: eval_value(form, p), points)
 
 
 def _pair(sigma_text, rho_text) -> DeformationPair:

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import biconf
 import biconf.fields
-from biconf import cli
+from biconf import cli, pretty
 from biconf.cli import (
     EXAMPLE_COMMANDS,
     EXAMPLE_NAMES,
@@ -32,6 +32,7 @@ from biconf.cli import (
     positive,
     resolve_args,
 )
+from test_expr import EXPRESSIONS
 
 S2_SIGMA = "(1 + x1^2 + x2^2)/2"
 S2_RHO = "(1 + x3^2 + x4^2)/2"
@@ -524,10 +525,11 @@ def test_solve_family_leaves_only_the_rho_zero_residual_empty(tmp_path, capsys):
 
 
 def test_verify_walks_each_field_a_fixed_number_of_times(monkeypatch, capsys):
-    """One second-order jet walk of each AST for the closed form, at the N
-    grid points, and one first-order walk for the oracle's whole stencil
-    of 9 N points, which takes the metric and its partials from the same
-    jets; no value walk.  The same on 1 point as on 81."""
+    """One second-order jet walk of each field's evaluation form for the
+    closed form, at the N grid points, and one first-order walk for the
+    oracle's whole stencil of 9 N points, which takes the metric and its
+    partials from the same jets; no value walk.  The same on 1 point as on
+    81."""
     walks = Counter()
     for name in ("eval_jet", "eval_value"):
         original = getattr(biconf.expr, name)
@@ -544,9 +546,9 @@ def test_verify_walks_each_field_a_fixed_number_of_times(monkeypatch, capsys):
     def count(grid):
         walks.clear()
         assert main(["verify", "--sigma", S2_SIGMA, "--rho", S2_RHO, "--grid", grid]) == 0
-        return Counter({(key[0], biconf.pretty(key[1]), *key[2:]): n for key, n in walks.items()})
+        return Counter(walks)
 
-    fields = [biconf.pretty(biconf.parse_expr(text)) for text in (S2_SIGMA, S2_RHO)]
+    fields = [biconf.expr.fold(biconf.parse_expr(text)) for text in (S2_SIGMA, S2_RHO)]
     for grid, n in (("x1=0.1:0.1:1", 1),
                     ("x1=-0.3:0.3:3,x2=-0.3:0.3:3,x3=-0.3:0.3:3,x4=-0.3:0.3:3", 81)):
         expected = {("eval_jet", f, order, points): 1
@@ -891,6 +893,79 @@ def test_examples_tol_reaches_only_commands_that_take_it(capsys):
 def test_negative_exponent_after_a_space_is_a_value(line, code, capsys):
     assert main(shlex.split(line)) == code
     assert capsys.readouterr().err == ""
+
+
+MINUS_EXPRESSIONS = ["-x1+2", "-exp(x1)+3", "-(x1-2)", "-1+x1^2+2"]
+
+
+@pytest.mark.parametrize("sigma", MINUS_EXPRESSIONS)
+def test_an_expression_starting_with_a_minus_is_a_value(sigma, capsys):
+    """argparse takes ``-x1+2`` for an option; the flag is joined with it,
+    so it reads as ``--sigma=-x1+2`` does.  None of these is an Einstein
+    metric with A = 0, so each exits 3."""
+    rest = ["--rho", "1", "--A", "0", "--grid", "x1=0:0.5:2"]
+    assert main(["residual", "--sigma", sigma, *rest]) == 3
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert main(["residual", f"--sigma={sigma}", *rest]) == 3
+    assert capsys.readouterr() == (out, "")
+
+
+def test_a_flag_is_never_taken_for_an_expression(capsys):
+    assert main(["verify", "--sigma", "--rho", "1"]) == 1
+    assert "argument --sigma: expected one argument" in _single_error_line(capsys)
+
+
+@pytest.fixture(scope="module")
+def pair_out(tmp_path_factory):
+    return tmp_path_factory.mktemp("pair")
+
+
+def _cells_are_finite_or_empty(text: str, fmt: str) -> bool:
+    if fmt == "json":
+        def walk(x):
+            if isinstance(x, dict):
+                return all(map(walk, x.values()))
+            if isinstance(x, list):
+                return all(map(walk, x))
+            return not isinstance(x, float) or np.isfinite(x)
+
+        return walk(json.loads(text))
+    rows = list(csv.reader(text.splitlines()))[1:]
+    return all(cell == "" or np.isfinite(float(cell)) for row in rows for cell in row)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    sigma=EXPRESSIONS, rho=EXPRESSIONS,
+    command=st.sampled_from([["verify"], ["residual", "--A", "1"]]),
+    fmt=st.sampled_from(["csv", "json"]),
+)
+def test_every_printed_expression_is_a_flag_value(pair_out, sigma, rho, command, fmt):
+    """The pretty-printed random trees of test_expr, as --sigma and --rho on
+    a 2x2 grid, give the same run with and without ``=``: never a usage
+    error, an exit code in {0, 2, 3}, and at 0 and 3 an output whose cells
+    are finite or empty."""
+    sigma, rho = pretty(sigma), pretty(rho)
+    out = pair_out / f"out.{fmt}"
+    runs = []
+    for argv in (
+        [*command, "--sigma", sigma, "--rho", rho],
+        [*command, f"--sigma={sigma}", f"--rho={rho}"],
+    ):
+        argv += ["--grid", "x1=-0.5:0.5:2,x3=0.25:0.75:2", "--format", fmt, "--out", str(out)]
+        if out.exists():
+            out.unlink()
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        written = out.read_text() if out.exists() else None
+        runs.append((code, stdout.getvalue(), stderr.getvalue(), written))
+    assert runs[0] == runs[1]
+    code, _, err, written = runs[0]
+    assert code in (0, 2, 3), err
+    if code != 2:
+        assert _cells_are_finite_or_empty(written, fmt)
 
 
 # (subcommand, flag, action) of every flag that takes a float

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biconf import DeformationPair, ExpressionField, einstein_residuals
 from biconf.expr import (
     FUNCTIONS,
     Bin,
@@ -15,9 +16,11 @@ from biconf.expr import (
     Neg,
     Num,
     ParseError,
+    Quadratic,
     Var,
     eval_jet,
     eval_value,
+    fold,
     parse_expr,
     pretty,
 )
@@ -250,7 +253,7 @@ def test_jet_matches_finite_differences():
         func = lambda q: eval_value(ast, q)
         for _ in range(100 // len(exprs) + 1):
             p = rng.uniform(-1.0, 1.0, size=4)
-            jet = eval_jet(ast, p)
+            jet = eval_jet(ast, p, 2)
             for i in range(4):
                 approx = fd_partial(func, p, i)
                 scale = max(1.0, abs(approx))
@@ -267,7 +270,7 @@ def test_hessian_symmetric_bitwise():
     ast = parse_expr("x1^3*x2 - x2^2*x3 + x3*x4^2 + x1*x2*x3*x4")
     for _ in range(20):
         p = rng.uniform(-2.0, 2.0, size=4)
-        h = eval_jet(ast, p).h
+        h = eval_jet(ast, p, 2).h
         assert np.array_equal(h, h.T)
 
 
@@ -290,13 +293,13 @@ def test_domain_errors():
 
 
 def test_jet_of_power_at_zero_base():
-    jet = eval_jet(parse_expr("x1^2"), ORIGIN)
+    jet = eval_jet(parse_expr("x1^2"), ORIGIN, 2)
     assert jet.val == 0.0 and jet.g[0] == 0.0 and jet.h[0, 0] == 2.0
-    jet = eval_jet(parse_expr("x1^1"), ORIGIN)
+    jet = eval_jet(parse_expr("x1^1"), ORIGIN, 2)
     assert jet.g[0] == 1.0 and jet.h[0, 0] == 0.0
     # x^0 is 1 with zero derivatives, at a zero base too
     for x1 in (0.0, 2.0, -3.0):
-        jet = eval_jet(parse_expr("x1^0"), (x1, 0, 0, 0))
+        jet = eval_jet(parse_expr("x1^0"), (x1, 0, 0, 0), 2)
         assert jet.val == 1.0 and not np.any(jet.g) and not np.any(jet.h)
 
 
@@ -316,4 +319,132 @@ def test_eval_jet_value_consistency():
             v = eval_value(ast, p)
         except DomainError:
             continue
-        assert math.isclose(eval_jet(ast, p).val, v, rel_tol=1e-12, abs_tol=1e-12)
+        assert math.isclose(eval_jet(ast, p, 2).val, v, rel_tol=1e-12, abs_tol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The evaluation form: monomial sums folded into coefficient nodes
+
+LITERALS = st.builds(Num, st.floats(min_value=0.0, max_value=1e3))
+
+# polynomial trees with literals up to 1e3: products and integer powers of
+# anything, division by a literal (0 included); their folds leave products
+# and powers of sums as trees around folded sums
+POLYNOMIALS = st.recursive(
+    LITERALS | st.builds(Var, st.integers(1, 4)),
+    lambda sub: st.builds(Neg, sub)
+    | st.builds(Bin, st.sampled_from("+-**"), sub, sub)
+    | st.builds(Bin, st.just("/"), sub, LITERALS | st.builds(Neg, LITERALS))
+    | st.builds(Bin, st.just("^"), sub, st.builds(Num, st.sampled_from([2.0, 0.0, 1.0, 3.0]))),
+    max_leaves=12,
+)
+
+BOX_POINTS = st.lists(
+    st.tuples(*[st.floats(min_value=-10.0, max_value=10.0)] * 4), min_size=1, max_size=6
+)
+
+
+def _magnitudes(expr):
+    """The tree with every literal and operation made non-negative: its jet
+    at |x| sums the magnitudes of the monomials of the tree's expanded
+    polynomial (and of its partials), which bounds the rounding of any
+    order of evaluating it."""
+    if isinstance(expr, Num):
+        return Num(abs(expr.value))
+    if isinstance(expr, Var):
+        return expr
+    if isinstance(expr, Neg):
+        return _magnitudes(expr.arg)
+    op = "+" if expr.op == "-" else expr.op
+    rhs = expr.rhs if op == "^" else _magnitudes(expr.rhs)
+    return Bin(op, _magnitudes(expr.lhs), rhs)
+
+
+# the folded walk rounds differently from the tree walk, by a few units in
+# the last place of the summed magnitudes
+ULPS = 4
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(POLYNOMIALS, BOX_POINTS, st.sampled_from([1, 2]))
+def test_folded_jets_are_tree_jets_to_rounding(expr, points, order):
+    """On random polynomial trees at batches of points in [-10, 10]^4: the
+    folded walk raises where the tree walk raises, with the same error
+    class, and otherwise gives its value, gradient and Hessian within a
+    few ulps of the summed monomial magnitudes.  That bound is the
+    rounding of normal floats: it holds where no walk underflows."""
+    points = np.array(points)
+    tree, folded = _walk(expr, points, order), _walk(fold(expr), points, order)
+    assert type(tree) is type(folded)
+    if isinstance(tree, Exception):
+        return
+    try:
+        with np.errstate(under="raise"):
+            eval_jet(expr, points, order), eval_jet(fold(expr), points, order)
+            bound = eval_jet(_magnitudes(expr), np.abs(points), order)
+    except ArithmeticError:  # an underflow, or magnitudes that overflow
+        return
+    for name in ("val", "g", "h"):
+        a, b, m = getattr(tree, name), getattr(folded, name), getattr(bound, name)
+        if a is None:
+            assert b is None
+            continue
+        assert np.all(np.abs(a - b) <= ULPS * np.finfo(float).eps * m), name
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["(x1 - 0.5)^2", "(x1 - x2)^2", "x1*(x2 + 1)", "x1 + 1.27", "2*(x1 + 1)", "x1/0", "2*3",
+     "x1^0", "sin(x1)", "(x1 + 1)^-0.5"],
+)
+def test_trees_that_stay_trees(text):
+    """No product or power of a sum is expanded; bare sums, scaled bare
+    sums and constants save nothing folded; division by zero stays where
+    the tree raises it."""
+    ast = parse_expr(text)
+    assert fold(ast) == ast
+
+
+@pytest.mark.parametrize(
+    "text, form",
+    [
+        ("(1 + x1^2 + x2^2)/2",
+         Quadratic((((), 1.0), ((0, 0), 1.0), ((1, 1), 1.0)), (0.5,))),
+        ("exp(0.5 - 2*x1*x3)", Call("exp", Quadratic((((), 0.5), ((0, 2), -2.0)), ()))),
+        ("-(x1*x2 + x3)*3", Quadratic((((0, 1), -1.0), ((2,), -1.0)), (3.0,))),
+        ("x4/4 + x1^2 - x1^2", Quadratic((((0, 0), 0.0), ((3,), 0.25)), ())),
+        ("(x1 - 1)^2 + x2*x3", Bin("+", parse_expr("(x1 - 1)^2"), Quadratic((((1, 2), 1.0),), ()))),
+    ],
+)
+def test_maximal_monomial_sums_fold(text, form):
+    assert fold(parse_expr(text)) == form
+
+
+def test_folding_keeps_a_shifted_product_exact():
+    """S^2 x S^2 shifted to 10^4 stays a tree, whose residual is rounding
+    of its O(1) terms; expanded about the origin, it would cancel to
+    about 1e-8."""
+    shifted = "(1 + (x{} - 10000)^2 + (x{} - 10000)^2)/2"
+    pair = DeformationPair.from_exprs(shifted.format(1, 2), shifted.format(3, 4))
+    axis = np.linspace(9999.6, 10000.4, 3)
+    points = np.stack(np.meshgrid(axis, axis, axis, axis), axis=-1).reshape(-1, 4)
+    assert np.max(np.abs(einstein_residuals(pair, 1.0, points))) <= 1e-15
+    assert pair.sigma.form == pair.sigma.ast
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize(
+    "text, p, folded",
+    [
+        ("x1^2", (1e200, 0.0, 0.0, 0.0), True),  # the value overflows
+        ("1e300*x1*x2", (1e10, 1e10, 0.0, 0.0), True),  # so does (Q + Q^T) x, first
+        ("x1/0", (1.0, 0.0, 0.0, 0.0), False),
+    ],
+)
+def test_folded_fields_raise_where_trees_raise(text, p, folded, order):
+    field = ExpressionField(text)
+    assert isinstance(field.form, Quadratic) == folded
+    with pytest.raises((DomainError, ArithmeticError)):
+        eval_jet(field.ast, p, order)
+    with pytest.raises(DomainError):
+        field.jet(p, order)

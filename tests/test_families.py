@@ -163,7 +163,7 @@ def test_warped_residuals_evaluate_beta_once_per_point():
     shapes = []
 
     class CountedField(ExpressionField):
-        def jet(self, p, order=2):
+        def jet(self, p, order):
             shapes.append(np.shape(p))
             return super().jet(p, order)
 

@@ -1,6 +1,6 @@
 """Byte parity of the biconf CLI between two source trees.
 
-    python3 tools/parity.py OLD_TREE NEW_TREE [--limit N]
+    python3 tools/parity.py OLD_TREE NEW_TREE [--limit N] [--numeric ATOL]
 
 Runs every seed-1 request of the three benchmark workloads (taken from
 ``perfbench/workloads.py`` next to this directory, which is only
@@ -10,11 +10,19 @@ of command lines that hit a validation or numerical failure
 (``FAILURES``: exit 1 or 2) against the ``src/`` of each tree.  Each
 tree runs in its own subprocess, which calls ``biconf.cli.main(argv)``
 in-process for one request after another inside a fresh working
-directory, so an ``--out`` path reads the same in both.  The exit code, stdout, stderr and ``--out`` bytes of each
-run are compared through their SHA-256 digests.  Every argv that differs
-is listed with what differs, and the exit status is 1 on any difference,
-else 0.  ``--limit N`` keeps the first N requests of each workload, the
-first N example runs and the first N failure lines.
+directory, so an ``--out`` path reads the same in both.  The exit code,
+stdout, stderr and ``--out`` bytes of each run are compared through
+their SHA-256 digests.
+
+``--numeric ATOL`` compares stdout and the ``--out`` file as text with
+numbers in it: every character outside a number token (``NUMBER``) must
+match, and each pair of number tokens must agree within ATOL; the exit
+code and stderr must still match byte for byte.  It also prints the
+largest difference between two number tokens and the argv it came from.
+
+Every argv that differs is listed with what differs, and the exit status
+is 1 on any difference, else 0.  ``--limit N`` keeps the first N requests
+of each workload, the first N example runs and the first N failure lines.
 """
 
 from __future__ import annotations
@@ -56,16 +64,28 @@ FAILURES = [
     )
 ]
 
+# a number as the CLI writes it: not part of a name such as ``x1``
+NUMBER = r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+
 # Runs in the subprocess of one tree: argv[1] is the tree, argv[2] a JSON
-# list of argvs; prints one JSON record of digests per argv.
+# list of argvs, argv[3] a number pattern or "" for bytes only; prints
+# one JSON record per argv, of digests, or for stdout and the --out file
+# in numeric mode, of [digest of the text with each number made "#",
+# the numbers].
 WORKER = """\
-import contextlib, hashlib, io, json, os, sys, traceback
+import contextlib, hashlib, io, json, os, re, sys, traceback
 src = os.path.join(sys.argv[1], "src")
 sys.path.insert(0, src)
 import biconf.cli
 if not biconf.cli.__file__.startswith(src):
     sys.exit(f"biconf was imported from {biconf.cli.__file__}, not from {src}")
 digest = lambda data: hashlib.sha256(data).hexdigest()
+number = re.compile(sys.argv[3]) if sys.argv[3] else None
+def text(data):
+    if number is None:
+        return digest(data)
+    data = data.decode()
+    return [digest(number.sub("#", data).encode()), [float(t) for t in number.findall(data)]]
 with open(sys.argv[2], encoding="utf-8") as fh:
     argvs = json.load(fh)
 for argv in argvs:
@@ -80,9 +100,9 @@ for argv in argvs:
     written = None
     if path is not None and os.path.exists(path):
         with open(path, "rb") as fh:
-            written = digest(fh.read())
+            written = text(fh.read())
         os.remove(path)
-    record = {"code": code, "stdout": digest(out.getvalue().encode()),
+    record = {"code": code, "stdout": text(out.getvalue().encode()),
               "stderr": digest(err.getvalue().encode()), "out": written}
     print(json.dumps(record), flush=True)
 """
@@ -106,12 +126,32 @@ def requests(limit: int | None) -> list[list[str]]:
     return argvs + examples[:limit] + FAILURES[:limit]
 
 
-def start(tree: Path, argv_file: str, workdir: str) -> subprocess.Popen:
+def start(tree: Path, argv_file: str, workdir: str, numeric: bool) -> subprocess.Popen:
     env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "BICONF_TOL")}
     return subprocess.Popen(
-        [sys.executable, "-c", WORKER, str(tree.resolve()), argv_file],
+        [sys.executable, "-c", WORKER, str(tree.resolve()), argv_file, NUMBER if numeric else ""],
         cwd=workdir, env=env, stdout=subprocess.PIPE, text=True,
     )
+
+
+def compare(a: dict, b: dict, atol: float | None) -> tuple[list[str], float]:
+    """The fields in which two records differ, and the largest difference
+    between their number tokens (0 in byte mode)."""
+    fields, largest = [], 0.0
+    for name in FIELDS:
+        if atol is None or name not in ("stdout", "out") or a[name] is None or b[name] is None:
+            if a[name] != b[name]:
+                fields.append(name)
+            continue
+        (text_a, numbers_a), (text_b, numbers_b) = a[name], b[name]
+        if text_a != text_b or len(numbers_a) != len(numbers_b):
+            fields.append(name)
+            continue
+        gap = max((abs(x - y) for x, y in zip(numbers_a, numbers_b) if x != y), default=0.0)
+        largest = max(largest, gap)
+        if not gap <= atol:
+            fields.append(name)
+    return fields, largest
 
 
 def main(argv=None) -> int:
@@ -119,8 +159,13 @@ def main(argv=None) -> int:
     parser.add_argument("old", type=Path, help="tree whose src/ holds the reference biconf")
     parser.add_argument("new", type=Path, help="tree whose src/ holds the changed biconf")
     parser.add_argument("--limit", type=int, default=None, help="first N runs of each kind")
+    parser.add_argument("--numeric", type=float, default=None, metavar="ATOL",
+                        help="compare number tokens in stdout and --out files within ATOL")
     args = parser.parse_args(argv)
+    if args.numeric is not None and not args.numeric >= 0.0:
+        parser.error("--numeric takes a tolerance >= 0")
     argvs = requests(args.limit)
+    differing, compared, largest = 0, 0, (0.0, None)
     with tempfile.TemporaryDirectory() as tmp:
         argv_file = os.path.join(tmp, "argvs.json")
         with open(argv_file, "w", encoding="utf-8") as fh:
@@ -130,18 +175,28 @@ def main(argv=None) -> int:
             os.mkdir(d)
             with open(os.path.join(d, BAD_CONFIG[0]), "w", encoding="utf-8") as fh:
                 fh.write(BAD_CONFIG[1])
-        procs = [start(tree, argv_file, d) for tree, d in zip((args.old, args.new), dirs)]
-        outputs = [proc.communicate()[0].splitlines() for proc in procs]
-    if any(proc.returncode != 0 for proc in procs):
+        procs = [
+            start(tree, argv_file, d, args.numeric is not None)
+            for tree, d in zip((args.old, args.new), dirs)
+        ]
+        # one record of each tree at a time: a numeric record can be large
+        for argv, a, b in zip(argvs, procs[0].stdout, procs[1].stdout):
+            compared += 1
+            fields, gap = compare(json.loads(a), json.loads(b), args.numeric)
+            if gap > largest[0]:
+                largest = (gap, argv)
+            if fields:
+                differing += 1
+                print(f"differs in {', '.join(fields)}: {json.dumps(argv)}")
+        for proc in procs:
+            proc.stdout.read()
+            proc.wait()
+    if compared < len(argvs) or any(proc.returncode != 0 for proc in procs):
         print("parity: a tree's worker failed", file=sys.stderr)
         return 2
-    old, new = ([json.loads(line) for line in lines] for lines in outputs)
-    differing = 0
-    for argv, a, b in zip(argvs, old, new):
-        fields = [name for name in FIELDS if a[name] != b[name]]
-        if fields:
-            differing += 1
-            print(f"differs in {', '.join(fields)}: {json.dumps(argv)}")
+    if args.numeric is not None:
+        gap, argv = largest
+        print(f"largest difference: {gap:.3g}" + (f" in {json.dumps(argv)}" if argv else ""))
     print(f"parity: {len(argvs)} runs, {differing} differ")
     return 1 if differing else 0
 
