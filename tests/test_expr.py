@@ -303,6 +303,15 @@ def test_jet_of_power_at_zero_base():
         assert jet.val == 1.0 and not np.any(jet.g) and not np.any(jet.h)
 
 
+def test_a_first_power_is_its_base():
+    """x^1 has the base's Hessian, with no 0 * g g^T term to overflow."""
+    base = parse_expr("1e200*x1")
+    for p in (ORIGIN, (2.0, 0, 0, 0)):
+        power, jet = eval_jet(Bin("^", base, Num(1.0)), p, 2), eval_jet(base, p, 2)
+        assert power.val == jet.val and np.array_equal(power.g, jet.g)
+        assert np.array_equal(power.h, jet.h)
+
+
 def test_pretty_prints_known_forms():
     assert pretty(parse_expr("x1+x2 * x3")) == "x1 + x2*x3"
     assert pretty(parse_expr("t^2")) == "x1^2"
@@ -347,7 +356,7 @@ BOX_POINTS = st.lists(
 def _magnitudes(expr):
     """The tree with every literal and operation made non-negative: its jet
     at |x| sums the magnitudes of the monomials of the tree's expanded
-    polynomial (and of its partials), which bounds the rounding of any
+    polynomial (and of its partials), the scale of the rounding of any
     order of evaluating it."""
     if isinstance(expr, Num):
         return Num(abs(expr.value))
