@@ -12,9 +12,17 @@ carries one, and centered finite differences otherwise.  The derivatives
 of Gamma needed by the Ricci tensor are always finite differences, so
 this module is an independent check on any closed-form curvature.
 
-Inversion, determinant and the positive-definiteness check (Cholesky)
-are numpy's.  The singularity check compares |det| against the product
-of row magnitudes at 1e-10, so it is relative to the metric's own scale.
+One LDL^T factor (``_ldl``) per metric gives the positive-definiteness
+check (every pivot d_i > 0), the singularity rule and the inverse
+X^T D^-1 X with X = L^-1.  It is written out over the 4x4 components,
+each an array over the batch, so it loops over indices, never over
+points, and calls no LAPACK routine; it reads the lower triangle and
+knows nothing of the metric's shape beyond symmetric positive definite.
+The singularity rule is relative to the metric's own scale:
+det = prod(d_i) must be at least 1e-10 times the product of the row
+magnitudes r_i, evaluated as prod(d_i / r_i) >= 1e-10, so a
+well-conditioned metric whose determinant overflows or underflows still
+inverts.
 
 A ``MetricField`` is built from batch callables, and every function
 takes a point or an (N, 4) array of points (a batch) and works on the
@@ -25,7 +33,10 @@ Gamma).  ``_stencil`` stacks each point with its 8 shifts p +- h e_k and
 for metric partials without a provider and for dGamma alike; the Ricci
 contraction ``_contract`` takes (Gamma, dGamma) alone, so ``ricci_fd``
 reads the metric once, on the 9 N stencil points.  Float overflow,
-division by zero and invalid operations raise FloatingPointError.
+division by zero and invalid operations raise FloatingPointError; that
+includes the ``np.einsum`` products, which ignore ``np.errstate``, so
+``_einsum`` raises when one turns finite operands into a non-finite
+result, naming the quantity.
 """
 
 from __future__ import annotations
@@ -67,29 +78,99 @@ class OracleError(RuntimeError):
     """FD result is inconsistent (e.g. excessive Ricci asymmetry)."""
 
 
+def _ldl(m: np.ndarray) -> tuple[np.ndarray, list]:
+    """LDL^T factor of each symmetric 4x4 matrix of a stack, read from its
+    lower triangle: (d, low), the pivots d of shape (4,) + batch and the
+    multipliers low[i][j] = L_ij (j < i) as arrays over the batch.
+
+    Elementwise over the batch, with no pivoting and no square root, under
+    ``np.errstate(all="ignore")``: a matrix is positive definite when every
+    pivot is positive, and a zero pivot makes the multipliers and pivots
+    after it NaN or infinite instead of raising.
+    """
+    a = np.moveaxis(m, (-2, -1), (0, 1))
+    d, low = [], []
+    with np.errstate(all="ignore"):
+        for i in range(4):
+            u, row = [], []  # u[j] = L_ij d[j]
+            for j in range(i):
+                v = a[i, j]
+                for k in range(j):
+                    v = v - u[k] * low[j][k]
+                u.append(v)
+                row.append(v / d[j])
+            v = a[i, i]
+            for k in range(i):
+                v = v - u[k] * row[k]
+            d.append(v)
+            low.append(row)
+    return np.stack(d), low
+
+
+def _ldl_inverse(d: np.ndarray, low: list) -> np.ndarray:
+    """X^T D^-1 X with X = L^-1, the inverse of the matrices factored by
+    ``_ldl``, of shape batch + (4, 4).  A diagonal matrix gets 1/d
+    exactly, and +0.0 off the diagonal."""
+    x = []  # x[i][j] = X_ij for j < i; X_ii = 1
+    for i in range(4):
+        row = []
+        for j in range(i):
+            v = low[i][j]
+            for k in range(j + 1, i):
+                v = v + low[i][k] * x[k][j]
+            row.append(0.0 - v)  # not -v: a zero entry stays +0.0, as in numpy's inverse
+        x.append(row)
+    e = [1.0 / di for di in d]
+    y = [[x[k][b] * e[k] for b in range(k)] + [e[k]] for k in range(4)]  # y[k][b] = X_kb / d_k
+    inv = np.empty(d.shape[1:] + (4, 4))
+    for a in range(4):
+        for b in range(a + 1):
+            v = y[a][b]
+            for k in range(a + 1, 4):
+                v = v + x[k][a] * y[k][b]
+            inv[..., a, b] = inv[..., b, a] = v
+    return inv
+
+
+def _require_symmetric(m: np.ndarray) -> None:
+    if np.max(np.abs(m - np.swapaxes(m, -1, -2))) > 1e-12:
+        raise InvalidMetricError("metric is not symmetric to 1e-12")
+
+
 @raise_float_errors
 def invert4(m: np.ndarray) -> np.ndarray:
-    """Inverse of a 4x4 matrix, or of each matrix of an (N, 4, 4) stack;
-    raises SingularMetricError.
+    """Inverse of a symmetric positive definite 4x4 matrix, or of each
+    matrix of an (N, 4, 4) stack, from its LDL^T factor.
 
-    The singularity check is scale-relative: |det| is compared against
-    the product of row magnitudes, so a well-conditioned metric with
-    small entries (a strongly collapsed direction) still inverts.  A
-    non-finite entry anywhere in the stack fails before any determinant
-    is taken.
+    The factor reads the lower triangle, so a matrix that is not
+    symmetric to 1e-12, or that has a negative pivot (is not positive
+    definite), raises InvalidMetricError.  A non-finite entry anywhere in
+    the stack raises SingularMetricError before any factor is taken, and
+    so does a matrix singular at its own scale: the rule is
+    det >= 1e-10 * scale, with det the product of the pivots and scale
+    the product of the row magnitudes r_i, evaluated as
+    prod(d_i / r_i) >= 1e-10 so that neither product can overflow or
+    underflow.  A well-conditioned metric with tiny or huge entries (a
+    strongly collapsed or stretched direction) still inverts, and a zero
+    pivot, with the NaN pivots after it, fails the rule.
     """
     m = np.asarray(m, dtype=float)
     if not np.all(np.isfinite(m)):
         raise SingularMetricError("metric to invert has a non-finite entry")
-    det = np.linalg.det(m)
-    scale = np.prod(np.max(np.abs(m), axis=-1), axis=-1)
-    bad = ~((scale > 0.0) & (SINGULARITY_THRESHOLD * scale <= np.abs(det)))
-    if np.any(bad):
-        raise SingularMetricError(
-            f"metric determinant {first_where(det, bad):.3e} below threshold"
-            f" (scale {first_where(scale, bad):.3e})"
-        )
-    return np.linalg.inv(m)
+    _require_symmetric(m)
+    d, low = _ldl(m)
+    if np.any(d < 0.0):
+        raise InvalidMetricError("metric is not positive definite")
+    a = np.abs(np.moveaxis(m, (-2, -1), (0, 1)))
+    rows = np.maximum(np.maximum(a[:, 0], a[:, 1]), np.maximum(a[:, 2], a[:, 3]))
+    with np.errstate(all="ignore"):
+        bad = ~(np.prod(d / rows, axis=0) >= SINGULARITY_THRESHOLD)
+        if np.any(bad):
+            raise SingularMetricError(
+                f"metric determinant {first_where(np.prod(d, axis=0), bad):.3e} below"
+                f" threshold (scale {first_where(np.prod(rows, axis=0), bad):.3e})"
+            )
+    return _ldl_inverse(d, low)
 
 
 def _check_metric_value(g: np.ndarray, batch: tuple) -> np.ndarray:
@@ -99,12 +180,9 @@ def _check_metric_value(g: np.ndarray, batch: tuple) -> np.ndarray:
         raise InvalidMetricError(f"metric must be 4x4, got shape {g.shape[len(batch):]}")
     if not np.all(np.isfinite(g)):
         raise InvalidMetricError("metric has a non-finite entry")
-    if np.max(np.abs(g - np.swapaxes(g, -1, -2))) > 1e-12:
-        raise InvalidMetricError("metric is not symmetric to 1e-12")
-    try:
-        np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        raise InvalidMetricError("metric is not positive definite") from None
+    _require_symmetric(g)
+    if not np.all(_ldl(g)[0] > 0.0):
+        raise InvalidMetricError("metric is not positive definite")
     return g
 
 
@@ -167,6 +245,16 @@ class MetricField:
         return MetricField(self.value_fn)
 
 
+def _einsum(name: str, subscripts: str, *operands: np.ndarray) -> np.ndarray:
+    """``np.einsum`` with the overflow check that it skips under
+    ``np.errstate``: a non-finite result of finite operands raises
+    FloatingPointError naming the quantity ``name``."""
+    result = np.einsum(subscripts, *operands)
+    if not np.all(np.isfinite(result)) and all(np.all(np.isfinite(x)) for x in operands):
+        raise FloatingPointError(f"overflow encountered in {name}")
+    return result
+
+
 @raise_float_errors
 def _levi_civita(g: MetricField, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(g, g^-1, Gamma) at a point or at each point of a batch, with
@@ -175,7 +263,7 @@ def _levi_civita(g: MetricField, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     ginv = invert4(gmat)
     # X[d, b, c] = d_b g_dc + d_c g_db - d_d g_bc
     x = np.einsum("...bdc->...dbc", dg) + np.einsum("...cdb->...dbc", dg) - dg
-    return gmat, ginv, 0.5 * np.einsum("...ad,...dbc->...abc", ginv, x)
+    return gmat, ginv, 0.5 * _einsum("Christoffel symbols", "...ad,...dbc->...abc", ginv, x)
 
 
 def christoffel(g: MetricField, p) -> np.ndarray:
@@ -186,11 +274,12 @@ def christoffel(g: MetricField, p) -> np.ndarray:
 
 def _contract(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
     """Unsymmetrized Ricci tensor from Gamma and dGamma[..., k, a, b, c] = d_k Gamma^a_bc."""
+    name = "Ricci contraction"
     return (
-        np.einsum("...aabc->...bc", dgamma)
-        - np.einsum("...caba->...bc", dgamma)
-        + np.einsum("...aad,...dbc->...bc", gamma, gamma)
-        - np.einsum("...acd,...dba->...bc", gamma, gamma)
+        _einsum(name, "...aabc->...bc", dgamma)
+        - _einsum(name, "...caba->...bc", dgamma)
+        + _einsum(name, "...aad,...dbc->...bc", gamma, gamma)
+        - _einsum(name, "...acd,...dba->...bc", gamma, gamma)
     )
 
 
@@ -223,8 +312,9 @@ def laplace_beltrami_fd(g: MetricField, f: ScalarField, p):
     """Laplace-Beltrami operator of f: g^{ab}(f_ab - Gamma^c_ab f_c)."""
     _, ginv, gamma = _levi_civita(g, p)
     jet = f.jet(p, 2)
-    hess = jet.h - np.einsum("...cab,...c->...ab", gamma, jet.g)
-    return np.einsum("...ab,...ab->...", ginv, hess)
+    name = "Laplace-Beltrami operator"
+    hess = jet.h - _einsum(name, "...cab,...c->...ab", gamma, jet.g)
+    return _einsum(name, "...ab,...ab->...", ginv, hess)
 
 
 @raise_float_errors

@@ -1,7 +1,7 @@
 """tools/bench_pairs.py on made-up pairs: the change's wins, the gain rule
 (nine tenths of the pairs won and a median difference beyond the parent's
-IQR), the regression bound of BENCHMARK.json and the tail that is no
-tail."""
+IQR), the regression bound of BENCHMARK.json, the tail that is no
+tail and the per-layer self times of the traced passes."""
 
 import importlib.util
 import json
@@ -92,3 +92,42 @@ def test_each_timed_run_keeps_its_tail_percentile_and_samples(details, kept, mon
     got_details, got = bench_pairs.run(ROOT, "residual-scan", 1, 1.0, 0)
     assert got_details == details
     assert got == {**result, **kept}
+
+
+def fake_perfbench(rows, self_s):
+    """A stand-in for ``subprocess.run``: ``perfbench/run.py`` in tree
+    ``cwd`` reports ``self_s[cwd.name]`` as ``oracle.invert4.self_s`` and
+    ``rows`` rows when traced, and every end-to-end metric when timed; git
+    reports a clean tree."""
+
+    def run(argv, cwd, **kwargs):
+        if argv[0] == "git":
+            return SimpleNamespace(returncode=0, stdout="")
+        env = {"commit": cwd.name, "source_sha256": "0", "python": "3", "numpy": "2", "nproc": 2}
+        if argv[argv.index("--trace") + 1] == "1":
+            details = {"env": env}
+            metrics = {"cli.rows": rows, "cli.bytes_out": 10, "oracle.invert4.calls": 3,
+                       "oracle.invert4.self_s": self_s[cwd.name], "cli.main.self_s": 0.5}
+        else:
+            details = {"env": env, "tail_percentile": 99.0, "samples": 100}
+            metrics = {name: 1.0 for name in bench_pairs.END_TO_END}
+        result = {"correct": True, "failed": 0,
+                  "metrics": {name: {"value": v} for name, v in metrics.items()}}
+        return SimpleNamespace(stdout=f"stamp\n{json.dumps(details)}\n{json.dumps(result)}\n")
+
+    return run
+
+
+def test_the_bench_file_keeps_each_sides_self_time_per_row(tmp_path, monkeypatch):
+    self_s = {"parent": 0.2, "change": 0.1}
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_perfbench(50, self_s))
+    out = tmp_path / "BENCH.json"
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--out", str(out),
+            "--workload", "verify-grid", "--pairs", "2"]
+    assert bench_pairs.main(argv) == 0
+    entry = json.loads(out.read_text())["workloads"]["verify-grid"]
+    assert entry["self_s_per_row"] == {
+        side: {"oracle.invert4.self_s": self_s[side] / 50, "cli.main.self_s": 0.5 / 50}
+        for side in bench_pairs.SIDES
+    }
+    assert entry["trace_counts_differing"] == {}

@@ -452,6 +452,28 @@ def test_exit_2_on_float_error_outside_fields(line, capsys):
     assert "numerical failure:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sigma", ["1e-80", "1e100"])
+def test_a_metric_at_an_extreme_scale_is_not_singular(sigma, capsys):
+    """g = diag(1e160, 1e160, 1, 1) and diag(1e-200, 1e-200, 1, 1) are well
+    conditioned: the oracle inverts them although their determinant and
+    row scale overflow or underflow, like the closed forms."""
+    grid = ["--grid", "x1=-0.2:0.2:3"]
+    assert main(["verify", "--sigma", sigma, "--rho", "1", *grid]) == 0
+    assert "grid max |closed-form - FD| = 0.000000e+00" in capsys.readouterr().out
+    assert main(["residual", "--sigma", sigma, "--rho", "1", "--A", "0", *grid]) == 0
+
+
+def test_a_tiny_constant_factor_leaves_the_oracle_gap_alone(capsys):
+    """sigma and 1e-80 sigma give the same FD-vs-closed-form gap; at 1e-150
+    the metric's 1/sigma^2 terms leave the float range."""
+    grid = ["--rho", "1", "--grid", "x1=-0.2:0.2:3"]
+    for sigma in ("1+x1^2", "1e-80*(1+x1^2)"):
+        assert main(["verify", "--sigma", sigma, *grid]) == 0
+        assert "grid max |closed-form - FD| = 1.999998e-06" in capsys.readouterr().out
+    assert main(["verify", "--sigma", "1e-150*(1+x1^2)", *grid]) == 2
+    assert capsys.readouterr().err.startswith("numerical failure: FloatingPointError:")
+
+
 def test_float_error_names_the_operation_without_a_warning(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

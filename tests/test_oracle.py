@@ -13,6 +13,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biconf import (
     DeformationPair,
@@ -95,6 +97,154 @@ def test_invert4_rejects_nan_without_warning():
             invert4(np.stack([np.eye(4), np.full((4, 4), np.nan)]))
 
 
+def test_invert4_rejects_an_asymmetric_matrix():
+    m = np.eye(4)
+    m[3, 0] = 1e-11
+    with pytest.raises(InvalidMetricError, match="not symmetric"):
+        invert4(m)
+    with pytest.raises(InvalidMetricError, match="not symmetric"):
+        invert4(np.stack([np.eye(4), m]))
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        np.diag([1.0, -1.0, 1.0, 1.0]),
+        np.diag([1.0, 1.0, 1.0, -1e-300]),
+        # every diagonal entry > 0, eigenvalues 3 and -1
+        np.array([[1.0, 2.0, 0.0, 0.0], [2.0, 1.0, 0.0, 0.0],
+                  [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]),
+    ],
+)
+def test_invert4_rejects_a_negative_pivot(m):
+    with pytest.raises(InvalidMetricError, match="not positive definite"):
+        invert4(m)
+    with pytest.raises(InvalidMetricError, match="not positive definite"):
+        invert4(np.stack([np.eye(4), m]))
+
+
+@pytest.mark.parametrize(
+    "diagonal",
+    [[1e-200] * 4, [1e160] * 4, [1e-200, 1e-200, 1.0, 1.0], [1e150, 1e150, 1e-150, 1e-150]],
+)
+def test_invert4_accepts_a_well_conditioned_metric_at_an_extreme_scale(diagonal):
+    """The rule is evaluated as prod(d_i / r_i), so a determinant or row
+    scale that underflows to 0 or overflows to inf rejects nothing."""
+    diagonal = np.array(diagonal)
+    assert np.array_equal(invert4(np.diag(diagonal)), np.diag(1.0 / diagonal))
+
+
+def numpy_pipeline(m):
+    """The metric check and inverse as numpy's LAPACK calls took them:
+    finite, symmetric, a Cholesky factor, then |det| >= 1e-10 * scale,
+    then the inverse."""
+    with np.errstate(all="ignore"):
+        if not np.all(np.isfinite(m)) or np.max(np.abs(m - np.swapaxes(m, -1, -2))) > 1e-12:
+            raise InvalidMetricError
+        try:
+            np.linalg.cholesky(m)
+        except np.linalg.LinAlgError:
+            raise InvalidMetricError from None
+        det = np.linalg.det(m)
+        scale = np.prod(np.max(np.abs(m), axis=-1), axis=-1)
+        if np.any(~((scale > 0.0) & (oracle.SINGULARITY_THRESHOLD * scale <= np.abs(det)))):
+            raise SingularMetricError
+        return np.linalg.inv(m)
+
+
+def ldl_pipeline(m):
+    """What the oracle does with a metric value: check it, then invert it."""
+    return invert4(oracle._check_metric_value(m, m.shape[:-2]))
+
+
+KINDS = ("spd", "diagonal", "near-singular", "indefinite", "asymmetric", "non-finite")
+
+
+@st.composite
+def metric_stacks(draw):
+    """A stack of 4x4 matrices with batch shape () or (N,), one of them of
+    a drawn kind and the others SPD or diagonal: Q diag(lambda) Q^T with
+    |lambda| spread over 10^-3..10^3, one eigenvalue 10^-17..10^-6 of the
+    largest (near-singular) or negative (indefinite), all times
+    10^-60..10^60; or a diagonal of positive entries; or an SPD matrix
+    with one entry off by more than 1e-12 (asymmetric) or made NaN or
+    +-inf (non-finite)."""
+    batch = draw(st.sampled_from([(), (1,), (3,), (6,)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = math.prod(batch)
+    kinds = draw(st.lists(st.sampled_from(KINDS[:2]), min_size=n, max_size=n))
+    kinds[draw(st.integers(0, n - 1))] = draw(st.sampled_from(KINDS))
+    mats = []
+    for kind in kinds:
+        lam = 10.0 ** rng.uniform(-3, 3, size=4)
+        if kind == "near-singular":
+            lam[0] = lam.max() * 10.0 ** rng.uniform(-17, -6)
+        elif kind == "indefinite":
+            lam[0] = -lam[0]
+        q = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+        m = (q * lam) @ q.T
+        m = 0.5 * (m + m.T) * 10.0 ** draw(st.integers(-60, 60))
+        if kind == "diagonal":
+            m = np.diag(lam * 10.0 ** draw(st.integers(-60, 60)))
+        elif kind == "asymmetric":
+            m[2, 1] += max(1e-11, 1e-6 * abs(m[2, 1]))
+        elif kind == "non-finite":
+            m[draw(st.integers(0, 3)), draw(st.integers(0, 3))] = draw(
+                st.sampled_from([np.nan, np.inf, -np.inf]))
+        mats.append(m)
+    return np.array(mats).reshape(batch + (4, 4))
+
+
+def comparable(m):
+    """Whether the LDL^T and LAPACK paths must agree on ``m``: numpy's det
+    and scale are normal floats, the smallest eigenvalue is at least
+    1e-12 |m| from 0, and |det| / scale is not within the two paths'
+    rounding (64 eps cond(m), relative) of the threshold."""
+    with np.errstate(all="ignore"):
+        det = np.abs(np.linalg.det(m))
+        scale = np.prod(np.max(np.abs(m), axis=-1), axis=-1)
+        lam = np.abs(np.linalg.eigvalsh(m))
+        cond = lam.max(-1) / lam.min(-1)
+        margin = np.abs(np.log(det / scale / oracle.SINGULARITY_THRESHOLD))
+    tiny = np.finfo(float).tiny
+    normal = [(x >= tiny) & (x <= np.finfo(float).max) for x in (det, scale)]
+    return bool(np.all(normal[0] & normal[1] & (lam.min(-1) >= 1e-12 * lam.max(-1))
+                       & (margin > 64 * np.finfo(float).eps * cond)))
+
+
+def outcome(pipeline, m):
+    try:
+        return pipeline(m)
+    except (InvalidMetricError, SingularMetricError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(metric_stacks())
+def test_ldl_pipeline_decides_and_inverts_as_numpy(m):
+    """Check-then-invert4 against the LAPACK path: the same accept or
+    reject decision and error class wherever the two must agree (any
+    stack with a non-finite or asymmetric matrix, else one whose every
+    matrix is ``comparable``); an accepted inverse within
+    1e-13 cond(m) of numpy's, relative to its largest entry, so 1e-13 on
+    a well-conditioned matrix; and bit for bit, with +0.0 off the
+    diagonal, on a diagonal matrix."""
+    got, want = outcome(ldl_pipeline, m), outcome(numpy_pipeline, m)
+    flat = m.reshape(-1, 4, 4)
+    decided = not np.all(np.isfinite(flat)) or np.any(flat != np.swapaxes(flat, -1, -2))
+    if decided or comparable(flat):
+        assert isinstance(got, np.ndarray) == isinstance(want, np.ndarray)
+        if not isinstance(got, np.ndarray):
+            assert got is want
+    if isinstance(got, np.ndarray):
+        ref = np.linalg.inv(m).reshape(-1, 4, 4)
+        for gi, ri, mi in zip(got.reshape(-1, 4, 4), ref, flat):
+            if np.count_nonzero(mi - np.diag(np.diag(mi))) == 0:
+                assert np.array_equal(gi, ri) and not np.signbit(gi).any()
+            lam = np.abs(np.linalg.eigvalsh(mi))
+            assert np.max(np.abs(gi - ri)) <= 1e-13 * lam.max() / lam.min() * np.max(np.abs(ri))
+
+
 def test_metric_validation():
     bad_sym = constant_metric(np.eye(4) + np.array([[0, 1e-6, 0, 0]] + [[0] * 4] * 3))
     with pytest.raises(InvalidMetricError):
@@ -128,6 +278,45 @@ def test_ricci_fd_rejects_nan_partials():
     assert np.isnan(christoffel(g, ORIGIN)).all()
     with pytest.raises(OracleError):
         ricci_fd(g, ORIGIN)
+
+
+def test_christoffel_raises_on_overflow():
+    # g^-1 is 1e10 I and d_0 g_00 = 1e300: Gamma^0_00 = 5e309 overflows
+    # inside the einsum, which ignores np.errstate
+    partials = np.zeros((4, 4, 4))
+    partials[0, 0, 0] = 1e300
+    g = constant_metric(1e-10 * np.eye(4), partials)
+    with pytest.raises(FloatingPointError, match="overflow encountered in Christoffel symbols"):
+        christoffel(g, ORIGIN)
+
+
+def huge_connection():
+    """Flat g with d_0 g_11 = 2e154: Gamma^1_01 = Gamma^1_10 = 1e154 and
+    Gamma^0_11 = -1e154, finite, but Gamma^a_1d Gamma^d_1a sums two terms
+    of -1e308 to -inf."""
+    partials = np.zeros((4, 4, 4))
+    partials[0, 1, 1] = 2e154
+    return constant_metric(np.eye(4), partials)
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [lambda g, p: ricci_fd(g, p), lambda g, p: einstein_residual_fd(g, 1.0, p)],
+    ids=["ricci_fd", "einstein_residual_fd"],
+)
+def test_ricci_raises_on_overflow(evaluate):
+    g = huge_connection()
+    assert np.all(np.isfinite(christoffel(g, ORIGIN)))
+    for p in (ORIGIN, np.zeros((3, 4))):
+        with pytest.raises(FloatingPointError, match="overflow encountered in Ricci contraction"):
+            evaluate(g, p)
+
+
+@pytest.mark.parametrize("f", ["1e300*x1", "1e300*x2"])
+def test_laplace_beltrami_raises_on_overflow(f):
+    # Gamma^c_ab f_c = 1e154 * 1e300
+    with pytest.raises(FloatingPointError, match="overflow encountered in Laplace-Beltrami"):
+        laplace_beltrami_fd(huge_connection(), ExpressionField(f), ORIGIN)
 
 
 def test_christoffel_flat():

@@ -16,8 +16,10 @@ median is worse than the parent's by more than the metric's bound.
 ``req_tail_ms`` is marked ``not_a_tail`` when any run's tail percentile
 is below 50: a run with few requests reports a low-ranked request, not a
 tail, as its ``req_tail_ms``.  Each side also runs one ``--trace 1``
-pass of TRACE_SECONDS per workload, and the file lists the call, step, row
-and byte counts that differ.  Each side's commit, whether its ``src/``
+pass of TRACE_SECONDS per workload; the file lists the call, step, row
+and byte counts that differ and, per side, each layer's traced self time
+over the pass's rows (``self_s_per_row``: ``*.self_s`` / ``cli.rows``), so
+it names the layer that moved.  Each side's commit, whether its ``src/``
 differs from that commit, its source digest and its Python and numpy
 versions come from the runs' own environment stamps.  The exit status is 1 if a run fails its checks.
 """
@@ -102,6 +104,13 @@ def trace_counts(result: dict) -> dict:
     }
 
 
+def self_s_per_row(result: dict) -> dict:
+    """Each layer's ``.self_s`` of a traced run over its ``cli.rows``, in s/row."""
+    metrics = result["metrics"]
+    rows = metrics["cli.rows"]["value"]
+    return {name: metric["value"] / rows for name, metric in metrics.items() if name.endswith(".self_s")}
+
+
 def stamp(details: dict, tree: Path) -> dict:
     env = details["env"]
     return {"commit": env["commit"], "src_modified": src_modified(tree),
@@ -141,16 +150,18 @@ def main(argv=None) -> int:
                   + " -> ".join(f"{pair[s]['metrics']['rows_per_s']['value']:.0f}" for s in SIDES),
                   file=sys.stderr)
         entry = {"metrics": {name: compare(name, pairs) for name in END_TO_END}, "runs": pairs}
-        counts = {}
+        counts, per_row = {}, {}
         for side in SIDES:
             _, result = run(trees[side], workload, args.seed, TRACE_SECONDS, 1)
             counts[side] = trace_counts(result)
+            per_row[side] = self_s_per_row(result)
             all_correct &= result["correct"] and result["failed"] == 0
         entry["trace_counts"] = counts["change"]
         entry["trace_counts_differing"] = {
             name: [counts["parent"].get(name), value]
             for name, value in counts["change"].items() if counts["parent"].get(name) != value
         }
+        entry["self_s_per_row"] = per_row
         report["workloads"][workload] = entry
     args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     return 0 if all_correct else 1
