@@ -125,7 +125,7 @@ def test_invert4_rejects_a_negative_pivot(m):
 
 @pytest.mark.parametrize(
     "diagonal",
-    [[1e-200] * 4, [1e160] * 4, [1e-200, 1e-200, 1.0, 1.0], [1e150, 1e150, 1e-150, 1e-150]],
+    [[1e-200] * 4, [1e160] * 4, [1e-200, 1e-200, 1.0, 1.0], [1e200, 1e200, 1e-200, 1e-200]],
 )
 def test_invert4_accepts_a_well_conditioned_metric_at_an_extreme_scale(diagonal):
     """The rule is evaluated as prod(d_i / r_i), so a determinant or row
