@@ -32,11 +32,26 @@ Gamma).  ``_stencil`` stacks each point with its 8 shifts p +- h e_k and
 ``_split`` turns values there into the centre and centered differences,
 for metric partials without a provider and for dGamma alike; the Ricci
 contraction ``_contract`` takes (Gamma, dGamma) alone, so ``ricci_fd``
-reads the metric once, on the 9 N stencil points.  Float overflow,
-division by zero and invalid operations raise FloatingPointError; that
-includes the ``np.einsum`` products, which ignore ``np.errstate``, so
-``_einsum`` raises when one turns finite operands into a non-finite
-result, naming the quantity.
+reads the metric once, on the 9 N stencil points.
+
+Gamma is two batched matrix products per point: X = dg @ ``_X_MAP``,
+with dg flattened to 64 entries and ``_X_MAP`` a constant 64x64 matrix
+of +-1/2 and 0 giving X[d, b, c] = (d_b g_dc + d_c g_db - d_d g_bc) / 2
+(the 1/2 is folded in, which is exact), then Gamma = g^-1 @ X with X as
+4x16.  The Ricci contraction multiplies the trace vector Gamma^a_ad by
+Gamma as 4x16 for Gamma^a_ad Gamma^d_bc, and Gamma[d, b, a] as
+[b, (d, a)] by Gamma[a, c, d] as [(d, a), c] for Gamma^a_cd Gamma^d_ba;
+the two dGamma traces are einsums over views.  Every 0 of the map
+multiplies too, so one non-finite partial makes all 64 Gamma^a_bc of
+its point NaN or infinite, and ``ricci_fd`` then fails its asymmetry
+check with OracleError.
+
+Float overflow, division by zero and invalid operations raise
+FloatingPointError.  The products run under ``np.errstate(all="ignore")``
+and the Laplacian's ``np.einsum`` ignores ``np.errstate``, so each is
+checked instead: finite operands that give a non-finite result raise
+FloatingPointError naming the quantity (Christoffel symbols, Ricci
+contraction, Laplace-Beltrami operator).
 """
 
 from __future__ import annotations
@@ -133,8 +148,13 @@ def _ldl_inverse(d: np.ndarray, low: list) -> np.ndarray:
 
 
 def _require_symmetric(m: np.ndarray) -> None:
-    if np.max(np.abs(m - np.swapaxes(m, -1, -2))) > 1e-12:
-        raise InvalidMetricError("metric is not symmetric to 1e-12")
+    """InvalidMetricError unless each matrix m of the stack is symmetric to
+    1e-12 max(1, max|m|), a tolerance relative to its own scale."""
+    asymmetry = np.abs(m - np.swapaxes(m, -1, -2))
+    if np.max(asymmetry) > 1e-12:  # else within every matrix's tolerance
+        scale = np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1)))
+        if np.any(np.max(asymmetry, axis=(-2, -1)) > 1e-12 * scale):
+            raise InvalidMetricError("metric is not symmetric to 1e-12 max(1, max|g_ab|)")
 
 
 @raise_float_errors
@@ -142,11 +162,12 @@ def invert4(m: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric positive definite 4x4 matrix, or of each
     matrix of an (N, 4, 4) stack, from its LDL^T factor.
 
-    The factor reads the lower triangle, so a matrix that is not
-    symmetric to 1e-12, or that has a negative pivot (is not positive
-    definite), raises InvalidMetricError.  A non-finite entry anywhere in
-    the stack raises SingularMetricError before any factor is taken, and
-    so does a matrix singular at its own scale: the rule is
+    The factor reads the lower triangle, so a matrix m that is not
+    symmetric to 1e-12 max(1, max|m|), or that has a negative pivot (is
+    not positive definite), raises InvalidMetricError.  A non-finite
+    entry anywhere in the stack raises SingularMetricError before any
+    factor is taken, and so does a matrix singular at its own scale: the
+    rule is
     det >= 1e-10 * scale, with det the product of the pivots and scale
     the product of the row magnitudes r_i, evaluated as
     prod(d_i / r_i) >= 1e-10 so that neither product can overflow or
@@ -200,7 +221,9 @@ def _split(values: np.ndarray, h: float, batch_ndim: int) -> tuple[np.ndarray, n
     """(f(p), d_k f(p)) from f on the ``_stencil`` of p, the differences
     (f(p + h e_k) - f(p - h e_k)) / 2h with k after the batch axes."""
     pairs = values[1:].reshape((4, 2) + values.shape[1:])
-    return values[0], np.moveaxis((pairs[:, 0] - pairs[:, 1]) / (2.0 * h), 0, batch_ndim)
+    diff = np.subtract(pairs[:, 0], pairs[:, 1])
+    np.divide(diff, 2.0 * h, out=diff)
+    return values[0], np.moveaxis(diff, 0, batch_ndim)
 
 
 class MetricField:
@@ -245,14 +268,33 @@ class MetricField:
         return MetricField(self.value_fn)
 
 
-def _einsum(name: str, subscripts: str, *operands: np.ndarray) -> np.ndarray:
-    """``np.einsum`` with the overflow check that it skips under
-    ``np.errstate``: a non-finite result of finite operands raises
-    FloatingPointError naming the quantity ``name``."""
-    result = np.einsum(subscripts, *operands)
+def _checked(name: str, result: np.ndarray, *operands: np.ndarray) -> np.ndarray:
+    """``result`` unless it is non-finite where every operand is finite: a
+    product run under ``np.errstate(all="ignore")`` (or an ``np.einsum``,
+    which ignores it) then overflowed, and FloatingPointError names the
+    quantity ``name``."""
     if not np.all(np.isfinite(result)) and all(np.all(np.isfinite(x)) for x in operands):
         raise FloatingPointError(f"overflow encountered in {name}")
     return result
+
+
+def _einsum(name: str, subscripts: str, *operands: np.ndarray) -> np.ndarray:
+    """``np.einsum`` with the overflow check of ``_checked``."""
+    return _checked(name, np.einsum(subscripts, *operands), *operands)
+
+
+def _x_map() -> np.ndarray:
+    """The 64x64 matrix taking the partials dg[c, a, b] = d_c g_ab, flattened,
+    to X[d, b, c] = (d_b g_dc + d_c g_db - d_d g_bc) / 2, flattened."""
+    m = np.zeros((4, 4, 4, 4, 4, 4))  # [k, a, b] of dg by [d, b, c] of X
+    for d, b, c in np.ndindex(4, 4, 4):
+        m[b, d, c, d, b, c] += 0.5
+        m[c, d, b, d, b, c] += 0.5
+        m[d, b, c, d, b, c] -= 0.5
+    return m.reshape(64, 64)
+
+
+_X_MAP = _x_map()
 
 
 @raise_float_errors
@@ -261,9 +303,16 @@ def _levi_civita(g: MetricField, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     Gamma[..., a, b, c] = Gamma^a_bc, from one ``partials`` call."""
     gmat, dg = g.partials(p)  # dg[..., c, a, b] = d_c g_ab
     ginv = invert4(gmat)
-    # X[d, b, c] = d_b g_dc + d_c g_db - d_d g_bc
-    x = np.einsum("...bdc->...dbc", dg) + np.einsum("...cdb->...dbc", dg) - dg
-    return gmat, ginv, 0.5 * _einsum("Christoffel symbols", "...ad,...dbc->...abc", ginv, x)
+    batch = gmat.shape[:-2]
+    finite = np.all(np.isfinite(dg))  # g^-1 is: invert4 raises otherwise
+    with np.errstate(all="ignore"):
+        x = dg.reshape(batch + (64,)) @ _X_MAP  # X[..., d, b, c] / 2
+        del dg
+        gamma = ginv @ x.reshape(batch + (4, 16))
+        del x
+    if finite and not np.all(np.isfinite(gamma)):
+        raise FloatingPointError("overflow encountered in Christoffel symbols")
+    return gmat, ginv, gamma.reshape(batch + (4, 4, 4))
 
 
 def christoffel(g: MetricField, p) -> np.ndarray:
@@ -274,13 +323,17 @@ def christoffel(g: MetricField, p) -> np.ndarray:
 
 def _contract(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
     """Unsymmetrized Ricci tensor from Gamma and dGamma[..., k, a, b, c] = d_k Gamma^a_bc."""
-    name = "Ricci contraction"
-    return (
-        _einsum(name, "...aabc->...bc", dgamma)
-        - _einsum(name, "...caba->...bc", dgamma)
-        + _einsum(name, "...aad,...dbc->...bc", gamma, gamma)
-        - _einsum(name, "...acd,...dba->...bc", gamma, gamma)
-    )
+    batch = gamma.shape[:-3]
+    with np.errstate(all="ignore"):
+        ric = np.einsum("...aabc->...bc", dgamma) - np.einsum("...caba->...bc", dgamma)
+        # Gamma^a_ad Gamma^d_bc: the trace vector Gamma^a_ad times Gamma as 4x16
+        trace = np.einsum("...aad->...d", gamma)[..., None, :]
+        ric += (trace @ gamma.reshape(batch + (4, 16))).reshape(batch + (4, 4))
+        # Gamma^a_cd Gamma^d_ba: Gamma[d, b, a] as [b, (d, a)] times Gamma[a, c, d] as [(d, a), c]
+        left = np.swapaxes(gamma, -3, -2).reshape(batch + (4, 16))
+        right = np.moveaxis(gamma, -3, -1).reshape(batch + (4, 16))
+        ric -= left @ np.swapaxes(right, -1, -2)
+    return _checked("Ricci contraction", ric, gamma, dgamma)
 
 
 @raise_float_errors

@@ -1,7 +1,8 @@
 """tools/bench_pairs.py on made-up pairs: the change's wins, the gain rule
 (nine tenths of the pairs won and a median difference beyond the parent's
 IQR), the regression bound of BENCHMARK.json, the tail that is no
-tail and the per-layer self times of the traced passes."""
+tail, each run's child resource use and the per-layer self times of the
+traced passes."""
 
 import importlib.util
 import json
@@ -89,9 +90,28 @@ def test_each_timed_run_keeps_its_tail_percentile_and_samples(details, kept, mon
     stdout = "stamp\n" + json.dumps(details) + "\n" + json.dumps(result) + "\n"
     monkeypatch.setattr(bench_pairs.subprocess, "run",
                         lambda *args, **kwargs: SimpleNamespace(stdout=stdout))
+    monkeypatch.setattr(bench_pairs.resource, "getrusage", fake_getrusage())
     got_details, got = bench_pairs.run(ROOT, "residual-scan", 1, 1.0, 0)
     assert got_details == details
-    assert got == {**result, **kept}
+    assert got == {**result, **kept, "rusage": RUSAGE_STEP}
+
+
+RUSAGE_STEP = {"utime_s": 1.5, "stime_s": 0.25, "minflt": 1000}
+
+
+def fake_getrusage():
+    """A stand-in for ``resource.getrusage`` whose children's counters
+    grow by RUSAGE_STEP from one call to the next; any other call fails."""
+    calls = []
+
+    def getrusage(who):
+        assert who == bench_pairs.resource.RUSAGE_CHILDREN
+        calls.append(who)
+        n = len(calls)
+        return SimpleNamespace(ru_utime=10.0 + 1.5 * n, ru_stime=2.0 + 0.25 * n,
+                               ru_minflt=5000 + 1000 * n)
+
+    return getrusage
 
 
 def fake_perfbench(rows, self_s):
@@ -121,6 +141,7 @@ def fake_perfbench(rows, self_s):
 def test_the_bench_file_keeps_each_sides_self_time_per_row(tmp_path, monkeypatch):
     self_s = {"parent": 0.2, "change": 0.1}
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_perfbench(50, self_s))
+    monkeypatch.setattr(bench_pairs.resource, "getrusage", fake_getrusage())
     out = tmp_path / "BENCH.json"
     argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--out", str(out),
             "--workload", "verify-grid", "--pairs", "2"]
@@ -131,3 +152,6 @@ def test_the_bench_file_keeps_each_sides_self_time_per_row(tmp_path, monkeypatch
         for side in bench_pairs.SIDES
     }
     assert entry["trace_counts_differing"] == {}
+    for pair in entry["runs"]:
+        assert all(pair[side]["rusage"] == RUSAGE_STEP for side in bench_pairs.SIDES)
+    assert entry["rusage_median"] == {side: RUSAGE_STEP for side in bench_pairs.SIDES}

@@ -7,6 +7,7 @@ inversion cross-check against numpy.
 """
 
 import math
+import tracemalloc
 import warnings
 from collections import Counter
 from itertools import product
@@ -32,6 +33,7 @@ from biconf import (
 )
 import biconf.fields
 from biconf import oracle
+from biconf.cli import NUMERICAL_ERRORS
 from biconf.oracle import invert4
 from helpers import hyperbolic_pair, random_point, sphere_pair
 
@@ -106,6 +108,35 @@ def test_invert4_rejects_an_asymmetric_matrix():
         invert4(np.stack([np.eye(4), m]))
 
 
+def rotated_metric(scale):
+    """Q diag(1, 2, 3, 4) Q^T * scale from float matmuls, symmetric only to
+    rounding."""
+    q = np.linalg.qr(np.random.default_rng(7).normal(size=(4, 4)))[0]
+    return (q * [1.0, 2.0, 3.0, 4.0]) @ q.T * scale
+
+
+def test_the_symmetry_tolerance_is_relative_to_the_metric_scale():
+    """Rounding-level asymmetry at scale 1e6 (beyond an absolute 1e-12) is
+    accepted by invert4 and MetricField.value; an asymmetry of 1e-6 times
+    the largest entry is not."""
+    m = rotated_metric(1e6)
+    assert 1e-12 < np.max(np.abs(m - m.T)) < 1e-9
+    assert np.allclose(invert4(m) @ m, np.eye(4), atol=1e-12)
+    assert np.array_equal(constant_metric(m).value(ORIGIN), m)
+    assert invert4(np.stack([np.eye(4), m])).shape == (2, 4, 4)
+    skew = m.copy()
+    skew[3, 0] += 1e-6 * np.max(np.abs(m))
+    with pytest.raises(InvalidMetricError, match="not symmetric"):
+        invert4(skew)
+    with pytest.raises(InvalidMetricError, match="not symmetric"):
+        constant_metric(skew).value(ORIGIN)
+    # the tolerance is each matrix's own: scale 1e6 next to it lends nothing
+    small = np.eye(4)
+    small[3, 0] = 1e-11
+    with pytest.raises(InvalidMetricError, match="not symmetric"):
+        invert4(np.stack([m, small]))
+
+
 @pytest.mark.parametrize(
     "m",
     [
@@ -136,10 +167,13 @@ def test_invert4_accepts_a_well_conditioned_metric_at_an_extreme_scale(diagonal)
 
 def numpy_pipeline(m):
     """The metric check and inverse as numpy's LAPACK calls took them:
-    finite, symmetric, a Cholesky factor, then |det| >= 1e-10 * scale,
-    then the inverse."""
+    finite, symmetric to 1e-12 max(1, max|m|), a Cholesky factor, then
+    |det| >= 1e-10 * scale, then the inverse."""
     with np.errstate(all="ignore"):
-        if not np.all(np.isfinite(m)) or np.max(np.abs(m - np.swapaxes(m, -1, -2))) > 1e-12:
+        if not np.all(np.isfinite(m)):
+            raise InvalidMetricError
+        asymmetry = np.max(np.abs(m - np.swapaxes(m, -1, -2)), axis=(-2, -1))
+        if np.any(asymmetry > 1e-12 * np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1)))):
             raise InvalidMetricError
         try:
             np.linalg.cholesky(m)
@@ -280,6 +314,63 @@ def test_ricci_fd_rejects_nan_partials():
         ricci_fd(g, ORIGIN)
 
 
+def christoffel_reference(ginv, dg):
+    """Gamma^a_bc = 1/2 g^ad (d_b g_dc + d_c g_db - d_d g_bc) as einsums."""
+    x = np.einsum("...bdc->...dbc", dg) + np.einsum("...cdb->...dbc", dg) - dg
+    return 0.5 * np.einsum("...ad,...dbc->...abc", ginv, x)
+
+
+def contract_reference(gamma, dgamma):
+    """d_a Gamma^a_bc - d_c Gamma^a_ba + Gamma^a_ad Gamma^d_bc - Gamma^a_cd Gamma^d_ba as einsums."""
+    return (
+        np.einsum("...aabc->...bc", dgamma)
+        - np.einsum("...caba->...bc", dgamma)
+        + np.einsum("...aad,...dbc->...bc", gamma, gamma)
+        - np.einsum("...acd,...dba->...bc", gamma, gamma)
+    )
+
+
+def assert_rounding_close(got, want, bound):
+    """|got - want| <= 16 eps times ``bound``, the reference's sum of |terms|."""
+    assert np.all(np.abs(got - want) <= 16 * np.finfo(float).eps * bound)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([(), (1,), (2,), (5,), (9,)]), st.integers(0, 2**32 - 1))
+def test_christoffel_and_contraction_products_match_their_einsums(batch, seed):
+    """The batched matrix products of ``christoffel`` and ``_contract``
+    against the einsum formulas: within rounding of the sum of the
+    absolute terms, on non-diagonal SPD metrics Q diag(lambda) Q^T
+    (lambda in 10^-2..10^2) with random partials symmetric in (a, b), and
+    on random Gamma and dGamma without any symmetry; and each row of a
+    batch bit for bit as that point alone."""
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.normal(size=batch + (4, 4)))[0]
+    m = (q * 10.0 ** rng.uniform(-2, 2, size=batch + (1, 4))) @ np.swapaxes(q, -1, -2)
+    m = 0.5 * (m + np.swapaxes(m, -1, -2))
+    dg = rng.normal(size=batch + (4, 4, 4)) * 10.0 ** rng.uniform(-3, 3, size=batch + (4, 1, 1))
+    dg = dg + np.swapaxes(dg, -1, -2)
+    p = np.zeros(batch + (4,))
+    gamma = christoffel(MetricField(lambda p: m, lambda p: (m, dg)), p)
+    ginv = invert4(m)
+    x_abs = np.abs(dg)
+    x_abs = np.einsum("...bdc->...dbc", x_abs) + np.einsum("...cdb->...dbc", x_abs) + x_abs
+    assert_rounding_close(gamma, christoffel_reference(ginv, dg),
+                          0.5 * np.einsum("...ad,...dbc->...abc", np.abs(ginv), x_abs))
+
+    gam = rng.normal(size=batch + (4, 4, 4))
+    dgam = rng.normal(size=batch + (4, 4, 4, 4))
+    ric = oracle._contract(gam, dgam)
+    bound = (contract_reference(np.abs(gam), np.abs(dgam))
+             + 2 * np.einsum("...acd,...dba->...bc", np.abs(gam), np.abs(gam)))
+    assert_rounding_close(ric, contract_reference(gam, dgam), bound)
+
+    for k in np.ndindex(batch):
+        point = MetricField(lambda p, k=k: m[k], lambda p, k=k: (m[k], dg[k]))
+        assert np.array_equal(christoffel(point, ORIGIN), gamma[k])
+        assert np.array_equal(oracle._contract(gam[k], dgam[k]), ric[k])
+
+
 def test_christoffel_raises_on_overflow():
     # g^-1 is 1e10 I and d_0 g_00 = 1e300: Gamma^0_00 = 5e309 overflows
     # inside the einsum, which ignores np.errstate
@@ -310,6 +401,48 @@ def test_ricci_raises_on_overflow(evaluate):
     for p in (ORIGIN, np.zeros((3, 4))):
         with pytest.raises(FloatingPointError, match="overflow encountered in Ricci contraction"):
             evaluate(g, p)
+
+
+def partials_bad_at_x1_above_half(bad):
+    """Flat g whose partial d_1 g_22 is ``bad`` where x1 > 0.5, else 0."""
+
+    def partials(p):
+        dg = np.zeros(p.shape[:-1] + (4, 4, 4))
+        dg[..., 1, 2, 2] = np.where(p[..., 0] > 0.5, bad, 0.0)
+        return np.broadcast_to(np.eye(4), p.shape[:-1] + (4, 4)), dg
+
+    return MetricField(lambda p: partials(p)[0], partials)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize(
+    "evaluate",
+    [lambda g, p: ricci_fd(g, p), lambda g, p: einstein_residual_fd(g, 1.0, p)],
+    ids=["ricci_fd", "einstein_residual_fd"],
+)
+def test_one_non_finite_partial_is_a_numerical_error(bad, evaluate):
+    """One inf or NaN component of dg, at a single point, at every point
+    of a batch or at one point of it, raises an error the CLI reports
+    as a numerical failure."""
+    one = (1.0, 0.0, 0.0, 0.0)
+    for p in (one, np.array([one] * 3), np.array([ORIGIN, one, ORIGIN])):
+        with pytest.raises(NUMERICAL_ERRORS):
+            evaluate(partials_bad_at_x1_above_half(bad), p)
+
+
+def test_ricci_fd_keeps_under_three_stencil_arrays():
+    """The tracemalloc peak of a warm ``ricci_fd`` on 81 points stays below
+    three float arrays of the stencil's 9 * 81 points by 64 components."""
+    g = metric_of(sphere_pair())
+    grid = np.array(list(product((-0.3, 0.0, 0.3), repeat=4)))
+    ricci_fd(g, grid)
+    tracemalloc.start()
+    try:
+        ricci_fd(g, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 9 * 81 * 64 * 8
 
 
 @pytest.mark.parametrize("f", ["1e300*x1", "1e300*x2"])

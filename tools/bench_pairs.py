@@ -15,7 +15,12 @@ won and a median difference larger than the parent's IQR) and whether its
 median is worse than the parent's by more than the metric's bound.
 ``req_tail_ms`` is marked ``not_a_tail`` when any run's tail percentile
 is below 50: a run with few requests reports a low-ranked request, not a
-tail, as its ``req_tail_ms``.  Each side also runs one ``--trace 1``
+tail, as its ``req_tail_ms``.  Each run also keeps its process tree's
+resource use (``rusage``: user and system CPU seconds and minor page
+faults, from ``getrusage(RUSAGE_CHILDREN)`` before and after the
+subprocess, so including the run's setup-time subprocesses), and each
+side's medians of those are listed, to show what share of a saving is
+system time.  Each side also runs one ``--trace 1``
 pass of TRACE_SECONDS per workload; the file lists the call, step, row
 and byte counts that differ and, per side, each layer's traced self time
 over the pass's rows (``self_s_per_row``: ``*.self_s`` / ``cli.rows``), so
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -45,19 +51,26 @@ COUNTS = ("cli.rows", "cli.bytes_out", "cli.cells_empty")
 TRACE_SECONDS = 1.0
 # the details of a run kept with its result
 RUN_DETAILS = ("tail_percentile", "samples")
+# a run's resource use: key in the BENCH file, field of ``getrusage``
+RUSAGE = (("utime_s", "ru_utime"), ("stime_s", "ru_stime"), ("minflt", "ru_minflt"))
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
     """(environment details, result) of one ``perfbench/run.py`` run in
-    ``tree``; the result of a timed run also holds the details named in
-    RUN_DETAILS (a traced run has none of them)."""
+    ``tree``; the result holds the run's ``rusage`` and, for a timed run,
+    the details named in RUN_DETAILS (a traced run has none of them)."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True, check=True,
     )
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     details, result = map(json.loads, proc.stdout.splitlines()[-2:])
-    return details, {**result, **{key: details[key] for key in RUN_DETAILS if key in details}}
+    return details, {
+        **result, **{key: details[key] for key in RUN_DETAILS if key in details},
+        "rusage": {key: getattr(after, field) - getattr(before, field) for key, field in RUSAGE},
+    }
 
 
 def src_modified(tree: Path) -> bool | None:
@@ -149,7 +162,9 @@ def main(argv=None) -> int:
             print(f"{workload} pair {i + 1}/{args.pairs}: rows_per_s "
                   + " -> ".join(f"{pair[s]['metrics']['rows_per_s']['value']:.0f}" for s in SIDES),
                   file=sys.stderr)
-        entry = {"metrics": {name: compare(name, pairs) for name in END_TO_END}, "runs": pairs}
+        entry = {"metrics": {name: compare(name, pairs) for name in END_TO_END}, "runs": pairs,
+                 "rusage_median": {side: {key: float(np.median([p[side]["rusage"][key] for p in pairs]))
+                                          for key, _ in RUSAGE} for side in SIDES}}
         counts, per_row = {}, {}
         for side in SIDES:
             _, result = run(trees[side], workload, args.seed, TRACE_SECONDS, 1)
