@@ -167,8 +167,7 @@ def invert4(m: np.ndarray) -> np.ndarray:
     not positive definite), raises InvalidMetricError.  A non-finite
     entry anywhere in the stack raises SingularMetricError before any
     factor is taken, and so does a matrix singular at its own scale: the
-    rule is
-    det >= 1e-10 * scale, with det the product of the pivots and scale
+    rule is det >= 1e-10 * scale, with det the product of the pivots and scale
     the product of the row magnitudes r_i, evaluated as
     prod(d_i / r_i) >= 1e-10 so that neither product can overflow or
     underflow.  A well-conditioned metric with tiny or huge entries (a
