@@ -12,23 +12,23 @@ carries one, and centered finite differences otherwise.  The derivatives
 of Gamma needed by the Ricci tensor are always finite differences, so
 this module is an independent check on any closed-form curvature.
 
-One LDL^T factor (``_ldl``) per metric gives the positive-definiteness
-check (every pivot d_i > 0), the singularity rule and the inverse
-X^T D^-1 X with X = L^-1.  It is written out over the 4x4 components,
-each an array over the batch, so it loops over indices, never over
-points, and calls no LAPACK routine; it reads the lower triangle and
-knows nothing of the metric's shape beyond symmetric positive definite.
-The singularity rule is relative to the metric's own scale:
-det = prod(d_i) must be at least 1e-10 times the product of the row
-magnitudes r_i, evaluated as prod(d_i / r_i) >= 1e-10, so a
-well-conditioned metric whose determinant overflows or underflows still
-inverts.
+One check (``_factor``: shape, finiteness, symmetry) and one LDL^T
+factor (``_ldl``) per metric stack give the positive-definiteness check
+(every pivot d_i > 0), the singularity rule and the inverse X^T D^-1 X
+with X = L^-1 (``_inverse``).  The factor is written out over the 4x4
+components, each an array over the batch, so it loops over indices,
+never over points, calls no LAPACK routine and reads only the lower
+triangle of a metric known to be symmetric.  The singularity rule is
+relative to the metric's own scale: det = prod(d_i) must be at least
+1e-10 times the product of the row magnitudes r_i, evaluated as
+prod(d_i / r_i) >= 1e-10, so a well-conditioned metric whose
+determinant overflows or underflows still inverts.
 
 A ``MetricField`` is built from batch callables, and every function
-takes a point or an (N, 4) array of points (a batch) and works on the
-whole batch at once, through one Levi-Civita pass (``_levi_civita``):
-the module's only ``partials`` and ``invert4`` calls, giving (g, g^-1,
-Gamma).  ``_stencil`` stacks each point with its 8 shifts p +- h e_k and
+takes a point or an (N, 4) array of points (a batch, which may be empty)
+at once, through one Levi-Civita pass (``_levi_civita``): one read of
+g, its factor and dg, then ``_inverse``, giving (g, g^-1, Gamma).
+``_stencil`` stacks each point with its 8 shifts p +- h e_k and
 ``_split`` turns values there into the centre and centered differences,
 for metric partials without a provider and for dGamma alike; the Ricci
 contraction ``_contract`` takes (Gamma, dGamma) alone, so ``ricci_fd``
@@ -122,10 +122,36 @@ def _ldl(m: np.ndarray) -> tuple[np.ndarray, list]:
     return np.stack(d), low
 
 
-def _ldl_inverse(d: np.ndarray, low: list) -> np.ndarray:
-    """X^T D^-1 X with X = L^-1, the inverse of the matrices factored by
-    ``_ldl``, of shape batch + (4, 4).  A diagonal matrix gets 1/d
-    exactly, and +0.0 off the diagonal."""
+def _factor(m: np.ndarray, batch: tuple, non_finite: Exception) -> tuple[np.ndarray, list]:
+    """``_ldl(m)`` once m is checked: the shape batch + (4, 4) and each
+    matrix symmetric to 1e-12 max(1, max|m|), else InvalidMetricError; a
+    non-finite entry raises the caller's ``non_finite``.  The module's one
+    finiteness and symmetry check of a metric, and its one ``_ldl`` call."""
+    if m.shape != batch + (4, 4):
+        raise InvalidMetricError(f"metric must have shape {batch + (4, 4)}, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise non_finite
+    asymmetry = np.abs(m - np.swapaxes(m, -1, -2))
+    if np.max(asymmetry, initial=0.0) > 1e-12:  # else within every matrix's tolerance
+        scale = np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1)))
+        if np.any(np.max(asymmetry, axis=(-2, -1)) > 1e-12 * scale):
+            raise InvalidMetricError("metric is not symmetric to 1e-12 max(1, max|g_ab|)")
+    return _ldl(m)
+
+
+def _inverse(m: np.ndarray, d: np.ndarray, low: list) -> np.ndarray:
+    """X^T D^-1 X with X = L^-1 from the ``_factor`` (d, low) of m, once m
+    passes ``invert4``'s singularity rule, else SingularMetricError.  A
+    diagonal matrix gets 1/d exactly, and +0.0 off the diagonal."""
+    a = np.abs(np.moveaxis(m, (-2, -1), (0, 1)))
+    rows = np.maximum(np.maximum(a[:, 0], a[:, 1]), np.maximum(a[:, 2], a[:, 3]))
+    with np.errstate(all="ignore"):
+        bad = ~(np.prod(d / rows, axis=0) >= SINGULARITY_THRESHOLD)
+        if np.any(bad):
+            raise SingularMetricError(
+                f"metric determinant {first_where(np.prod(d, axis=0), bad):.3e} below"
+                f" threshold (scale {first_where(np.prod(rows, axis=0), bad):.3e})"
+            )
     x = []  # x[i][j] = X_ij for j < i; X_ii = 1
     for i in range(4):
         row = []
@@ -147,16 +173,6 @@ def _ldl_inverse(d: np.ndarray, low: list) -> np.ndarray:
     return inv
 
 
-def _require_symmetric(m: np.ndarray) -> None:
-    """InvalidMetricError unless each matrix m of the stack is symmetric to
-    1e-12 max(1, max|m|), a tolerance relative to its own scale."""
-    asymmetry = np.abs(m - np.swapaxes(m, -1, -2))
-    if np.max(asymmetry) > 1e-12:  # else within every matrix's tolerance
-        scale = np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1)))
-        if np.any(np.max(asymmetry, axis=(-2, -1)) > 1e-12 * scale):
-            raise InvalidMetricError("metric is not symmetric to 1e-12 max(1, max|g_ab|)")
-
-
 @raise_float_errors
 def invert4(m: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric positive definite 4x4 matrix, or of each
@@ -164,46 +180,30 @@ def invert4(m: np.ndarray) -> np.ndarray:
 
     The factor reads the lower triangle, so a matrix m that is not
     symmetric to 1e-12 max(1, max|m|), or that has a negative pivot (is
-    not positive definite), raises InvalidMetricError.  A non-finite
-    entry anywhere in the stack raises SingularMetricError before any
-    factor is taken, and so does a matrix singular at its own scale: the
-    rule is det >= 1e-10 * scale, with det the product of the pivots and scale
-    the product of the row magnitudes r_i, evaluated as
-    prod(d_i / r_i) >= 1e-10 so that neither product can overflow or
-    underflow.  A well-conditioned metric with tiny or huge entries (a
-    strongly collapsed or stretched direction) still inverts, and a zero
-    pivot, with the NaN pivots after it, fails the rule.
+    not positive definite), or a stack not of shape (..., 4, 4), raises
+    InvalidMetricError.  A non-finite entry anywhere in the stack raises
+    SingularMetricError before any factor is taken, and so does a matrix
+    singular at its own scale: the rule is det >= 1e-10 * scale, with det
+    the product of the pivots and scale the product of the row magnitudes
+    r_i, evaluated as prod(d_i / r_i) >= 1e-10 so that neither product can
+    overflow or underflow.  A well-conditioned metric with tiny or huge
+    entries (a strongly collapsed or stretched direction) still inverts,
+    and a zero pivot, with the NaN pivots after it, fails the rule.
     """
     m = np.asarray(m, dtype=float)
-    if not np.all(np.isfinite(m)):
-        raise SingularMetricError("metric to invert has a non-finite entry")
-    _require_symmetric(m)
-    d, low = _ldl(m)
+    d, low = _factor(m, m.shape[:-2], SingularMetricError("metric to invert has a non-finite entry"))
     if np.any(d < 0.0):
         raise InvalidMetricError("metric is not positive definite")
-    a = np.abs(np.moveaxis(m, (-2, -1), (0, 1)))
-    rows = np.maximum(np.maximum(a[:, 0], a[:, 1]), np.maximum(a[:, 2], a[:, 3]))
-    with np.errstate(all="ignore"):
-        bad = ~(np.prod(d / rows, axis=0) >= SINGULARITY_THRESHOLD)
-        if np.any(bad):
-            raise SingularMetricError(
-                f"metric determinant {first_where(np.prod(d, axis=0), bad):.3e} below"
-                f" threshold (scale {first_where(np.prod(rows, axis=0), bad):.3e})"
-            )
-    return _ldl_inverse(d, low)
+    return _inverse(m, d, low)
 
 
-def _check_metric_value(g: np.ndarray, batch: tuple) -> np.ndarray:
-    """``g`` if it is a finite, symmetric, positive definite 4x4 metric at
-    each point of the batch; else InvalidMetricError."""
-    if g.shape != batch + (4, 4):
-        raise InvalidMetricError(f"metric must be 4x4, got shape {g.shape[len(batch):]}")
-    if not np.all(np.isfinite(g)):
-        raise InvalidMetricError("metric has a non-finite entry")
-    _require_symmetric(g)
-    if not np.all(_ldl(g)[0] > 0.0):
+def _check_metric_value(g: np.ndarray, batch: tuple) -> tuple[np.ndarray, np.ndarray, list]:
+    """(g, d, low), g and its ``_factor``, if g is a finite, symmetric, positive
+    definite 4x4 metric at each point of the batch; else InvalidMetricError."""
+    d, low = _factor(g, batch, InvalidMetricError("metric has a non-finite entry"))
+    if not np.all(d > 0.0):
         raise InvalidMetricError("metric is not positive definite")
-    return g
+    return g, d, low
 
 
 # p + h e_k and p - h e_k for k = 0..3, in the order +e_0, -e_0, +e_1, ...
@@ -234,8 +234,9 @@ class MetricField:
     shape batch + (4, 4, 4) and dg[..., c, a, b] = d_c g_ab.  Without
     partials, metric derivatives are centered differences of the value
     with step DEFAULT_METRIC_STEP.  Every query takes a point or an
-    (N, 4) array of points, and every metric value it returns is checked
-    (finite, symmetric, positive definite).
+    (N, 4) array of points, including an empty (0, 4) batch, and every
+    metric value it returns is checked (finite, symmetric, positive
+    definite); a g or dg of another shape raises InvalidMetricError.
     """
 
     def __init__(
@@ -249,18 +250,28 @@ class MetricField:
     @raise_float_errors
     def value(self, p) -> np.ndarray:
         p = as_point(p)
-        return _check_metric_value(np.asarray(self.value_fn(p), dtype=float), p.shape[:-1])
+        return _check_metric_value(np.asarray(self.value_fn(p), dtype=float), p.shape[:-1])[0]
 
     @raise_float_errors
     def partials(self, p) -> tuple[np.ndarray, np.ndarray]:
         """(g, dg) at p: the checked metric value and its partials."""
+        g, _, _, dg = self._read(p)
+        return g, dg
+
+    def _read(self, p) -> tuple[np.ndarray, np.ndarray, list, np.ndarray]:
+        """(g, d, low, dg) at p: the checked g, its ``_factor`` (d, low) and dg."""
         p = as_point(p)
         if self.partials_fn is None:
             h = DEFAULT_METRIC_STEP
-            return _split(self.value(_stencil(p, h)), h, p.ndim - 1)
-        g, dg = self.partials_fn(p)
-        g = _check_metric_value(np.asarray(g, dtype=float), p.shape[:-1])
-        return g, np.asarray(dg, dtype=float)
+            g, dg = _split(self.value(_stencil(p, h)), h, p.ndim - 1)
+        else:
+            g, dg = self.partials_fn(p)
+        g, d, low = _check_metric_value(np.asarray(g, dtype=float), p.shape[:-1])
+        dg = np.asarray(dg, dtype=float)
+        shape = p.shape[:-1] + (4, 4, 4)
+        if dg.shape != shape:
+            raise InvalidMetricError(f"dg must have shape {shape}, got shape {dg.shape}")
+        return g, d, low, dg
 
     def without_partials(self) -> "MetricField":
         """Copy of this metric that forgets its analytic derivative provider."""
@@ -275,11 +286,6 @@ def _checked(name: str, result: np.ndarray, *operands: np.ndarray) -> np.ndarray
     if not np.all(np.isfinite(result)) and all(np.all(np.isfinite(x)) for x in operands):
         raise FloatingPointError(f"overflow encountered in {name}")
     return result
-
-
-def _einsum(name: str, subscripts: str, *operands: np.ndarray) -> np.ndarray:
-    """``np.einsum`` with the overflow check of ``_checked``."""
-    return _checked(name, np.einsum(subscripts, *operands), *operands)
 
 
 def _x_map() -> np.ndarray:
@@ -299,11 +305,11 @@ _X_MAP = _x_map()
 @raise_float_errors
 def _levi_civita(g: MetricField, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(g, g^-1, Gamma) at a point or at each point of a batch, with
-    Gamma[..., a, b, c] = Gamma^a_bc, from one ``partials`` call."""
-    gmat, dg = g.partials(p)  # dg[..., c, a, b] = d_c g_ab
-    ginv = invert4(gmat)
+    Gamma[..., a, b, c] = Gamma^a_bc, from one read of the metric."""
+    gmat, d, low, dg = g._read(p)  # dg[..., c, a, b] = d_c g_ab
+    ginv = _inverse(gmat, d, low)
     batch = gmat.shape[:-2]
-    finite = np.all(np.isfinite(dg))  # g^-1 is: invert4 raises otherwise
+    finite = np.all(np.isfinite(dg))  # g^-1 is: _inverse raises otherwise
     with np.errstate(all="ignore"):
         x = dg.reshape(batch + (64,)) @ _X_MAP  # X[..., d, b, c] / 2
         del dg
@@ -365,8 +371,8 @@ def laplace_beltrami_fd(g: MetricField, f: ScalarField, p):
     _, ginv, gamma = _levi_civita(g, p)
     jet = f.jet(p, 2)
     name = "Laplace-Beltrami operator"
-    hess = jet.h - _einsum(name, "...cab,...c->...ab", gamma, jet.g)
-    return _einsum(name, "...ab,...ab->...", ginv, hess)
+    hess = jet.h - _checked(name, np.einsum("...cab,...c->...ab", gamma, jet.g), gamma, jet.g)
+    return _checked(name, np.einsum("...ab,...ab->...", ginv, hess), ginv, hess)
 
 
 @raise_float_errors

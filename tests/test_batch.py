@@ -9,17 +9,24 @@ from hypothesis import strategies as st
 from biconf import (
     DeformationPair,
     DomainError,
+    ExpressionField,
     InvalidMetricError,
     OracleError,
     SingularMetricError,
+    christoffel,
     conformal_ricci_coords,
     deformed_laplacian,
+    einstein_residual_fd,
     einstein_residuals,
     frame_to_coords,
+    laplace_beltrami_fd,
     metric_of,
     ricci_fd,
     ricci_frame,
+    single_param_residuals,
+    warped_residuals,
 )
+from biconf.oracle import invert4
 from biconf.expr import eval_jet, eval_value, fold, parse_expr
 from test_expr import ROUND_TRIP_CORPUS
 
@@ -114,3 +121,36 @@ def test_fd_ricci_rows_agree_with_single_points(sigma, rho, points):
         return
     for row, single in zip(batch, singles):
         assert np.max(np.abs(row - single)) <= 1e-12 * max(1.0, np.max(np.abs(single)))
+
+
+def test_an_empty_batch_gives_empty_rows():
+    """Every batch entry point, closed form and oracle alike, on a (0, 4)
+    array of points (and ``invert4`` on a (0, 4, 4) stack, and
+    ``single_param_residuals`` on an empty array of t) returns arrays with
+    a leading axis of 0 and the trailing shapes of one point."""
+    d = _pair("0.1*x1 - 0.2*x3", "0.3*x2*x4")
+    g = metric_of(d)
+    flat = ExpressionField("1")  # constant vertical curvature 0
+    entry_points = [
+        lambda p: d.sigma.jet(p, 2),
+        d.log_data,
+        lambda p: ricci_frame(d, p).matrix,
+        lambda p: frame_to_coords(ricci_frame(d, p)),
+        lambda p: einstein_residuals(d, 0.7, p),
+        lambda p: deformed_laplacian(d, d.rho, p),
+        lambda p: conformal_ricci_coords(d.sigma, p),
+        lambda p: warped_residuals(d.sigma, d.rho, flat, 0.7, p),
+        lambda p: single_param_residuals(d.sigma, d.rho, 0.7, p[..., 0]),
+        g.value,
+        g.partials,
+        lambda p: invert4(g.value(p)),
+        lambda p: christoffel(g, p),
+        lambda p: ricci_fd(g, p),
+        lambda p: einstein_residual_fd(g, 0.7, p),
+        lambda p: laplace_beltrami_fd(g, d.rho, p),
+        lambda p: laplace_beltrami_fd(g.without_partials(), d.rho, p),
+    ]
+    point = np.array([0.1, -0.2, 0.05, 0.15])
+    for evaluate in entry_points:
+        empty, one = _leaves(evaluate(np.empty((0, 4)))), _leaves(evaluate(point))
+        assert [np.shape(x) for x in empty] == [(0,) + np.shape(x) for x in one]

@@ -108,6 +108,26 @@ def test_invert4_rejects_an_asymmetric_matrix():
         invert4(np.stack([np.eye(4), m]))
 
 
+def test_the_metric_read_checks_the_shapes_of_g_and_dg():
+    """g must have shape batch + (4, 4) and a provider's dg batch + (4, 4, 4),
+    else InvalidMetricError, one of the CLI's numerical errors, naming the
+    shape expected: a component-major dg of the right size is not read as
+    one of the right shape, nor is one point's dg broadcast."""
+    points = np.random.default_rng(3).uniform(-0.3, 0.3, size=(3, 4))
+    g = metric_of(sphere_pair())
+    gmat, dg = g.partials(points)
+    for bad in (np.moveaxis(dg, -3, 0), dg[0]):
+        provider = MetricField(g.value_fn, lambda p, bad=bad: (gmat, bad))
+        for query in (provider.partials, lambda p: christoffel(provider, p)):
+            with pytest.raises(InvalidMetricError, match=r"shape \(3, 4, 4, 4\), got shape"):
+                query(points)
+    with pytest.raises(InvalidMetricError, match=r"shape \(3, 4, 4\), got shape \(4, 4\)"):
+        MetricField(lambda p: np.eye(4)).value(points)
+    with pytest.raises(InvalidMetricError, match=r"shape \(4, 4\), got shape \(3, 3\)"):
+        invert4(np.eye(3))
+    assert issubclass(InvalidMetricError, NUMERICAL_ERRORS)
+
+
 def rotated_metric(scale):
     """Q diag(1, 2, 3, 4) Q^T * scale from float matmuls, symmetric only to
     rounding."""
@@ -188,7 +208,7 @@ def numpy_pipeline(m):
 
 def ldl_pipeline(m):
     """What the oracle does with a metric value: check it, then invert it."""
-    return invert4(oracle._check_metric_value(m, m.shape[:-2]))
+    return invert4(oracle._check_metric_value(m, m.shape[:-2])[0])
 
 
 KINDS = ("spd", "diagonal", "near-singular", "indefinite", "asymmetric", "non-finite")
@@ -277,6 +297,32 @@ def test_ldl_pipeline_decides_and_inverts_as_numpy(m):
                 assert np.array_equal(gi, ri) and not np.signbit(gi).any()
             lam = np.abs(np.linalg.eigvalsh(mi))
             assert np.max(np.abs(gi - ri)) <= 1e-13 * lam.max() / lam.min() * np.max(np.abs(ri))
+
+
+def raised(evaluate):
+    """``evaluate()``, or the metric error it raised."""
+    try:
+        return evaluate()
+    except (InvalidMetricError, SingularMetricError) as exc:
+        return exc
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(metric_stacks())
+def test_the_levi_civita_pass_decides_as_value_then_invert4(m):
+    """A Levi-Civita pass checks and factors a constant metric once, and
+    decides as ``MetricField.value`` then ``invert4`` do: the same error
+    class and message where they raise, else their g^-1 bit for bit."""
+    batch = m.shape[:-2]
+    g = MetricField(lambda p: m, lambda p: (m, np.zeros(batch + (4, 4, 4))))
+    p = np.zeros(batch + (4,))
+    got = raised(lambda: oracle._levi_civita(g, p)[1])
+    want = raised(lambda: invert4(g.value(p)))
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+    else:
+        assert isinstance(got, np.ndarray) and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_metric_validation():
@@ -595,54 +641,43 @@ def test_conformal_sanity():
 
 
 def test_each_oracle_entry_point_reads_and_inverts_the_metric_once(monkeypatch):
-    """One Levi-Civita pass per call: the Ricci entry points read the
-    metric on the 9 N points of their stencil and take g at p from its
-    centre, the Laplacian reads it at p, and each inverts it once; the
-    same on 1 point as on 81.  Counts are keyed by (name, points), and
-    the metric's jet walks by ("eval_jet", order, points): the metric
-    and its partials need first-order jets, the Laplacian's f a
-    second-order one."""
-    calls = Counter()
+    """One Levi-Civita pass per call, which factors the metric once: the
+    Ricci entry points read it on the 9 N points of their stencil and
+    take g at p from its centre, the Laplacian reads it at p; the same on
+    1 point as on 81.  ``_ldl`` calls are listed in order by their
+    points, and the metric's jet walks are counted by (order, points):
+    the metric and its partials need first-order jets, the Laplacian's f
+    a second-order one.  Without a provider the pass checks the value on
+    the 9 N points and then factors the N centres."""
+    factors, jets = [], Counter()
+    original_ldl, original_jet = oracle._ldl, biconf.fields.eval_jet
 
-    def counting(name, fn, batch_of):
-        def wrapper(*args):
-            calls[name, math.prod(batch_of(args))] += 1
-            return fn(*args)
-
-        return wrapper
-
-    def points(args):
-        return np.shape(args[1])[:-1]
-
-    for name in ("value", "partials"):
-        monkeypatch.setattr(MetricField, name, counting(name, getattr(MetricField, name), points))
-    monkeypatch.setattr(oracle, "invert4", counting("invert4", invert4, lambda a: a[0].shape[:-2]))
-    original = biconf.fields.eval_jet
+    def ldl(m):
+        factors.append(math.prod(m.shape[:-2]))
+        return original_ldl(m)
 
     def eval_jet(node, p, order):
-        calls["eval_jet", order, math.prod(np.shape(p)[:-1])] += 1
-        return original(node, p, order)
+        jets[order, math.prod(np.shape(p)[:-1])] += 1
+        return original_jet(node, p, order)
 
+    monkeypatch.setattr(oracle, "_ldl", ldl)
     monkeypatch.setattr(biconf.fields, "eval_jet", eval_jet)
 
     g = metric_of(sphere_pair())
     f = ExpressionField("x1*x3 + x2^2")
     grid = np.array(list(product((-0.3, 0.0, 0.3), repeat=4)))
     for p, n in ((np.array([0.1, -0.2, 0.05, 0.15]), 1), (grid, 81)):
-        ricci = {("partials", 9 * n): 1, ("invert4", 9 * n): 1, ("eval_jet", 1, 9 * n): 2}
         expected = [
-            (lambda: ricci_fd(g, p), ricci),
-            (lambda: einstein_residual_fd(g, 1.0, p), ricci),
-            (lambda: christoffel(g, p),
-             {("partials", n): 1, ("invert4", n): 1, ("eval_jet", 1, n): 2}),
-            (lambda: laplace_beltrami_fd(g, f, p),
-             {("partials", n): 1, ("invert4", n): 1, ("eval_jet", 1, n): 2,
-              ("eval_jet", 2, n): 1}),
+            (lambda: ricci_fd(g, p), [9 * n], {(1, 9 * n): 2}),
+            (lambda: einstein_residual_fd(g, 1.0, p), [9 * n], {(1, 9 * n): 2}),
+            (lambda: christoffel(g, p), [n], {(1, n): 2}),
+            (lambda: laplace_beltrami_fd(g, f, p), [n], {(1, n): 2, (2, n): 1}),
             (lambda: laplace_beltrami_fd(g.without_partials(), f, p),
-             {("partials", n): 1, ("value", 9 * n): 1, ("invert4", n): 1,
-              ("eval_jet", 1, 9 * n): 2, ("eval_jet", 2, n): 1}),
+             [9 * n, n], {(1, 9 * n): 2, (2, n): 1}),
         ]
-        for evaluate, counts in expected:
-            calls.clear()
+        for evaluate, ldl_points, jet_counts in expected:
+            factors.clear()
+            jets.clear()
             evaluate()
-            assert calls == counts
+            assert factors == ldl_points
+            assert jets == jet_counts
