@@ -1,6 +1,7 @@
 """Output files and grid lines: byte-pinned against the plain writers
 they replace (``json.dump(..., indent=2)`` and ``format(x, ".17g")`` per
-cell), and written in slices of CHUNK rows."""
+cell), written in slices of CHUNK rows, on the per-cell path and on the
+path that formats each distinct value of a slice once."""
 
 import csv
 import io
@@ -101,6 +102,53 @@ def test_writers_at_slice_boundaries_and_empty_columns(n, tmp_path):
     assert json_text == reference_json("samples", header, rows, summary)
 
 
+# values that rounding noise and edge cases repeat: both zeros, both NaNs,
+# both infinities, the smallest subnormal and +-2^-53
+POOL = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
+        1.1102230246251565e-16, -1.1102230246251565e-16]
+
+
+@st.composite
+def repetitive_tables(draw):
+    """(header, rows) of up to 5 columns and 48 rows.  A column draws its
+    cells from 1-3 values of POOL and None, or is all distinct, or all
+    None."""
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(0, 48))
+    columns = []
+    for _ in range(k):
+        kind = draw(st.sampled_from(["pool", "pool", "distinct", "empty"]))
+        if kind == "pool":
+            values = draw(st.lists(st.sampled_from(POOL + [None]), min_size=1, max_size=3))
+            columns.append(draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)))
+        elif kind == "distinct":
+            columns.append(draw(st.lists(st.floats(), min_size=n, max_size=n, unique=True)))
+        else:
+            columns.append([None] * n)
+    return [f"c{j}" for j in range(k)], [list(row) for row in zip(*columns)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(table=repetitive_tables(), every_mask=st.booleans())
+def test_writers_format_each_distinct_value_once(table, every_mask, tmp_path_factory):
+    """Slices of 16 rows and a threshold of 6, so that full slices of
+    repeated values take the distinct-value path and short or mostly
+    distinct ones the per-cell path; with ``every_mask`` each column has a
+    mask, all False where it has no empty cell."""
+    header, rows = table
+    columns, empty = as_columns(header, rows)
+    if every_mask:
+        empty = [np.zeros(len(rows), bool) if e is None else e for e in empty]
+    tmp = tmp_path_factory.mktemp("d")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "CHUNK", 16)
+        mp.setattr(cli, "_DISTINCT_ROWS", 6)
+        _write_csv(str(tmp / "t.csv"), header, columns, empty)
+        _write_json(str(tmp / "t.json"), "points", header, columns, {}, empty)
+    assert (tmp / "t.csv").read_bytes().decode("utf-8") == reference_csv(header, rows)
+    assert (tmp / "t.json").read_bytes().decode("utf-8") == reference_json("points", header, rows, {})
+
+
 def _csv_rows(text):
     lines = list(csv.reader(io.StringIO(text)))
     return lines[0], [[None if cell == "" else float(cell) for cell in row] for row in lines[1:]]
@@ -152,6 +200,38 @@ def test_grid_lines_are_the_per_point_lines(tmp_path, capsys):
     ]
     assert lines[:-1] == expected
     assert lines[-1].startswith("grid max residual = ")
+
+
+def test_grid_lines_format_each_distinct_maximum_once(tmp_path, monkeypatch, capsys):
+    """A 4^4 grid of Einstein residuals in slices of 50 rows with a
+    threshold of 10: the maxima of the five full slices take the
+    distinct-value path, the 6-row tail the per-cell path, and stdout is
+    the per-point lines either way."""
+    grid = ",".join(f"x{i}=-0.4:0.4:4" for i in range(1, 5))
+    argv = ["residual", "--sigma", "(1+x1^2+x2^2)/2", "--rho", "(1+x3^2+x4^2)/2", "--A", "1",
+            "--grid", grid]
+    monkeypatch.setattr(cli, "CHUNK", 50)
+    monkeypatch.setattr(cli, "_DISTINCT_ROWS", 10)
+    out = tmp_path / "r.json"
+    assert main(argv + ["--format", "json", "--out", str(out)]) == 0
+    points = json.loads(out.read_text())["points"]
+    capsys.readouterr()
+    distinct, taken = cli._distinct_cells, []
+
+    def spy(*args):
+        cells = distinct(*args)
+        taken.append(cells is not None)
+        return cells
+
+    monkeypatch.setattr(cli, "_distinct_cells", spy)
+    assert main(argv) == 0  # no --out: every call formats a stdout column
+    assert taken == [True] * 5 + [False]
+    fmt = lambda x: format(float(x), ".17g")  # noqa: E731
+    assert capsys.readouterr().out.splitlines()[:-1] == [
+        f"x=({fmt(p['x1'])}, {fmt(p['x2'])}, {fmt(p['x3'])}, {fmt(p['x4'])})"
+        f"  max|residual| = {p['max_abs']:.6e}"
+        for p in points
+    ]
 
 
 BOUNDS = st.sampled_from([-0.0, 0.0, 0.1, 1e-300, -1e-300, -0.4, 0.3, 1 / 3])

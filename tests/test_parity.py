@@ -1,5 +1,6 @@
 """Smoke test of tools/parity.py: a tree matches itself, and a tree whose
-FD step differs is caught on the verify requests, in byte mode and in
+FD step differs is caught on the verify requests (two of the workload
+and one long run), in byte mode and in
 numeric mode beyond its tolerance; numeric mode still compares every
 character outside a number."""
 
@@ -35,7 +36,7 @@ def changed_tree(tmp_path, module, old, new):
 def test_a_tree_matches_itself():
     run = parity(ROOT, ROOT)
     assert run.returncode == 0, run.stderr
-    assert run.stdout == "parity: 10 runs, 0 differ\n"
+    assert run.stdout == "parity: 12 runs, 0 differ\n"
 
 
 def test_a_changed_tree_is_listed(tmp_path):
@@ -43,8 +44,8 @@ def test_a_changed_tree_is_listed(tmp_path):
     run = parity(ROOT, tree)
     assert run.returncode == 1, run.stderr
     lines = run.stdout.splitlines()
-    assert lines[-1].startswith("parity: 10 runs, ") and lines[-1] != "parity: 10 runs, 0 differ"
-    assert sum(line.startswith("differs in stdout, out: [\"verify\"") for line in lines) == 2
+    assert lines[-1].startswith("parity: 12 runs, ") and lines[-1] != "parity: 12 runs, 0 differ"
+    assert sum(line.startswith("differs in stdout, out: [\"verify\"") for line in lines) == 3
 
 
 def test_numeric_mode_reads_numbers_within_the_tolerance(tmp_path):
@@ -53,13 +54,13 @@ def test_numeric_mode_reads_numbers_within_the_tolerance(tmp_path):
     what byte mode lists."""
     run = parity(ROOT, ROOT, "--numeric", "1e-12")
     assert run.returncode == 0, run.stderr
-    assert run.stdout == "largest difference: 0\nparity: 10 runs, 0 differ\n"
+    assert run.stdout == "largest difference: 0\nparity: 12 runs, 0 differ\n"
     tree = changed_tree(tmp_path, *FD_STEP)
     loose = parity(ROOT, tree, "--numeric", "1e-3")
     assert loose.returncode == 0, loose.stderr
     largest, summary = loose.stdout.splitlines()
     assert largest.startswith("largest difference: ") and 1e-9 < float(largest.split()[2]) < 1e-3
-    assert summary == "parity: 10 runs, 0 differ"
+    assert summary == "parity: 12 runs, 0 differ"
     tight, byte = parity(ROOT, tree, "--numeric", "1e-12"), parity(ROOT, tree)
     assert tight.returncode == byte.returncode == 1
     lines = tight.stdout.splitlines()
@@ -73,5 +74,5 @@ def test_numeric_mode_compares_every_character_outside_a_number(tmp_path):
     run = parity(ROOT, tree, "--numeric", "1")
     assert run.returncode == 1
     lines = run.stdout.splitlines()
-    assert lines[-2:] == ["largest difference: 0", "parity: 10 runs, 2 differ"]
-    assert sum(line.startswith("differs in stdout: [\"verify\"") for line in lines) == 2
+    assert lines[-2:] == ["largest difference: 0", "parity: 12 runs, 3 differ"]
+    assert sum(line.startswith("differs in stdout: [\"verify\"") for line in lines) == 3
