@@ -73,9 +73,6 @@ NUMERICAL_ERRORS = (
 # points per batched evaluation and rows per slice of an output file; bounds
 # the memory of the jets and stencils of a batch and the text of a slice
 CHUNK = 1024
-# fewest rows of a float column slice whose distinct values are formatted
-# once each (_distinct_cells); a shorter slice formats cell by cell
-_DISTINCT_ROWS = 256
 MAX_GRID_POINTS = 10**6  # points per grid scan, like families.MAX_STEPS per run
 
 RESIDUAL_COLUMNS = [
@@ -332,11 +329,8 @@ def _distinct_cells(values: np.ndarray, fmt, empty=None, blank: str = "") -> lis
     """The cells of a float column slice, ``fmt`` of each value and
     ``blank`` where ``empty`` is set, formatting each distinct value once:
     values are keyed by bit pattern, so 0.0 and -0.0 (and NaN payloads)
-    stay apart.  None when the slice has fewer than _DISTINCT_ROWS rows or
-    more than half of its values are distinct; the caller then formats
-    each cell."""
-    if len(values) < _DISTINCT_ROWS:
-        return None
+    stay apart.  None when more than half of the slice's values are
+    distinct; the caller then formats each cell."""
     bits = values.view(np.int64)
     keys = np.sort(bits)  # np.unique takes about 9x as long on 1024 values (numpy 2.4)
     keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]

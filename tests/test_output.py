@@ -131,10 +131,10 @@ def repetitive_tables(draw):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(table=repetitive_tables(), every_mask=st.booleans())
 def test_writers_format_each_distinct_value_once(table, every_mask, tmp_path_factory):
-    """Slices of 16 rows and a threshold of 6, so that full slices of
-    repeated values take the distinct-value path and short or mostly
-    distinct ones the per-cell path; with ``every_mask`` each column has a
-    mask, all False where it has no empty cell."""
+    """Slices of 16 rows, so that slices of repeated values take the
+    distinct-value path and mostly distinct ones the per-cell path; with
+    ``every_mask`` each column has a mask, all False where it has no empty
+    cell."""
     header, rows = table
     columns, empty = as_columns(header, rows)
     if every_mask:
@@ -142,7 +142,6 @@ def test_writers_format_each_distinct_value_once(table, every_mask, tmp_path_fac
     tmp = tmp_path_factory.mktemp("d")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "CHUNK", 16)
-        mp.setattr(cli, "_DISTINCT_ROWS", 6)
         _write_csv(str(tmp / "t.csv"), header, columns, empty)
         _write_json(str(tmp / "t.json"), "points", header, columns, {}, empty)
     assert (tmp / "t.csv").read_bytes().decode("utf-8") == reference_csv(header, rows)
@@ -203,15 +202,13 @@ def test_grid_lines_are_the_per_point_lines(tmp_path, capsys):
 
 
 def test_grid_lines_format_each_distinct_maximum_once(tmp_path, monkeypatch, capsys):
-    """A 4^4 grid of Einstein residuals in slices of 50 rows with a
-    threshold of 10: the maxima of the five full slices take the
-    distinct-value path, the 6-row tail the per-cell path, and stdout is
-    the per-point lines either way."""
+    """A 4^4 grid of Einstein residuals in slices of 50 rows: the maxima
+    of the five full slices repeat and take the distinct-value path, and
+    stdout is the per-point lines."""
     grid = ",".join(f"x{i}=-0.4:0.4:4" for i in range(1, 5))
     argv = ["residual", "--sigma", "(1+x1^2+x2^2)/2", "--rho", "(1+x3^2+x4^2)/2", "--A", "1",
             "--grid", grid]
     monkeypatch.setattr(cli, "CHUNK", 50)
-    monkeypatch.setattr(cli, "_DISTINCT_ROWS", 10)
     out = tmp_path / "r.json"
     assert main(argv + ["--format", "json", "--out", str(out)]) == 0
     points = json.loads(out.read_text())["points"]
@@ -225,7 +222,7 @@ def test_grid_lines_format_each_distinct_maximum_once(tmp_path, monkeypatch, cap
 
     monkeypatch.setattr(cli, "_distinct_cells", spy)
     assert main(argv) == 0  # no --out: every call formats a stdout column
-    assert taken == [True] * 5 + [False]
+    assert len(taken) == 6 and all(taken[:5])
     fmt = lambda x: format(float(x), ".17g")  # noqa: E731
     assert capsys.readouterr().out.splitlines()[:-1] == [
         f"x=({fmt(p['x1'])}, {fmt(p['x2'])}, {fmt(p['x3'])}, {fmt(p['x4'])})"

@@ -15,13 +15,9 @@ won and a median difference larger than the parent's IQR) and whether its
 median is worse than the parent's by more than the metric's bound.
 ``req_tail_ms`` is marked ``not_a_tail`` when any run's tail percentile
 is below 50: a run with few requests reports a low-ranked request, not a
-tail, as its ``req_tail_ms``.  Each timed run also keeps its raw
-wall-clock throughput and its median calibration-kernel time
-(``wall_rows_per_s``, ``kernel_ms``), and each side's medians of those
-are listed (``wall_median``), so that a move of ``rows_per_s`` can be
-split into a move of wall time and one of the calibration scale.  Each
-run also keeps its process tree's resource use (``rusage``: user and
-system CPU seconds and minor page faults, from ``getrusage(RUSAGE_CHILDREN)`` before and after the
+tail, as its ``req_tail_ms``.  Each run also keeps its process tree's
+resource use (``rusage``: user and system CPU seconds and minor page
+faults, from ``getrusage(RUSAGE_CHILDREN)`` before and after the
 subprocess, so including the run's setup-time subprocesses), and each
 side's medians of those are listed, to show what share of a saving is
 system time.  Each side also runs one ``--trace 1``
@@ -53,10 +49,8 @@ SIDES = ("parent", "change")
 COUNT_SUFFIXES = (".calls", ".steps", ".failed")
 COUNTS = ("cli.rows", "cli.bytes_out", "cli.cells_empty")
 TRACE_SECONDS = 1.0
-# the details of a timed run whose per-side medians are listed, and all the
-# details of a run kept with its result
-WALL_DETAILS = ("wall_rows_per_s", "kernel_ms")
-RUN_DETAILS = ("tail_percentile", "samples", *WALL_DETAILS)
+# the details of a run kept with its result
+RUN_DETAILS = ("tail_percentile", "samples")
 # a run's resource use: key in the BENCH file, field of ``getrusage``
 RUSAGE = (("utime_s", "ru_utime"), ("stime_s", "ru_stime"), ("minflt", "ru_minflt"))
 
@@ -170,9 +164,7 @@ def main(argv=None) -> int:
                   file=sys.stderr)
         entry = {"metrics": {name: compare(name, pairs) for name in END_TO_END}, "runs": pairs,
                  "rusage_median": {side: {key: float(np.median([p[side]["rusage"][key] for p in pairs]))
-                                          for key, _ in RUSAGE} for side in SIDES},
-                 "wall_median": {side: {key: float(np.median([p[side][key] for p in pairs]))
-                                        for key in WALL_DETAILS} for side in SIDES}}
+                                          for key, _ in RUSAGE} for side in SIDES}}
         counts, per_row = {}, {}
         for side in SIDES:
             _, result = run(trees[side], workload, args.seed, TRACE_SECONDS, 1)

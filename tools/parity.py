@@ -6,16 +6,14 @@ Runs every seed-1 request of the three benchmark workloads (taken from
 ``perfbench/workloads.py`` next to this directory, which is only
 imported), the canned examples (``examples list``, then each name
 bare, with ``--out`` as CSV and with ``--out`` as JSON), a fixed list of
-successful runs of at least 256 rows written as CSV (``LONG_RUNS``) and a
+successful runs of hundreds of rows written as CSV (``LONG_RUNS``) and a
 fixed list of command lines that hit a validation or numerical failure
 (``FAILURES``: exit 1 or 2) against the ``src/`` of each tree.  Each
 tree runs in its own subprocess, which calls ``biconf.cli.main(argv)``
 in-process for one request after another inside a fresh working
-directory, so an ``--out`` path reads the same in both.  The two
-subprocesses run with different hash seeds (PYTHONHASHSEED 1 and 2), so
-``parity.py . .`` checks that the output does not depend on hash order.
-The exit code, stdout, stderr and ``--out`` bytes of each run are
-compared through their SHA-256 digests.
+directory, so an ``--out`` path reads the same in both.  The exit code,
+stdout, stderr and ``--out`` bytes of each run are compared through
+their SHA-256 digests.
 
 ``--numeric ATOL`` compares stdout and the ``--out`` file as text with
 numbers in it: every character outside a number token (``NUMBER``) must
@@ -50,8 +48,8 @@ FIELDS = ("code", "stdout", "stderr", "out")
 # working directory of each tree
 BAD_CONFIG = ("bad.cfg", "tol 1e-6\n")
 
-# successful runs whose output columns have at least 256 rows per slice
-# and few distinct values, written as CSV and to stdout: Einstein residuals,
+# successful runs of hundreds of rows whose output columns repeat a few
+# distinct values, written as CSV and to stdout: Einstein residuals,
 # an FD gap that depends on (x1, x3) only, and a trajectory with -0.0
 # rho_prime cells and empty sigma cells
 LONG_RUNS = [
@@ -143,10 +141,8 @@ def requests(limit: int | None) -> list[list[str]]:
     return argvs + examples[:limit] + LONG_RUNS[:limit] + FAILURES[:limit]
 
 
-def start(tree: Path, argv_file: str, workdir: str, numeric: bool,
-          hash_seed: int) -> subprocess.Popen:
+def start(tree: Path, argv_file: str, workdir: str, numeric: bool) -> subprocess.Popen:
     env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "BICONF_TOL")}
-    env["PYTHONHASHSEED"] = str(hash_seed)
     return subprocess.Popen(
         [sys.executable, "-c", WORKER, str(tree.resolve()), argv_file, NUMBER if numeric else ""],
         cwd=workdir, env=env, stdout=subprocess.PIPE, text=True,
@@ -195,8 +191,8 @@ def main(argv=None) -> int:
             with open(os.path.join(d, BAD_CONFIG[0]), "w", encoding="utf-8") as fh:
                 fh.write(BAD_CONFIG[1])
         procs = [
-            start(tree, argv_file, d, args.numeric is not None, hash_seed)
-            for hash_seed, tree, d in zip((1, 2), (args.old, args.new), dirs)
+            start(tree, argv_file, d, args.numeric is not None)
+            for tree, d in zip((args.old, args.new), dirs)
         ]
         # one record of each tree at a time: a numeric record can be large
         for argv, a, b in zip(argvs, procs[0].stdout, procs[1].stdout):
