@@ -139,7 +139,7 @@ def _read_config_file(path: str) -> dict:
                 key, value = line.split("=", 1)
                 key = key.strip().replace("-", "_")
                 values[key] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from None
     return values
 
@@ -399,10 +399,13 @@ def _emit(args, key: str, header: list[str], columns, summary: dict, empty=None)
     """Write ``columns``, one array per header name, to --out."""
     if args.out is None:
         return
-    if args.format == "csv":
-        _write_csv(args.out, header, columns, empty)
-    else:
-        _write_json(args.out, key, header, columns, summary, empty)
+    try:
+        if args.format == "csv":
+            _write_csv(args.out, header, columns, empty)
+        else:
+            _write_json(args.out, key, header, columns, summary, empty)
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {args.out}: {exc.strerror}") from None
 
 
 def _require(args: argparse.Namespace, *keys: str) -> None:
@@ -560,7 +563,6 @@ def _check_steps(t0: float, args: argparse.Namespace) -> None:
 
 
 def cmd_solve_family(args: argparse.Namespace) -> int:
-    header = ["t", "rho", "rho_prime", "sigma", "proj_residual_max", "fd_einstein_residual"]
     if args.ricci_flat:
         sigma, rho = ricci_flat_fields(args.a)
         a_const = 0.0
@@ -577,64 +579,64 @@ def cmd_solve_family(args: argparse.Namespace) -> int:
             if isinstance(block, Exception):
                 raise block
             samples.append(block)
-        values, empty = _residual_columns(args, sigma, rho, a_const, ts, args.t_min, args.t_max)
-        columns = [*np.concatenate(samples).T, *values]
+        columns, span = list(np.concatenate(samples).T), (args.t_min, args.t_max)
+        no_sigma = None  # sigma is defined at every sample
         summary = {"A": a_const, "profile": "ricci-flat", "a": args.a}
-        _emit(args, "samples", header, columns, summary, [None] * 4 + empty)
         print(f"Ricci-flat profile sigma = a t^(1/4), rho = t^(-1/2), a = {args.a:g}")
         print(f"A = {a_const:g}")
-        return 0
-
-    _require(args, "alpha", "beta")
-    try:
-        fp = FamilyParams(alpha=args.alpha, beta=args.beta, b=args.b)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    _check_steps(0.0, args)
-    traj = integrate_rho(fp, args.rho0, args.dt, args.t_max)
-    prime0 = traj["rho_prime"][0]
-    if prime0 == 0.0:
-        raise UsageError("initial state is an equilibrium (rho' = 0); sigma undefined")
-    a_const = einstein_constant(fp, 1 if prime0 > 0 else -1)
-
-    sigma = rho = None
-    try:
-        sigma, rho = family_fields(fp, traj)
-    except NUMERICAL_ERRORS:
-        pass
-    columns = [traj.t, traj["rho"], traj["rho_prime"], traj["sigma"]]
-    if sigma is not None:
-        values, empty = _residual_columns(args, sigma, rho, a_const, traj.t, traj.t[0], traj.t[-1])
     else:
-        values, empty = [np.zeros(len(traj))] * 2, [np.ones(len(traj), bool)] * 2
+        _require(args, "alpha", "beta")
+        try:
+            fp = FamilyParams(alpha=args.alpha, beta=args.beta, b=args.b)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+        _check_steps(0.0, args)
+        traj = integrate_rho(fp, args.rho0, args.dt, args.t_max)
+        prime0 = traj["rho_prime"][0]
+        if prime0 == 0.0:
+            raise UsageError("initial state is an equilibrium (rho' = 0); sigma undefined")
+        a_const = einstein_constant(fp, 1 if prime0 > 0 else -1)
 
-    summary = {
-        "A": a_const,
-        "alpha": fp.alpha,
-        "beta": fp.beta,
-        "b": fp.b,
-        "termination": traj.termination,
-        "blow_up_time": traj.blow_up_time,
-    }
-    print(f"A = {_fmt(a_const)}")
-    print(f"termination: {traj.termination}")
-    if traj.termination == BLOW_UP:
-        print(f"blow-up: metric incomplete, t0 = {_fmt(traj.blow_up_time)}")
-    try:
-        diag = end_diagnostics(fp, traj)
-        print(
-            f"small-t slopes: rho' ~ {_fmt(diag.rho_slope)}, sigma' ~ {_fmt(diag.sigma_slope)}"
-        )
-        print(
-            f"large-t: rho -> {_fmt(diag.rho_limit)}, 1/sigma -> {_fmt(diag.inv_sigma_limit)}"
-        )
-        print(f"ends: {diag.small_end} / {diag.large_end}")
-        summary["ends"] = [diag.small_end, diag.large_end]
-    except ValueError as exc:
-        print(f"end diagnostics unavailable: {exc}")
-    no_sigma = traj["rho_prime"] == 0.0  # sigma is undefined at an equilibrium
+        sigma = rho = None
+        try:
+            sigma, rho = family_fields(fp, traj)
+        except NUMERICAL_ERRORS:
+            pass
+        columns = [traj.t, traj["rho"], traj["rho_prime"], traj["sigma"]]
+        no_sigma = traj["rho_prime"] == 0.0  # sigma is undefined at an equilibrium
+        span = traj.t[0], traj.t[-1]
+        summary = {
+            "A": a_const,
+            "alpha": fp.alpha,
+            "beta": fp.beta,
+            "b": fp.b,
+            "termination": traj.termination,
+            "blow_up_time": traj.blow_up_time,
+        }
+        print(f"A = {_fmt(a_const)}")
+        print(f"termination: {traj.termination}")
+        if traj.termination == BLOW_UP:
+            print(f"blow-up: metric incomplete, t0 = {_fmt(traj.blow_up_time)}")
+        try:
+            diag = end_diagnostics(fp, traj)
+            print(
+                f"small-t slopes: rho' ~ {_fmt(diag.rho_slope)}, sigma' ~ {_fmt(diag.sigma_slope)}"
+            )
+            print(
+                f"large-t: rho -> {_fmt(diag.rho_limit)}, 1/sigma -> {_fmt(diag.inv_sigma_limit)}"
+            )
+            print(f"ends: {diag.small_end} / {diag.large_end}")
+            summary["ends"] = [diag.small_end, diag.large_end]
+        except ValueError as exc:
+            print(f"end diagnostics unavailable: {exc}")
+
+    if sigma is not None:
+        values, empty = _residual_columns(args, sigma, rho, a_const, columns[0], *span)
+    else:
+        values, empty = [np.zeros(len(columns[0]))] * 2, [np.ones(len(columns[0]), bool)] * 2
+    header = ["t", "rho", "rho_prime", "sigma", "proj_residual_max", "fd_einstein_residual"]
     _emit(args, "samples", header, columns + values, summary, [None] * 3 + [no_sigma] + empty)
-    if args.expect_complete and traj.termination == BLOW_UP:
+    if args.expect_complete and summary.get("termination") == BLOW_UP:  # never for ricci-flat
         print("numerical failure: blow-up but --expect-complete was set", file=sys.stderr)
         return 2
     return 0

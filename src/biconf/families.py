@@ -78,7 +78,7 @@ GAMMA_SINGULAR_TOL = 1e-8
 BLOW_UP_TIME_TOL = 1e-6
 VERTICAL_CURVATURE_TOL = 1e-6  # spread of beta's curvature in warped_residuals
 SMALL_T_WINDOW = 0.1  # end_diagnostics fits small-t slopes over 0 < t <= this
-LARGE_T_FRACTION = 0.1  # ... and large-t limits over this last fraction of t
+LARGE_T_FRACTION = 0.1  # ... and needs 10 samples in this last fraction of t
 
 
 # ---------------------------------------------------------------------------
@@ -527,48 +527,35 @@ def einstein_constant(fp: FamilyParams, rho_prime_sign: int) -> float:
 # Assembling metric fields from trajectories
 
 
-class _RhoInterpolant:
-    """Cubic Hermite interpolation of rho(t) between trajectory samples.
+def _hermite(ts, y, dy):
+    """The cubic Hermite interpolant ``at(t)`` of the values y with slopes
+    dy at the times ts, for a time or an array of times."""
+    if len(ts) < 2:
+        raise DomainError("trajectory must have at least two samples")
 
-    Only positions are interpolated; all derivatives at a query point
-    come from the profile equation itself (rho' = alpha (rho^3 - beta^3),
-    rho'' = 3 alpha rho^2 rho'), never from differencing the interpolant.
-    """
-
-    def __init__(self, traj: Trajectory):
-        self.t = traj.t
-        self.rho = traj["rho"]
-        self.prime = traj["rho_prime"]
-        if len(self.t) < 2:
-            raise DomainError("trajectory must have at least two samples")
-
-    def rho_at(self, t):
-        """rho at a time or at each entry of an array of times."""
-        t0, t1 = float(self.t[0]), float(self.t[-1])
+    def at(t):
+        t0, t1 = float(ts[0]), float(ts[-1])
         outside = (t < t0) | (t > t1)
         if np.any(outside):
-            raise DomainError(
-                f"t = {first_where(t, outside)} outside trajectory range [{t0}, {t1}]"
-            )
-        k = np.clip(np.searchsorted(self.t, t, side="right") - 1, 0, len(self.t) - 2)
-        h = self.t[k + 1] - self.t[k]
-        u = (t - self.t[k]) / h
+            raise DomainError(f"t = {first_where(t, outside)} outside trajectory range [{t0}, {t1}]")
+        k = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
+        h = ts[k + 1] - ts[k]
+        u = (t - ts[k]) / h
         h00 = (1.0 + 2.0 * u) * (1.0 - u) ** 2
         h10 = u * (1.0 - u) ** 2
         h01 = u * u * (3.0 - 2.0 * u)
         h11 = u * u * (u - 1.0)
-        return (
-            h00 * self.rho[k]
-            + h10 * h * self.prime[k]
-            + h01 * self.rho[k + 1]
-            + h11 * h * self.prime[k + 1]
-        )
+        return h00 * y[k] + h10 * h * dy[k] + h01 * y[k + 1] + h11 * h * dy[k + 1]
+
+    return at
 
 
 def family_fields(fp: FamilyParams, traj: Trajectory) -> tuple[ScalarField, ScalarField]:
     """(sigma, rho) profile fields backed by a rho trajectory.
 
-    Derivatives run analytically through the profile equation:
+    Only rho is interpolated (cubic Hermite, in positions); its
+    derivatives, and sigma's, run analytically through the profile
+    equation, never by differencing the interpolant:
 
         rho'   = alpha (rho^3 - beta^3)          rho''  = 3 alpha rho^2 rho'
         sigma  = b rho |rho'|^(-1/2)
@@ -581,7 +568,7 @@ def family_fields(fp: FamilyParams, traj: Trajectory) -> tuple[ScalarField, Scal
     prime = traj["rho_prime"]
     if np.any(prime == 0.0):
         raise DomainError("trajectory touches an equilibrium (rho' = 0)")
-    interp = _RhoInterpolant(traj)
+    rho_at = _hermite(traj.t, traj["rho"], prime)
     alpha, c, b = fp.alpha, fp.c, fp.b
     sgn = math.copysign(1.0, prime[0])
 
@@ -591,7 +578,7 @@ def family_fields(fp: FamilyParams, traj: Trajectory) -> tuple[ScalarField, Scal
     # quotient form f''/f - (f'/f)^2 cancels catastrophically, while
     # (ln sigma)'' = -(rho'/rho)^2 stays accurate.
     def state(t):
-        r = require_positive(interp.rho_at(t))
+        r = require_positive(rho_at(t))
         return r, rho_rhs(fp, r)
 
     def rho_profile(t):
@@ -635,9 +622,11 @@ def end_diagnostics(fp: FamilyParams, traj: Trajectory) -> EndDiagnostics:
 
     Small-t slopes are least-squares fits through the origin over
     samples with 0 < t <= SMALL_T_WINDOW (the family starts at
-    rho(0) = 0, where rho ~ e t and sigma ~ b sqrt(e) t); large-t limits
-    are read over the last LARGE_T_FRACTION of the time span.  Requires
-    at least 10 samples in each regime.
+    rho(0) = 0, where rho ~ e t and sigma ~ b sqrt(e) t).  The large-t
+    limits, and the rho' and 1/sigma of the r2-end test, are read at the
+    last sample alone.  Requires at least 10 samples with t <=
+    SMALL_T_WINDOW and, unless the run blew up, at least 10 in the last
+    LARGE_T_FRACTION of the time span.
     """
     t = traj.t
     rho = traj["rho"]

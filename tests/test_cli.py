@@ -229,6 +229,22 @@ def test_solve_family_ricci_flat_span_must_not_be_reversed(tmp_path, capsys):
     assert out.read_text().splitlines()[1].startswith("1,1,-0.5,1,")
 
 
+def test_solve_family_ricci_flat_fills_the_fd_cells_that_are_due(tmp_path, capsys):
+    """Of the 16 samples, 0, 4, 8 and 12 are due; sample 0 is t-min, inside
+    the 2h margin, so only 4, 8 and 12 get an FD residual."""
+    out = tmp_path / "f.csv"
+    line = "solve-family --ricci-flat --a 1.5 --t-min 0.5 --t-max 2 --dt 0.1 --fd-every 4"
+    assert main(shlex.split(line) + ["--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert len(rows) == 16
+    filled = [k for k, row in enumerate(rows) if row["fd_einstein_residual"]]
+    assert filled == [4, 8, 12]
+    assert all(float(rows[k]["fd_einstein_residual"]) < 2e-6 for k in filled)
+    assert all(float(row["proj_residual_max"]) <= 1e-14 for row in rows)
+    # a Ricci-flat run never blows up, so --expect-complete changes nothing
+    assert main(shlex.split(line) + ["--expect-complete"]) == 0
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_solve_family_leaves_sigma_empty_at_an_equilibrium(fmt, tmp_path, capsys):
     out = tmp_path / f"f.{fmt}"
@@ -372,6 +388,25 @@ def _single_error_line(capsys) -> str:
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
     return err
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "verify --sigma 1 --rho 1 --grid x1=0:1:2",
+        "solve-family --alpha -1 --beta 1 --dt 0.1 --t-max 1 --format json",
+    ],
+    ids=["grid", "trajectory"],
+)
+@pytest.mark.parametrize(
+    "target,reason",
+    [("", "Is a directory"), ("missing/out", "No such file or directory")],
+    ids=["directory", "missing-directory"],
+)
+def test_an_out_path_that_cannot_be_written_exits_1(line, target, reason, tmp_path, capsys):
+    path = tmp_path / target
+    assert main(shlex.split(line) + ["--out", str(path)]) == 1
+    assert _single_error_line(capsys) == f"error: cannot write --out {path}: {reason}\n"
 
 
 def test_grid_bounds_whose_span_overflows_exit_1(capsys):
@@ -795,6 +830,22 @@ def test_config_line_without_equals_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {cfg}:2: expected key = value\n"
 
 
+@pytest.mark.parametrize(
+    "data,reason",
+    [
+        (None, "[Errno 2] No such file or directory"),
+        (b"tol = 1e-6\n# \xff\n", "'utf-8' codec can't decode byte 0xff in position 13"),
+    ],
+    ids=["missing", "not-utf-8"],
+)
+def test_config_file_that_cannot_be_read_exits_1(data, reason, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    if data is not None:
+        cfg.write_bytes(data)
+    assert main(["examples", "--config", str(cfg)]) == 1
+    assert _single_error_line(capsys).startswith(f"error: cannot read config file {cfg}: {reason}")
+
+
 def test_config_ignores_keys_of_other_subcommands(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"sigma = {S2_SIGMA}\nrho = {S2_RHO}\nA = 1\ngrid = x1=0:0:1\nalpha = 3\n")
@@ -1089,8 +1140,8 @@ def _fuzz_flag(draw, action, out_path: str) -> list[str]:
         return [flag]
     if action.dest == "grid":
         value = draw(_fuzz_grid())
-    elif action.dest == "out":
-        value = out_path
+    elif action.dest == "out":  # once in eight a directory, which cannot be written
+        value = os.path.dirname(out_path) if draw(st.sampled_from(ONE_IN_EIGHT)) else out_path
     else:
         pool = FUZZ_SPANS if action.dest == "t_max" else list(action.choices or FUZZ_NUMBERS)
         value = draw(_fuzz_value(pool))

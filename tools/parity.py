@@ -6,9 +6,9 @@ Runs every seed-1 request of the three benchmark workloads (taken from
 ``perfbench/workloads.py`` next to this directory, which is only
 imported), the canned examples (``examples list``, then each name
 bare, with ``--out`` as CSV and with ``--out`` as JSON), a fixed list of
-successful runs of hundreds of rows written as CSV (``LONG_RUNS``) and a
-fixed list of command lines that hit a validation or numerical failure
-(``FAILURES``: exit 1 or 2) against the ``src/`` of each tree.  Each
+successful runs, most of hundreds of rows, written as CSV (``LONG_RUNS``)
+and a fixed list of command lines that hit a validation or numerical
+failure (``FAILURES``: exit 1 or 2) against the ``src/`` of each tree.  Each
 tree runs in its own subprocess, which calls ``biconf.cli.main(argv)``
 in-process for one request after another inside a fresh working
 directory, so an ``--out`` path reads the same in both.  The exit code,
@@ -44,14 +44,16 @@ import workloads  # noqa: E402
 SEED = 1
 FIELDS = ("code", "stdout", "stderr", "out")
 
-# a config file with a line that is not ``key = value``, written into the
-# working directory of each tree
-BAD_CONFIG = ("bad.cfg", "tol 1e-6\n")
+# config files, written into the working directory of each tree: one
+# with a line that is not ``key = value``, one that is not UTF-8
+BAD_CONFIG = ("bad.cfg", b"tol 1e-6\n")
+NOT_UTF8_CONFIG = ("latin1.cfg", b"tol = 1e-6  # \xb5\n")
 
-# successful runs of hundreds of rows whose output columns repeat a few
-# distinct values, written as CSV and to stdout: Einstein residuals,
-# an FD gap that depends on (x1, x3) only, and a trajectory with -0.0
-# rho_prime cells and empty sigma cells
+# successful runs, most of hundreds of rows whose output columns repeat a
+# few distinct values, written as CSV and to stdout: Einstein residuals,
+# an FD gap that depends on (x1, x3) only, a trajectory with -0.0
+# rho_prime cells and empty sigma cells, and the Ricci-flat profile with
+# its sparse FD residual column
 LONG_RUNS = [
     ["residual", "--sigma", "(1 + x1^2 + x2^2)/2", "--rho", "(1 + x3^2 + x4^2)/2", "--A", "1",
      "--grid", "x1=-0.4:0.4:6,x2=-0.4:0.4:6,x3=-0.4:0.4:6,x4=-0.4:0.4:6", "--out", "out.csv"],
@@ -59,6 +61,8 @@ LONG_RUNS = [
      "--grid", "x1=-0.3:0.3:4,x2=-0.3:0.3:4,x3=-0.3:0.3:4,x4=-0.3:0.3:4", "--out", "out.csv"],
     ["solve-family", "--alpha", "-1", "--beta", "1", "--rho0", "1.0000000000000002",
      "--dt", "0.2", "--t-max", "60", "--out", "out.csv"],
+    ["solve-family", "--ricci-flat", "--a", "1.5", "--t-min", "0.5", "--t-max", "2",
+     "--dt", "0.1", "--fd-every", "4", "--out", "out.csv"],
 ]
 
 # command lines that fail validation (exit 1) or numerically (exit 2)
@@ -76,6 +80,8 @@ FAILURES = [
         "solve-warped --alpha0 1 --gamma0 1 --delta0 0 --B 0",
         f"examples --config {BAD_CONFIG[0]}",
         "verify --sigma 1 --rho 1 --grid x1",
+        "verify --sigma 1 --rho 1 --grid x1=0:1:2 --out missing/out.csv",
+        f"examples --config {NOT_UTF8_CONFIG[0]}",
     )
 ]
 
@@ -188,8 +194,8 @@ def main(argv=None) -> int:
         dirs = [os.path.join(tmp, side) for side in ("old", "new")]
         for d in dirs:
             os.mkdir(d)
-            with open(os.path.join(d, BAD_CONFIG[0]), "w", encoding="utf-8") as fh:
-                fh.write(BAD_CONFIG[1])
+            for name, data in (BAD_CONFIG, NOT_UTF8_CONFIG):
+                Path(d, name).write_bytes(data)
         procs = [
             start(tree, argv_file, d, args.numeric is not None)
             for tree, d in zip((args.old, args.new), dirs)
