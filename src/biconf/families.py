@@ -532,9 +532,9 @@ def _hermite(ts, y, dy):
     dy at the times ts, for a time or an array of times."""
     if len(ts) < 2:
         raise DomainError("trajectory must have at least two samples")
+    t0, t1 = float(ts[0]), float(ts[-1])
 
     def at(t):
-        t0, t1 = float(ts[0]), float(ts[-1])
         outside = (t < t0) | (t > t1)
         if np.any(outside):
             raise DomainError(f"t = {first_where(t, outside)} outside trajectory range [{t0}, {t1}]")
