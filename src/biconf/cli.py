@@ -140,7 +140,8 @@ def _read_config_file(path: str) -> dict:
                 key = key.strip().replace("-", "_")
                 values[key] = value.strip()
     except (OSError, UnicodeDecodeError) as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from None
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise UsageError(f"cannot read config file {path}: {reason}") from None
     return values
 
 

@@ -30,15 +30,15 @@ operations raise FloatingPointError instead of warning.
 
 ``fold`` gives a tree's evaluation form, which fields walk in place of
 the parsed tree: each maximal subtree that is a sum of monomials of
-degree <= 2 (numbers times at most two variable factors), times constant
-factors applied after the sum, becomes one ``Quadratic`` node
-s*(c0 + c.x + x^T Q x), whose jet costs a few array operations where the
-tree costs one chain of them per node.  No product or power of a sum is
-expanded, a subtree is folded only when it holds a variable and a term
-with ``*``, ``/`` or ``^``, and only when its coefficients are finite.
-Its jets agree with the tree's to a few units in the last place of the
-summed monomial magnitudes, not bit for bit, and raise where the tree's
-raise.
+degree <= 2 (numbers times at most two variable factors) becomes one
+``Quadratic`` node c0 + c.x + x^T Q x, whose jet costs a few array
+operations where the tree costs one chain of them per node.  A constant
+factor or divisor of a sum multiplies its coefficients.  No product or
+power of a sum is expanded, a subtree is folded only when it holds a
+variable and a term with ``*``, ``/`` or ``^``, and only when its
+coefficients are finite.  Its jets agree with the tree's to a few units
+in the last place of the summed monomial magnitudes, not bit for bit,
+and raise where the tree's raise.
 """
 
 from __future__ import annotations
@@ -523,8 +523,7 @@ def _jet(node: Expr, x, order: int) -> Jet:
 # Evaluation form: monomial sums folded into coefficient nodes
 #
 # ``fold`` rewrites a tree once, bottom up.  A subtree's *form* is its
-# polynomial, kept only while it is a sum of monomials times constant
-# factors applied after the sum:
+# polynomial, kept only while it is a sum of monomials:
 #
 # * a monomial is a number or a variable, or built from monomials by
 #   unary minus, ``*`` (at most two variable factors in all), ``/`` by a
@@ -532,7 +531,8 @@ def _jet(node: Expr, x, order: int) -> Jet:
 # * a sum is built from monomials and sums by ``+``, ``-`` and unary
 #   minus, which negates every coefficient exactly;
 # * a constant factor (``k*s``, ``s*k``) or a constant divisor (``s/k``,
-#   applied as the tree applies it: times ``1/k``) scales a sum after it.
+#   taken as the tree takes it: times ``1/k``) multiplies every
+#   coefficient of a sum, which stays a sum.
 #
 # No product or power of a sum is ever expanded, so ``(x1 - c)^2`` stays a
 # tree: expanded about the origin it would cancel catastrophically far
@@ -547,32 +547,30 @@ def _jet(node: Expr, x, order: int) -> Jet:
 @dataclass
 class _Form:
     """Coefficients of a monomial sum by monomial (a sorted tuple of 0-based
-    variable indices, at most two), the constant factors applied after it,
-    whether it was built with ``+``/``-`` (else it is one monomial) and
-    whether a term was built with ``*``, ``/`` or ``^``."""
+    variable indices, at most two), whether it was built with ``+``/``-``
+    (else it is one monomial) and whether a term was built with ``*``,
+    ``/`` or ``^``."""
 
     terms: dict
-    scales: tuple = ()
     summed: bool = False
     ops: bool = False
 
     @property
-    def monomial(self) -> bool:
-        return not self.summed and not self.scales
-
-    @property
     def constant(self):
         """The value of a constant monomial, else None."""
-        if self.monomial and () in self.terms:
-            return self.terms[()]
-        return None
+        return None if self.summed else self.terms.get(())
+
+    def scaled(self, k: float) -> "_Form | None":
+        """This form with every coefficient times ``k``, or None; a
+        monomial so scaled counts as built with ``*`` or ``/``."""
+        terms = {key: coef * k for key, coef in self.terms.items()}
+        return _finite(_Form(terms, self.summed, self.ops or not self.summed))
 
 
-def _finite(form: _Form, *new) -> _Form | None:
-    """``form``, or None when one of its ``new`` coefficients or factors,
-    doubled (as the Hessian's diagonal holds a coefficient), is not
-    finite."""
-    return form if all(math.isfinite(2.0 * c) for c in new) else None
+def _finite(form: _Form) -> _Form | None:
+    """``form``, or None when one of its coefficients, doubled (as the
+    Hessian's diagonal holds a coefficient), is not finite."""
+    return form if all(math.isfinite(2.0 * c) for c in form.terms.values()) else None
 
 
 def _combine(op: str, a: _Form | None, b: _Form | None, exponent: Expr):
@@ -582,7 +580,7 @@ def _combine(op: str, a: _Form | None, b: _Form | None, exponent: Expr):
         return None
     if op == "^":
         n = _int_exponent(exponent)
-        if not a.monomial or n not in (0, 1, 2):
+        if a.summed or n not in (0, 1, 2):
             return None
         ((key, coef),) = a.terms.items()
         if n == 0:
@@ -591,53 +589,42 @@ def _combine(op: str, a: _Form | None, b: _Form | None, exponent: Expr):
             return _Form(a.terms, ops=True)
         if len(key) == 2:
             return None
-        return _finite(_Form({key + key: coef * coef}, ops=True), coef * coef)
+        return _finite(_Form({key + key: coef * coef}, ops=True))
     if b is None:
         return None
     if op in "+-":
-        if a.scales or b.scales:
-            return None
         sign = 1.0 if op == "+" else -1.0
         terms = dict(a.terms)
         for key, coef in b.terms.items():
             terms[key] = terms.get(key, 0.0) + sign * coef
-        return _finite(_Form(terms, (), True, a.ops or b.ops), *(terms[key] for key in b.terms))
+        return _finite(_Form(terms, True, a.ops or b.ops))
     if op == "*":
-        if a.monomial and b.monomial:
+        if not a.summed and not b.summed:
             ((ka, ca),), ((kb, cb),) = a.terms.items(), b.terms.items()
             if len(ka) + len(kb) > 2:
                 return None
-            return _finite(_Form({tuple(sorted(ka + kb)): ca * cb}, ops=True), ca * cb)
+            return _finite(_Form({tuple(sorted(ka + kb)): ca * cb}, ops=True))
         if a.constant is not None:
             a, b = b, a
         k = b.constant
-        return None if k is None else _Form(a.terms, a.scales + (k,), a.summed, a.ops)
+        return None if k is None else a.scaled(k)
     if op == "/":
         k = b.constant
-        if k is None or k == 0.0:
-            return None
-        inv = 1.0 / k
-        if a.monomial:
-            ((key, coef),) = a.terms.items()
-            return _finite(_Form({key: coef * inv}, ops=True), coef * inv)
-        return _finite(_Form(a.terms, a.scales + (inv,), a.summed, a.ops), inv)
+        return None if k is None or k == 0.0 else a.scaled(1.0 / k)
     return None
 
 
 @dataclass(frozen=True)
 class Quadratic(Expr):
-    """A folded monomial sum: ``s1 * s2 * ... * (c0 + c.x + x^T Q x)``, with
-    the factors ``scales`` applied after the sum in order.  ``terms``
-    holds its coefficients as sorted (monomial, coefficient) pairs, a
-    monomial being a sorted tuple of 0-based variable indices.  Its jet is
-    val, g = c + (Q + Q^T) x and the constant Hessian Q + Q^T, each times
-    the factors."""
+    """A folded monomial sum ``c0 + c.x + x^T Q x``.  ``terms`` holds its
+    coefficients as sorted (monomial, coefficient) pairs, a monomial being
+    a sorted tuple of 0-based variable indices.  Its jet is val, g = c +
+    (Q + Q^T) x and the constant Hessian Q + Q^T."""
 
     terms: tuple
-    scales: tuple
     const: float = field(init=False, compare=False, repr=False)
     linear: np.ndarray = field(init=False, compare=False, repr=False)
-    hessian: np.ndarray | None = field(init=False, compare=False, repr=False)
+    hessian: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         linear, hessian = np.zeros(4), np.zeros((4, 4))
@@ -648,17 +635,16 @@ class Quadratic(Expr):
                 hessian[key] += coef
                 hessian[key[::-1]] += coef
         linear.flags.writeable = hessian.flags.writeable = False
-        quadratic = any(len(key) == 2 for key, _ in self.terms)
         object.__setattr__(self, "const", dict(self.terms).get((), 0.0))
         object.__setattr__(self, "linear", linear)
-        object.__setattr__(self, "hessian", hessian if quadratic else None)
+        object.__setattr__(self, "hessian", hessian)
 
 
 def _folded(form: _Form | None, node: Expr) -> Expr:
     """``node``, or its Quadratic when it has a form whose fold saves work."""
     if form is None or not form.ops or all(key == () for key in form.terms):
         return node
-    return Quadratic(tuple(sorted(form.terms.items())), form.scales)
+    return Quadratic(tuple(sorted(form.terms.items())))
 
 
 def _fold(node: Expr) -> tuple[_Form | None, Expr]:
@@ -667,7 +653,7 @@ def _fold(node: Expr) -> tuple[_Form | None, Expr]:
     a term with ``*``, ``/`` or ``^`` and a variable below it gives it
     both, so no subtree below it folds unless it does."""
     if isinstance(node, Num):
-        return _finite(_Form({(): node.value}), node.value), node
+        return _finite(_Form({(): node.value})), node
     if isinstance(node, Var):
         return _Form({(node.index - 1,): 1.0}), node
     if isinstance(node, Neg):
@@ -675,7 +661,7 @@ def _fold(node: Expr) -> tuple[_Form | None, Expr]:
         if form is None:
             return None, Neg(arg)
         terms = {key: -coef for key, coef in form.terms.items()}
-        return _Form(terms, form.scales, form.summed, form.ops), node
+        return _Form(terms, form.summed, form.ops), node
     if isinstance(node, Call):
         form, arg = _fold(node.arg)
         return None, Call(node.fn, _folded(form, arg))
@@ -690,9 +676,9 @@ def _fold(node: Expr) -> tuple[_Form | None, Expr]:
 
 def fold(node: Expr) -> Expr:
     """The evaluation form of ``node``: every maximal subtree that is a
-    monomial sum of degree <= 2 times constant factors, and whose fold
-    saves work, replaced by one ``Quadratic`` node.  Its jets agree with
-    the tree's to rounding; ``parse_expr`` and ``pretty`` never see it."""
+    monomial sum of degree <= 2, and whose fold saves work, replaced by
+    one ``Quadratic`` node.  Its jets agree with the tree's to rounding;
+    ``parse_expr`` and ``pretty`` never see it."""
     return _folded(*_fold(node))
 
 
@@ -705,17 +691,9 @@ def _jet_quadratic(node: Quadratic, x, order: int) -> Jet:
     """Jet of a folded monomial sum, by elementwise ufuncs only: float
     errors raise, and each row of a batch is computed as it would be
     alone."""
-    if node.hessian is None:
-        g = node.linear
-        val = node.const + _sum4(x * node.linear)
-    else:
-        sx = _sum4(x[..., None, :] * node.hessian)  # (Q + Q^T) x
-        g = node.linear + sx
-        val = node.const + _sum4(x * (node.linear + 0.5 * sx))
-    h = None if order == 1 else _ZERO_H if node.hessian is None else node.hessian
-    for s in node.scales:
-        val, g, h = val * s, g * s, None if h is None else h * s
-    return Jet(val, g, h)
+    sx = _sum4(x[..., None, :] * node.hessian)  # (Q + Q^T) x
+    val = node.const + _sum4(x * (node.linear + 0.5 * sx))
+    return Jet(val, node.linear + sx, node.hessian if order == 2 else None)
 
 
 def filled(a, shape: tuple):

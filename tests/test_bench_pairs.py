@@ -81,7 +81,9 @@ def test_a_tail_below_the_median_is_marked(percentiles, not_a_tail):
 @pytest.mark.parametrize(
     "details, kept",
     [
-        ({"tail_percentile": 16.7, "samples": 12, "rounds": 2}, {"tail_percentile": 16.7, "samples": 12}),
+        ({"tail_percentile": 16.7, "samples": 12, "rounds": 2, "wall_rows_per_s": 900.0,
+          "wall_p50_ms": 4.5, "kernel_ms": 3.25},
+         {"tail_percentile": 16.7, "samples": 12, "wall_rows_per_s": 900.0, "kernel_ms": 3.25}),
         ({"batch": 27, "passes": 3}, {}),  # a traced run
     ],
 )
@@ -114,11 +116,15 @@ def fake_getrusage():
     return getrusage
 
 
+WALL_ROWS_PER_S = {"parent": 1000.0, "change": 1100.0}
+
+
 def fake_perfbench(rows, self_s):
     """A stand-in for ``subprocess.run``: ``perfbench/run.py`` in tree
     ``cwd`` reports ``self_s[cwd.name]`` as ``oracle.invert4.self_s`` and
-    ``rows`` rows when traced, and every end-to-end metric when timed; git
-    reports a clean tree."""
+    ``rows`` rows when traced, and every end-to-end metric, with
+    ``WALL_ROWS_PER_S[cwd.name]`` and a 3 ms kernel in its details, when
+    timed; git reports a clean tree."""
 
     def run(argv, cwd, **kwargs):
         if argv[0] == "git":
@@ -129,7 +135,8 @@ def fake_perfbench(rows, self_s):
             metrics = {"cli.rows": rows, "cli.bytes_out": 10, "oracle.invert4.calls": 3,
                        "oracle.invert4.self_s": self_s[cwd.name], "cli.main.self_s": 0.5}
         else:
-            details = {"env": env, "tail_percentile": 99.0, "samples": 100}
+            details = {"env": env, "tail_percentile": 99.0, "samples": 100,
+                       "wall_rows_per_s": WALL_ROWS_PER_S[cwd.name], "kernel_ms": 3.0}
             metrics = {name: 1.0 for name in bench_pairs.END_TO_END}
         result = {"correct": True, "failed": 0,
                   "metrics": {name: {"value": v} for name, v in metrics.items()}}
@@ -155,3 +162,7 @@ def test_the_bench_file_keeps_each_sides_self_time_per_row(tmp_path, monkeypatch
     for pair in entry["runs"]:
         assert all(pair[side]["rusage"] == RUSAGE_STEP for side in bench_pairs.SIDES)
     assert entry["rusage_median"] == {side: RUSAGE_STEP for side in bench_pairs.SIDES}
+    assert entry["scale_median"] == {
+        side: {"wall_rows_per_s": WALL_ROWS_PER_S[side], "kernel_ms": 3.0}
+        for side in bench_pairs.SIDES
+    }

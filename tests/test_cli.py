@@ -833,8 +833,9 @@ def test_config_line_without_equals_exits_1(tmp_path, capsys):
 @pytest.mark.parametrize(
     "data,reason",
     [
-        (None, "[Errno 2] No such file or directory"),
-        (b"tol = 1e-6\n# \xff\n", "'utf-8' codec can't decode byte 0xff in position 13"),
+        (None, "No such file or directory"),
+        (b"tol = 1e-6\n# \xff\n",
+         "'utf-8' codec can't decode byte 0xff in position 13: invalid start byte"),
     ],
     ids=["missing", "not-utf-8"],
 )
@@ -843,7 +844,7 @@ def test_config_file_that_cannot_be_read_exits_1(data, reason, tmp_path, capsys)
     if data is not None:
         cfg.write_bytes(data)
     assert main(["examples", "--config", str(cfg)]) == 1
-    assert _single_error_line(capsys).startswith(f"error: cannot read config file {cfg}: {reason}")
+    assert _single_error_line(capsys) == f"error: cannot read config file {cfg}: {reason}\n"
 
 
 def test_config_ignores_keys_of_other_subcommands(tmp_path, capsys):

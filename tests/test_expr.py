@@ -417,12 +417,12 @@ def test_trees_that_stay_trees(text):
 @pytest.mark.parametrize(
     "text, form",
     [
-        ("(1 + x1^2 + x2^2)/2",
-         Quadratic((((), 1.0), ((0, 0), 1.0), ((1, 1), 1.0)), (0.5,))),
-        ("exp(0.5 - 2*x1*x3)", Call("exp", Quadratic((((), 0.5), ((0, 2), -2.0)), ()))),
-        ("-(x1*x2 + x3)*3", Quadratic((((0, 1), -1.0), ((2,), -1.0)), (3.0,))),
-        ("x4/4 + x1^2 - x1^2", Quadratic((((0, 0), 0.0), ((3,), 0.25)), ())),
-        ("(x1 - 1)^2 + x2*x3", Bin("+", parse_expr("(x1 - 1)^2"), Quadratic((((1, 2), 1.0),), ()))),
+        ("(1 + x1^2 + x2^2)/2", Quadratic((((), 0.5), ((0, 0), 0.5), ((1, 1), 0.5)))),
+        ("exp(0.5 - 2*x1*x3)", Call("exp", Quadratic((((), 0.5), ((0, 2), -2.0))))),
+        ("-(x1*x2 + x3)*3", Quadratic((((0, 1), -3.0), ((2,), -3.0)))),
+        ("x4/4 + x1^2 - x1^2", Quadratic((((0, 0), 0.0), ((3,), 0.25)))),
+        ("(x1 - 1)^2 + x2*x3", Bin("+", parse_expr("(x1 - 1)^2"), Quadratic((((1, 2), 1.0),)))),
+        ("2*(x1*x2 + x3) + x4", Quadratic((((0, 1), 2.0), ((2,), 2.0), ((3,), 1.0)))),
     ],
 )
 def test_maximal_monomial_sums_fold(text, form):

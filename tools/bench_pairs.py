@@ -20,7 +20,10 @@ resource use (``rusage``: user and system CPU seconds and minor page
 faults, from ``getrusage(RUSAGE_CHILDREN)`` before and after the
 subprocess, so including the run's setup-time subprocesses), and each
 side's medians of those are listed, to show what share of a saving is
-system time.  Each side also runs one ``--trace 1``
+system time.  Each run also keeps perfbench's unscaled ``wall_rows_per_s``
+and its calibration kernel's median ``kernel_ms``, and each side's medians
+of those are listed too, so a move of ``rows_per_s`` splits into one of
+wall time and one of the calibration scale.  Each side also runs one ``--trace 1``
 pass of TRACE_SECONDS per workload; the file lists the call, step, row
 and byte counts that differ and, per side, each layer's traced self time
 over the pass's rows (``self_s_per_row``: ``*.self_s`` / ``cli.rows``), so
@@ -49,8 +52,11 @@ SIDES = ("parent", "change")
 COUNT_SUFFIXES = (".calls", ".steps", ".failed")
 COUNTS = ("cli.rows", "cli.bytes_out", "cli.cells_empty")
 TRACE_SECONDS = 1.0
+# a timed run's wall-clock throughput and calibration kernel time, whose
+# medians per side are listed
+SCALE_DETAILS = ("wall_rows_per_s", "kernel_ms")
 # the details of a run kept with its result
-RUN_DETAILS = ("tail_percentile", "samples")
+RUN_DETAILS = ("tail_percentile", "samples", *SCALE_DETAILS)
 # a run's resource use: key in the BENCH file, field of ``getrusage``
 RUSAGE = (("utime_s", "ru_utime"), ("stime_s", "ru_stime"), ("minflt", "ru_minflt"))
 
@@ -164,7 +170,9 @@ def main(argv=None) -> int:
                   file=sys.stderr)
         entry = {"metrics": {name: compare(name, pairs) for name in END_TO_END}, "runs": pairs,
                  "rusage_median": {side: {key: float(np.median([p[side]["rusage"][key] for p in pairs]))
-                                          for key, _ in RUSAGE} for side in SIDES}}
+                                          for key, _ in RUSAGE} for side in SIDES},
+                 "scale_median": {side: {key: float(np.median([p[side][key] for p in pairs]))
+                                         for key in SCALE_DETAILS} for side in SIDES}}
         counts, per_row = {}, {}
         for side in SIDES:
             _, result = run(trees[side], workload, args.seed, TRACE_SECONDS, 1)

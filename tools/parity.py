@@ -52,8 +52,10 @@ NOT_UTF8_CONFIG = ("latin1.cfg", b"tol = 1e-6  # \xb5\n")
 # successful runs, most of hundreds of rows whose output columns repeat a
 # few distinct values, written as CSV and to stdout: Einstein residuals,
 # an FD gap that depends on (x1, x3) only, a trajectory with -0.0
-# rho_prime cells and empty sigma cells, and the Ricci-flat profile with
-# its sparse FD residual column
+# rho_prime cells and empty sigma cells, the Ricci-flat profile with
+# its sparse FD residual column, and fields that fold to a sum divided by
+# 3 and to a linear sum (in the residual run, two hyperbolic planes of
+# curvature -1/16)
 LONG_RUNS = [
     ["residual", "--sigma", "(1 + x1^2 + x2^2)/2", "--rho", "(1 + x3^2 + x4^2)/2", "--A", "1",
      "--grid", "x1=-0.4:0.4:6,x2=-0.4:0.4:6,x3=-0.4:0.4:6,x4=-0.4:0.4:6", "--out", "out.csv"],
@@ -63,6 +65,11 @@ LONG_RUNS = [
      "--dt", "0.2", "--t-max", "60", "--out", "out.csv"],
     ["solve-family", "--ricci-flat", "--a", "1.5", "--t-min", "0.5", "--t-max", "2",
      "--dt", "0.1", "--fd-every", "4", "--out", "out.csv"],
+    ["verify", "--sigma", "(3 + x1*x2 + x1^2)/3", "--rho", "0.25*x3 + 2",
+     "--grid", "x1=-0.3:0.3:4,x2=-0.3:0.3:4,x3=-0.3:0.3:4,x4=-0.3:0.3:4", "--out", "out.csv"],
+    ["residual", "--sigma", "0.25*x1 + 2", "--rho", "(3 - 0.046875*x3^2 - 0.046875*x4^2)/3",
+     "--A", "-0.0625",
+     "--grid", "x1=-0.4:0.4:6,x2=-0.4:0.4:6,x3=-0.4:0.4:6,x4=-0.4:0.4:6", "--out", "out.csv"],
 ]
 
 # command lines that fail validation (exit 1) or numerically (exit 2)
