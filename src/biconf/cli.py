@@ -437,23 +437,36 @@ def _grid_chunks(shape: tuple[int, ...]):
         yield np.stack(np.unravel_index(np.arange(start, min(start + CHUNK, total)), shape), axis=-1)
 
 
+def _attempt(evaluate, batch):
+    """``evaluate(batch)``, or the numerical error it raises."""
+    try:
+        return evaluate(batch)
+    except NUMERICAL_ERRORS as exc:
+        return exc
+
+
 def _blocks(evaluate, batches):
     """(batch, ``evaluate(batch)``) for each batch, in order, or (point,
     error) for a point that fails numerically alone.  A batch that raises
-    is split in halves until the failing point is isolated; halves are
-    evaluated only as the caller iterates, so a caller that stops at an
-    error evaluates nothing past it."""
+    evaluates its first point alone.  If that point fails, the rest of the
+    batch is evaluated as one batch; if it passes, the rest is split in
+    halves.  Each part follows the same rule until every failing point is
+    isolated: a run of failing points costs two evaluations per point.
+    Parts are evaluated only as the caller iterates, so a caller that
+    stops at an error evaluates nothing past it."""
     for batch in batches:
-        try:
-            values = evaluate(batch)
-        except NUMERICAL_ERRORS as exc:
-            if len(batch) == 1:
-                yield batch, exc
-            else:
+        while True:
+            result = _attempt(evaluate, batch)
+            if len(batch) == 1 or not isinstance(result, Exception):
+                yield batch, result
+                break
+            head = _attempt(evaluate, batch[:1])
+            yield batch[:1], head
+            batch = batch[1:]
+            if len(batch) > 1 and not isinstance(head, Exception):
                 half = len(batch) // 2
                 yield from _blocks(evaluate, (batch[:half], batch[half:]))
-            continue
-        yield batch, values
+                break
 
 
 def _column(evaluate, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -166,3 +166,17 @@ def test_the_bench_file_keeps_each_sides_self_time_per_row(tmp_path, monkeypatch
         side: {"wall_rows_per_s": WALL_ROWS_PER_S[side], "kernel_ms": 3.0}
         for side in bench_pairs.SIDES
     }
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--workload", "verify-grid", "residual-scan"],
+     ["--workload", "verify-grid", "--workload", "residual-scan"]],
+)
+def test_several_workloads_after_one_flag_or_several(flags, tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_perfbench(50, {"parent": 0.2, "change": 0.1}))
+    monkeypatch.setattr(bench_pairs.resource, "getrusage", fake_getrusage())
+    out = tmp_path / "BENCH.json"
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--out", str(out), *flags, "--pairs", "1"]
+    assert bench_pairs.main(argv) == 0
+    assert list(json.loads(out.read_text())["workloads"]) == ["verify-grid", "residual-scan"]

@@ -581,6 +581,100 @@ def test_solve_family_leaves_only_the_rho_zero_residual_empty(tmp_path, capsys):
     assert empty == [k for k, row in enumerate(rows) if float(row["rho"]) == 0.0] == [0]
 
 
+# lengths on both sides of the CHUNK boundaries, for the split rule of cli._blocks
+SPLIT_LENGTHS = [1, cli.CHUNK - 1, cli.CHUNK, cli.CHUNK + 1, 3000]
+SPLIT_ERRORS = (biconf.DomainError, ZeroDivisionError, OverflowError)
+
+
+@st.composite
+def _failure_masks(draw):
+    """Which points of a run fail: the first, the last, one in the middle,
+    runs of them, all or none; a run may cross a chunk boundary."""
+    n = draw(st.sampled_from(SPLIT_LENGTHS))
+    mask = np.zeros(n, bool)
+    for kind in draw(st.lists(st.sampled_from(["first", "last", "middle", "run", "all"]), max_size=3)):
+        if kind == "run":
+            start = draw(st.integers(0, n - 1))
+            mask[start:start + draw(st.integers(1, 2 * cli.CHUNK))] = True
+        else:
+            mask[{"first": 0, "last": n - 1, "middle": n // 2, "all": slice(None)}[kind]] = True
+    return mask
+
+
+def _failing_at(mask):
+    """A batch evaluation that raises at the first point of the batch in
+    ``mask``, with an error type and message of that point and the batch's
+    length, else maps each point x to sqrt(x) + 0.5."""
+
+    def evaluate(batch):
+        failing = np.flatnonzero(mask[batch.astype(int)])
+        if len(failing):
+            k = int(batch[failing[0]])
+            raise SPLIT_ERRORS[k % 3](f"point {k} of a batch of {len(batch)}")
+        return np.sqrt(batch) + 0.5
+
+    return evaluate
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(mask=_failure_masks())
+def test_split_batches_give_what_one_point_at_a_time_gives(mask):
+    """_column's values and empty cells, and _blocks' error at each failing
+    point, are those of evaluating one point at a time."""
+    evaluate, values = _failing_at(mask), np.arange(len(mask), dtype=float)
+    column, empty = np.zeros(len(values)), np.zeros(len(values), bool)
+    errors = {}
+    for k in range(len(values)):
+        try:
+            column[k] = evaluate(values[k:k + 1])[0]
+        except cli.NUMERICAL_ERRORS as exc:
+            empty[k], errors[k] = True, (type(exc), str(exc))
+    assert np.array_equal(empty, mask)
+
+    got_column, got_empty = cli._column(evaluate, values)
+    assert got_column.tobytes() == column.tobytes() and np.array_equal(got_empty, empty)
+
+    start, got_errors = 0, {}
+    for batch, result in cli._blocks(evaluate, cli._chunks(values)):
+        assert np.array_equal(batch, values[start:start + len(batch)])
+        if isinstance(result, Exception):
+            assert len(batch) == 1
+            got_errors[start] = (type(result), str(result))
+        else:
+            assert not mask[start:start + len(batch)].any()
+        start += len(batch)
+    assert start == len(values) and got_errors == errors
+
+
+@pytest.mark.parametrize(
+    "line, empty, calls, exact",
+    [
+        # 10,001 samples; the first, at rho = 0, fails alone, the rest of its chunk passes
+        ("solve-family --alpha -1 --beta 1", 1, 12, True),
+        # samples 517 to 1000 fail
+        ("solve-family --alpha 1 --beta 1 --rho0 0.5 --dt 1e-3 --t-max 1", 484, 982, False),
+        # all 3,001 samples fail: two evaluations per sample, as halving gives
+        ("solve-family --alpha -1 --beta -1 --dt 1e-3 --t-max 3", 3001, 5999, False),
+    ],
+)
+def test_residual_column_evaluations(line, empty, calls, exact, monkeypatch, tmp_path, capsys):
+    """single_param_residuals calls of a run's proj_residual_max column:
+    exactly ``calls``, or at most ``calls``, for ``empty`` failing samples."""
+    counted = []
+    original = cli.single_param_residuals
+
+    def counting(*args):
+        counted.append(len(args[-1]))
+        return original(*args)
+
+    monkeypatch.setattr(cli, "single_param_residuals", counting)
+    out = tmp_path / "f.csv"
+    assert main(shlex.split(line) + ["--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert sum(row["proj_residual_max"] == "" for row in rows) == empty
+    assert len(counted) == calls if exact else len(counted) <= calls
+
+
 def test_verify_walks_each_field_a_fixed_number_of_times(monkeypatch, capsys):
     """One second-order jet walk of each field's evaluation form for the
     closed form, at the N grid points, and one first-order walk for the

@@ -33,6 +33,7 @@ from biconf.families import (
     GAMMA_SINGULAR_TOL,
     RHO_BLOW_UP_CAP,
     WARPED_COMPONENT_CAP,
+    _warped_step,
 )
 
 
@@ -286,3 +287,52 @@ def test_division_by_zero_inside_a_warped_step_is_a_blow_up():
     assert traj.termination == BLOW_UP and len(traj) == 1
     check_warped(s0, 1.0, 3.0)
 
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, rho0",
+    [
+        (-1.0, 1e200, 0.0),  # beta^3 overflows: DomainError, as from a stage that raises
+        (-1.0, 1e200, 1e102),  # rho^3 = 1e306 is finite, beta^3 is not
+        (1.0, -1e103, 0.0),  # every halved step is rejected, then the rho_prime column raises
+    ],
+)
+def test_an_overflowing_beta_cubed_matches_the_list_driver(alpha, beta, rho0):
+    """The step binds beta^3 once; where it overflows, the list driver's
+    stages raise, and the library must end the same way."""
+    with pytest.raises(OverflowError):
+        beta**3
+    fp = FamilyParams(alpha, beta)
+    check_rho(fp, rho0, 0.1, 1.0)
+    check_rho(fp, rho0, 1e-3, 1.0)
+
+
+@pytest.mark.parametrize(
+    "s0, reaches",
+    [
+        (WarpedState(1.0, -4e307, 0.0, B=-1.0), "-inf"),  # alpha's slope sum overflows
+        (WarpedState(1.0, -1.0, -1e200, B=-1.0), "nan"),  # inf - inf in the stages
+    ],
+)
+def test_a_warped_trial_that_is_not_finite_is_a_blow_up(s0, reaches):
+    """The first trial state overflows silently, since float * and + give
+    inf, not an error, so the stop predicate alone must reject it."""
+    trial = _warped_step(s0.ctilde)((s0.alpha, s0.gamma, s0.delta), 0.1)
+    if reaches == "-inf":
+        assert trial[0] == -math.inf and all(map(math.isfinite, trial[1:]))
+    else:
+        assert all(map(math.isnan, trial))
+    with np.errstate(over="ignore"):
+        traj = integrate_warped(s0, 0.1, 1.0)
+    assert traj.termination == BLOW_UP and len(traj) == 1
+    check_warped(s0, 0.1, 1.0)
+
+
+def test_a_rho_trial_below_minus_the_cap_is_a_blow_up():
+    """For alpha > 0 from below beta, rho falls away from beta and leaves
+    the cap downwards; the halved sub-steps end just above -cap."""
+    fp = FamilyParams(1.0, 1.0)
+    traj = integrate_rho(fp, 0.5, 1e-3, 5.0)
+    assert traj.termination == BLOW_UP and -RHO_BLOW_UP_CAP <= traj["rho"][-1] < -500.0
+    check_rho(fp, 0.5, 1e-3, 5.0)
+    check_rho(fp, 0.5, 0.07, 5.0)

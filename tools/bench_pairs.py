@@ -142,8 +142,8 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path, help="tree of the parent commit")
     parser.add_argument("change", type=Path, help="tree of the change")
     parser.add_argument("--out", type=Path, required=True, help="BENCH file to write")
-    parser.add_argument("--workload", action="append", choices=WORKLOADS,
-                        help="workload to run (repeatable; default all)")
+    parser.add_argument("--workload", action="extend", nargs="+", choices=WORKLOADS,
+                        help="workloads to run (repeatable; default all)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=6.0)
     parser.add_argument("--seed", type=int, default=1)

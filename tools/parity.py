@@ -53,9 +53,10 @@ NOT_UTF8_CONFIG = ("latin1.cfg", b"tol = 1e-6  # \xb5\n")
 # few distinct values, written as CSV and to stdout: Einstein residuals,
 # an FD gap that depends on (x1, x3) only, a trajectory with -0.0
 # rho_prime cells and empty sigma cells, the Ricci-flat profile with
-# its sparse FD residual column, and fields that fold to a sum divided by
+# its sparse FD residual column, fields that fold to a sum divided by
 # 3 and to a linear sum (in the residual run, two hyperbolic planes of
-# curvature -1/16)
+# curvature -1/16), and two trajectories whose residual cells are empty
+# from sample 517 to the end and at every sample
 LONG_RUNS = [
     ["residual", "--sigma", "(1 + x1^2 + x2^2)/2", "--rho", "(1 + x3^2 + x4^2)/2", "--A", "1",
      "--grid", "x1=-0.4:0.4:6,x2=-0.4:0.4:6,x3=-0.4:0.4:6,x4=-0.4:0.4:6", "--out", "out.csv"],
@@ -70,9 +71,14 @@ LONG_RUNS = [
     ["residual", "--sigma", "0.25*x1 + 2", "--rho", "(3 - 0.046875*x3^2 - 0.046875*x4^2)/3",
      "--A", "-0.0625",
      "--grid", "x1=-0.4:0.4:6,x2=-0.4:0.4:6,x3=-0.4:0.4:6,x4=-0.4:0.4:6", "--out", "out.csv"],
+    ["solve-family", "--alpha", "1", "--beta", "1", "--rho0", "0.5", "--dt", "1e-3", "--t-max", "1",
+     "--out", "out.csv"],
+    ["solve-family", "--alpha", "-1", "--beta", "-1", "--dt", "1e-3", "--t-max", "0.5",
+     "--out", "out.csv"],
 ]
 
-# command lines that fail validation (exit 1) or numerically (exit 2)
+# command lines that fail validation (exit 1) or numerically (exit 2); the
+# last three overflow in the family's constants beta^3 and b^2
 FAILURES = [
     line.split()
     for line in (
@@ -89,6 +95,9 @@ FAILURES = [
         "verify --sigma 1 --rho 1 --grid x1",
         "verify --sigma 1 --rho 1 --grid x1=0:1:2 --out missing/out.csv",
         f"examples --config {NOT_UTF8_CONFIG[0]}",
+        "solve-family --alpha -1 --beta 1e200 --dt 0.1 --t-max 1",
+        "solve-family --alpha 1 --beta -1e103 --dt 1e-3 --t-max 1",
+        "solve-family --alpha -1 --beta 1 --b 1e300 --dt 0.1 --t-max 1",
     )
 ]
 
