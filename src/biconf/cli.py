@@ -314,6 +314,13 @@ class _Axis:
     def cells(self, fmt) -> list:
         return self.text(fmt)[self.codes].tolist()
 
+    def words(self, fmt) -> np.ndarray:
+        """The cells as rows of ``_words``, each axis value encoded once."""
+        key = (fmt, CELL_WORDS)
+        if key not in self.texts:
+            self.texts[key] = _words(self.text(fmt))
+        return self.texts[key][self.codes]
+
 
 def _slices(columns, empty):
     """Each slice of CHUNK rows of ``columns`` (float arrays and _Axis
@@ -326,74 +333,307 @@ def _slices(columns, empty):
         yield [(c[part], None if e is None else e[part]) for c, e in zip(columns, empty)]
 
 
-def _distinct_cells(values: np.ndarray, fmt, empty=None, blank: str = "") -> list | None:
-    """The cells of a float column slice, ``fmt`` of each value and
-    ``blank`` where ``empty`` is set, formatting each distinct value once:
-    values are keyed by bit pattern, so 0.0 and -0.0 (and NaN payloads)
-    stay apart.  None when more than half of the slice's values are
-    distinct; the caller then formats each cell."""
+def _distinct_cells(values: np.ndarray, fmt, empty=None, blank: str = ""):
+    """(texts, codes) of a float column slice: ``fmt`` of each distinct
+    value and then ``blank``, as an object array, and each cell's index
+    into it (``blank``'s where ``empty`` is set), so that the cells are
+    ``texts[codes]``.  Values are keyed by bit pattern, so 0.0 and -0.0
+    (and NaN payloads) stay apart.  None when more than half of the
+    slice's values are distinct; the caller then formats each cell."""
     bits = values.view(np.int64)
     keys = np.sort(bits)  # np.unique takes about 9x as long on 1024 values (numpy 2.4)
-    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-    if 2 * len(keys) > len(values):
+    new = keys[1:] != keys[:-1]
+    if 2 * (np.count_nonzero(new) + 1) > len(values):
         return None
+    keys = keys[np.concatenate(([True], new))]
     texts = np.array([*map(fmt, keys.view(np.float64).tolist()), blank], dtype=object)
     codes = np.searchsorted(keys, bits)
     if empty is not None:
         codes[empty] = len(keys)
-    return texts[codes].tolist()
+    return texts, codes
 
 
-def _csv_cells(values, empty) -> tuple[str, list]:
-    """(template field, cells) of one column slice: 17 significant digits,
-    "" for an empty cell."""
-    if isinstance(values, _Axis):
-        return "%s", values.cells(_fmt)
-    cells = _distinct_cells(values, "%.17g".__mod__, empty)
-    if cells is not None:
-        return "%s", cells
-    if empty is None or not empty.any():
-        return "%.17g", values.tolist()
-    return "%s", ["" if e else "%.17g" % v for v, e in zip(values.tolist(), empty.tolist())]
+# A cell of an output file has at most 24 characters
+# ("-1.2345678901234567e-308"); as words it is padded with NUL bytes, which
+# are deleted before a slice is written, to the 40 bytes of a cell of
+# _decimal_words
+CELL_WORDS = 5
+# exponents k of the table of 10^k: a float of magnitude in [1e-280, 1e280]
+# is scaled by 10^(16 - X), where X = floor(log10|v|) is off by at most one
+POW10_MIN, POW10_MAX = -265, 297
+# cells per _decimal_words call: its temporaries then stay in cache, and
+# small enough that the C allocator does not return them to the system
+# after each call, only to fault the pages in again on the next one
+DECIMAL_BLOCK = 3072
 
 
-def _json_cells(values, empty) -> list:
-    """One column slice as json writes it: a float's repr (``%s``), NaN,
-    Infinity or -Infinity, and null for an empty cell."""
-    if isinstance(values, _Axis):
-        return values.cells(json.dumps)
-    cells = _distinct_cells(values, json.dumps, empty, "null")
-    if cells is not None:
-        return cells
-    cells = values.tolist()
-    for i in np.flatnonzero(~np.isfinite(values)):
-        cells[i] = json.dumps(cells[i])
-    for i in () if empty is None else np.flatnonzero(empty):
-        cells[i] = "null"
+def _words(texts, width: int = CELL_WORDS, dtype=np.uint64) -> np.ndarray:
+    """``texts`` (ASCII str or bytes) as rows of ``width`` NUL-padded words."""
+    data = np.array(texts, f"S{width * np.dtype(dtype).itemsize}")
+    return data.view(dtype).reshape(len(texts), width)
+
+
+@functools.cache
+def _decimal_tables() -> tuple:
+    """The tables of ``_decimal_words``, built on its first call.
+
+    - 10^k for k = POW10_MIN..POW10_MAX, as rows (hi, high, low, lo): hi
+      the nearest double, split exactly into 26-bit halves high + low
+      (Dekker), and lo the double nearest 10^k - hi, so that hi + lo is
+      10^k to about 2^-106 of its size.  Built from Python ints, whose
+      true division rounds correctly.
+    - the four ASCII digits of each 4-digit group as a 32-bit word, and
+      its number of trailing zeros
+    - the leading digit (0-9) as the last byte of a word
+    """
+    rows = []
+    for k in range(POW10_MIN, POW10_MAX + 1):
+        m = 10 ** abs(k)
+        hi = float(m) if k >= 0 else 1 / m
+        p, q = hi.as_integer_ratio()
+        rows.append((hi, (m * q - p) / q if k >= 0 else (q - p * m) / (q * m)))
+    hi, lo = np.array(rows).T
+    t = hi * 134217729.0  # 2^27 + 1
+    high = t - (t - hi)
+    groups = np.arange(10000)
+    quads = (48 + groups[:, None] // np.array([1000, 100, 10, 1]) % 10).astype(np.uint8)
+    zeros = sum(groups % 10**i == 0 for i in range(1, 5))
+    lead = _words(["\0\0\0" + str(i) for i in range(10)], 1, np.uint32)[:, 0]
+    powers = np.stack([hi, high, hi - high, lo], axis=1)
+    return powers, quads.view(np.uint32)[:, 0], zeros, lead
+
+
+@functools.cache
+def _layouts(shortest: bool) -> tuple:
+    """The layout tables of ``_decimal_words`` for ``%.17g`` or repr.
+
+    A cell is 40 bytes, in which digit i of 17 is byte 11 + i and an
+    exponent fills bytes 32-36.  Per layout key, ((sign * 18) + n) * 22 +
+    e for n significant digits and form e (below), there are three rows
+    of 32-bit words over those bytes: the mask of the digits before the
+    point, the bytes put around them (the sign, "0." and zeros, the
+    point), and the mask of the digits after the point, which go one byte
+    to the right.  Trailing zeros go, except before the point and in
+    repr's ".0".  Per X + 324 there are the form e, X for a positional X
+    >= 0, 16 - X for X = -1..-4 and 21 for exponent form, and the
+    exponent's word, 0 in positional form."""
+    whole, put, fraction = [], [], []
+    for sign in ("", "-"):
+        for n in range(18):
+            for e in range(22):
+                x = e if e < 17 else 16 - e
+                head, ints, end = sign, 1, n
+                if e < 17:
+                    ints, end = x + 1, max(n, x + 1 + shortest)
+                elif e < 21:
+                    head, ints = sign + "0." + "0" * (-x - 1), 0
+                point = "." if ints and end > ints else ""
+                whole.append((b"\0" * 11 + b"\xff" * ints).ljust(40, b"\0"))
+                put.append(head.ljust(11 + ints, "\0") + point)
+                fraction.append((b"\0" * (11 + ints) + b"\xff" * (end - ints)).ljust(40, b"\0"))
+    xs = range(-324, 309)
+    positional = range(-4, 16 if shortest else 17)
+    forms = np.array([(x if x >= 0 else 16 - x) if x in positional else 21 for x in xs])
+    exps = _words(["" if x in positional else f"e{x:+03d}" for x in xs], 1)[:, 0]
+    return (*(_words(t, 10, np.uint32) for t in (whole, put, fraction)), forms, exps)
+
+
+def _scaled(a: np.ndarray, x: np.ndarray, powers) -> tuple:
+    """(d, f, s) with a * 10^(16 - x) = d + f, d an int64 and 0 <= f < 1,
+    to within 1e-14, and s the double nearest 10^(16 - x): the exact
+    product of a and hi (Dekker), plus a * lo."""
+    hi, high, low, lo = powers.take(16 - POW10_MIN - x, axis=0).T
+    t = a * 134217729.0
+    a_high = t - (t - a)
+    a_low = a - a_high
+    p = a * hi  # an integer when it is >= 2^53, as it is for the right x
+    e = ((a_high * high - p) + a_high * low + a_low * high) + a_low * low + a * lo
+    whole = np.floor(e)
+    return p.astype(np.int64) + whole.astype(np.int64), e - whole, hi
+
+
+def _near_integer(v: np.ndarray) -> np.ndarray:
+    return np.abs(v - np.rint(v)) <= 1e-7
+
+
+def _rounded(values: np.ndarray, shortest: bool) -> tuple:
+    """(m, x, written) for a flat float array: the digits of ``%.17g`` or,
+    if ``shortest``, of repr, as the integer m in [1e16, 1e17) (0 for
+    zero) and the decimal exponent x of its first digit, and the mask of the values whose digits are certain.  The others are
+    non-finite values, subnormals, magnitudes outside [1e-280, 1e280], and
+    values whose digits a rounding error of 1e-7 could change.
+
+    |v| 10^(16 - X) = d + f lies in [1e16, 1e17), X = floor(log10|v|).
+    ``%.17g`` rounds it to d or d + 1.  repr takes the shortest digits
+    that read back as v: those of the multiple of the largest power of
+    ten among the integers from d + ceil(f - h) to d + floor(f + h), the
+    rounding interval of v, h = spacing(v)/2 10^(16 - X), and of those
+    the nearest to d + f.  With f + h <= 13, a multiple of 100 there is
+    the only one; so is the nearest integer when there is no multiple of
+    10.  A power of two, whose interval is not symmetric, is left out."""
+    powers = _decimal_tables()[0]
+    a = np.abs(values)
+    written = (a >= 1e-280) & (a <= 1e280)
+    if shortest:
+        written &= (values.view(np.int64) & 0xFFFFFFFFFFFFF) != 0
+    zero = a == 0.0
+    a = np.where(written, a, 1.0)
+    x = np.floor(np.log10(a)).astype(np.int64)
+    d, f, scale = _scaled(a, x, powers)
+    if np.any((d - 10**16).view(np.uint64) >= 9 * 10**16):  # log10 rounded past a power of ten
+        x += (d >= 10**17).astype(np.int64) - (d < 10**16)
+        d, f, scale = _scaled(a, x, powers)
+        written &= (d - 10**16).view(np.uint64) < 9 * 10**16
+    if shortest:
+        h = np.spacing(a) * 0.5 * scale
+        written &= ~(_near_integer(f - h) | _near_integer(f + h))
+        high = d + np.floor(f + h).astype(np.int64)
+        width = high - d - np.ceil(f - h).astype(np.int64)
+        r100, d10 = high % 100, d % 10
+        ones, hundreds = r100 % 10 > width, r100 <= width
+        m = np.where(ones, d + (f > 0.5), np.where(hundreds, high - r100, d - d10 + 10 * (d10 + f > 5)))
+        tie = np.where(ones, f - 0.5, np.where(hundreds, 1.0, d10 + f - 5.0))
+    else:
+        m, tie = d + (f > 0.5), f - 0.5
+    written &= np.abs(tie) > 1e-7
+    top = m >= 10**17
+    x += top
+    m = np.where(top, 10**16, m)
+    m[zero] = 0  # and x is 0: "0"
+    return m, x, written | zero
+
+
+def _layout(m: np.ndarray, x: np.ndarray, negative: np.ndarray, shortest: bool) -> np.ndarray:
+    """(n, CELL_WORDS) words of NUL-padded text: the digits of m, an
+    integer in [1e16, 1e17) or 0, whose first digit has decimal exponent
+    x, with a minus sign where ``negative``, as ``%.17g`` or, if
+    ``shortest``, repr lays them out (``_layouts``)."""
+    _, quads, zeros4, lead = _decimal_tables()
+    whole, put, fraction, forms, exps = _layouts(shortest)
+    groups = np.empty((5, len(m)), np.int64)  # the leading digit, then 4-digit groups
+    m = m.copy()
+    for i, p in enumerate((10**16, 10**12, 10**8, 10**4)):
+        groups[i] = m // p
+        m -= groups[i] * p
+    groups[4] = m
+    zeros = zeros4.take(groups[4])
+    rest = np.flatnonzero(groups[4] == 0)
+    for g in groups[3:0:-1]:  # a group of zeros: count the one before it
+        if not len(rest):
+            break
+        zeros[rest] += zeros4.take(g[rest])
+        rest = rest[g[rest] == 0]
+    x = x + 324
+    key = negative * 396 + (17 - zeros) * 22 + forms.take(x)
+    digits = np.zeros((len(m), 10), np.uint32)
+    digits[:, 2] = lead.take(groups[0], mode="clip")  # past 9 only in a cell not written
+    digits[:, 3:7] = quads.take(groups[1:].T)
+    del groups, zeros, m
+    cells = whole.take(key, axis=0)
+    cells &= digits
+    cells |= put.take(key, axis=0)
+    digits &= fraction.take(key, axis=0)
+    cells.view(np.uint8).reshape(-1)[1:] |= digits.view(np.uint8).reshape(-1)[:-1]
+    cells = cells.view(np.uint64)
+    cells[:, 4] = exps.take(x)
     return cells
 
 
+def _decimal_words(values: np.ndarray, shortest: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The cells of a float array as (*shape, CELL_WORDS) words of
+    NUL-padded text, ``format(v, ".17g")`` or, if ``shortest``,
+    ``repr(v)``, and the mask of the cells so written; the others, those
+    ``_rounded`` leaves out, hold no text."""
+    flat = values.reshape(-1)
+    m, x, written = _rounded(flat, shortest)
+    cells = _layout(m, x, np.signbit(flat), shortest)
+    return cells.reshape(*values.shape, CELL_WORDS), written.reshape(values.shape)
+
+
+def _slice_text(part, record: str, template: np.ndarray, starts: list[int], fmt, blank: str,
+                shortest: bool) -> bytes:
+    """The text of one slice (``_slices``): ``record`` % each row's cells,
+    where a cell is ``fmt`` of its value or ``blank`` where it is empty.
+    A grid axis looks its cells up and a column with few distinct values
+    formats each once (``_distinct_cells``); when every column is one of
+    those, the rows are formatted as strings.  Else the rows are a matrix
+    of ``template``, the record as 64-bit words with a field of
+    CELL_WORDS zero words at each of ``starts`` (but for a CSV
+    separator), into which each cell's bytes are or-ed; with the NULs
+    deleted its bytes are the text.  The other float columns go through
+    ``_decimal_words``, DECIMAL_BLOCK cells at a time, and the cells it
+    leaves unwritten are formatted one by one."""
+    looked_up, bulk = [], []
+    for values, empty in part:
+        if isinstance(values, _Axis):
+            looked_up.append(values)
+            continue
+        looked_up.append(_distinct_cells(values, fmt, empty, blank))
+        if looked_up[-1] is None:
+            bulk.append((len(looked_up) - 1, values, empty))
+    if not bulk:
+        cells = [c.cells(fmt) if isinstance(c, _Axis) else c[0][c[1]].tolist() for c in looked_up]
+        return "".join(map(record.__mod__, zip(*cells))).encode("utf-8")
+    rows = np.empty((len(part[0][0]), len(template)), np.uint64)
+    rows[:] = template
+    fields = [rows[:, start:start + CELL_WORDS] for start in starts]
+    for field, cells in zip(fields, looked_up):
+        if isinstance(cells, _Axis):
+            field |= cells.words(fmt)
+        elif cells is not None:
+            field |= _words(cells[0])[cells[1]]
+    step = max(1, DECIMAL_BLOCK // len(rows))
+    for j in range(0, len(bulk), step):
+        group = bulk[j:j + step]
+        cells, written = _decimal_words(np.stack([values for _, values, _ in group], axis=1), shortest)
+        for i, (_, _, empty) in enumerate(group):
+            if empty is not None:
+                written[:, i] &= ~empty
+        cells[~written] = 0
+        for i, (k, values, empty) in enumerate(group):
+            fields[k] |= cells[:, i]
+            slow = ~written[:, i]
+            if empty is not None:
+                fields[k][empty] |= _words([blank])
+                slow &= ~empty
+            slow = np.flatnonzero(slow)
+            if len(slow):
+                fields[k][slow] |= _words(list(map(fmt, values[slow].tolist())))
+    return rows.tobytes().translate(None, b"\0")
+
+
 def _write_csv(path: str, header: list[str], columns, empty=None) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+    # a CSV separator is the last byte of the field of the cell before it
+    seps = [b","] * (len(header) - 1) + [b"\n"]
+    template = np.frombuffer(b"".join(sep.rjust(8 * CELL_WORDS, b"\0") for sep in seps), np.uint64)
+    starts = list(range(0, CELL_WORDS * len(header), CELL_WORDS))
+    record = ",".join(["%s"] * len(header)) + "\n"
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode("utf-8"))
         for part in _slices(columns, empty):
-            fields, cells = zip(*(_csv_cells(*column) for column in part))
-            fh.write("".join(map((",".join(fields) + "\n").__mod__, zip(*cells))))
+            fh.write(_slice_text(part, record, template, starts, _fmt, "", False))
 
 
 def _write_json(path: str, key: str, header: list[str], columns, summary: dict, empty=None) -> None:
     """The bytes of ``json.dump({key: records, "summary": summary}, indent=2)``
     and a newline, with one record per row."""
-    record = "    {\n" + ",\n".join(f"      {json.dumps(name)}: %s" for name in header) + "\n    }"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"{{\n  {json.dumps(key)}: [")
-        sep = "\n"
-        for part in _slices(columns, empty):
-            cells = [_json_cells(*column) for column in part]
-            fh.write(sep + ",\n".join(map(record.__mod__, zip(*cells))))
-            sep = ",\n"
-        fh.write("]" if sep == "\n" else "\n  ]")
-        fh.write(',\n  "summary": ' + json.dumps(summary, indent=2).replace("\n", "\n  ") + "\n}\n")
+    # a record: ",\n    {\n", each name before its cell, then "\n    }"
+    pieces = [f",\n      {json.dumps(name)}: " for name in header]
+    pieces[0] = ",\n    {" + pieces[0][1:]
+    template, starts = b"", []
+    for piece in pieces:
+        template += piece.encode("utf-8").ljust(-(-len(piece) // 8) * 8, b"\0")
+        starts.append(len(template) // 8)
+        template += bytes(8 * CELL_WORDS)
+    template = np.frombuffer(template + b"\n    }\0\0", np.uint64)
+    record = "".join(piece + "%s" for piece in pieces) + "\n    }"
+    with open(path, "wb") as fh:
+        fh.write(f"{{\n  {json.dumps(key)}: [".encode("utf-8"))
+        for k, part in enumerate(_slices(columns, empty)):
+            text = _slice_text(part, record, template, starts, json.dumps, "null", True)
+            fh.write(memoryview(text)[1:] if k == 0 else text)  # the first record follows "[" with no comma
+        fh.write(b"]" if len(columns[0]) == 0 else b"\n  ]")
+        fh.write((',\n  "summary": ' + json.dumps(summary, indent=2).replace("\n", "\n  ") + "\n}\n").encode("utf-8"))
 
 
 def _emit(args, key: str, header: list[str], columns, summary: dict, empty=None) -> None:
@@ -510,8 +750,8 @@ def _grid_scan(args: argparse.Namespace, label: str, evaluate) -> tuple[list, fl
         blocks.append(values)
         top = values[:, -1].tolist()
         grid_max = max(grid_max, *top)
-        texts = _distinct_cells(values[:, -1], "%.6e".__mod__)
-        field, top = ("%.6e", top) if texts is None else ("%s", texts)
+        distinct = _distinct_cells(values[:, -1], "%.6e".__mod__)
+        field, top = ("%.6e", top) if distinct is None else ("%s", distinct[0][distinct[1]].tolist())
         shown = [axis.at(c).cells(_fmt) for axis, c in zip(axes, code.T)] + [top]
         print("\n".join(map((line + field).__mod__, zip(*shown))))
     columns = [axis.at(c) for axis, c in zip(axes, np.concatenate(codes).T)]
@@ -576,6 +816,21 @@ def _check_steps(t0: float, args: argparse.Namespace) -> None:
         raise UsageError(f"--dt/--t-max: {exc}") from None
 
 
+def _check_constants(fp: FamilyParams) -> None:
+    """Raise DomainError, naming the operation and its flags, where beta^3
+    (the RK4 step's), b^2 or A = 3 b^2 alpha beta^3 overflows: no --dt
+    helps then."""
+    beta3, b2 = fp.beta * fp.beta * fp.beta, fp.b * fp.b
+    for name, value, flags in (
+        ("beta^3", beta3, ("beta",)),
+        ("b^2", b2, ("b",)),
+        ("3 b^2 alpha beta^3", 3.0 * b2 * fp.alpha * beta3, ("alpha", "beta", "b")),
+    ):
+        if not math.isfinite(value):
+            shown = ", ".join(f"--{flag} {getattr(fp, flag):g}" for flag in flags)
+            raise DomainError(f"{name} overflows the float range ({shown})")
+
+
 def cmd_solve_family(args: argparse.Namespace) -> int:
     if args.ricci_flat:
         sigma, rho = ricci_flat_fields(args.a)
@@ -605,6 +860,7 @@ def cmd_solve_family(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise UsageError(str(exc)) from None
         _check_steps(0.0, args)
+        _check_constants(fp)
         traj = integrate_rho(fp, args.rho0, args.dt, args.t_max)
         prime0 = traj["rho_prime"][0]
         if prime0 == 0.0:

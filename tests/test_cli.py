@@ -487,6 +487,23 @@ def test_exit_2_on_float_error_outside_fields(line, capsys):
     assert "numerical failure:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("--alpha 1 --beta -1e103 --dt 1e-3", "beta^3 overflows the float range (--beta -1e+103)"),
+        ("--alpha -1 --beta 1e200 --dt 0.1", "beta^3 overflows the float range (--beta 1e+200)"),
+        ("--alpha -1 --beta 1 --b 1e300 --dt 0.1", "b^2 overflows the float range (--b 1e+300)"),
+        ("--alpha 1e300 --beta 1e100 --dt 0.1",
+         "3 b^2 alpha beta^3 overflows the float range (--alpha 1e+300, --beta 1e+100, --b 1)"),
+    ],
+)
+def test_overflowing_family_constants_name_the_operation(line, message, capsys):
+    """No step size helps where beta^3, b^2 or A overflows: the error names
+    the operation and its flags, not a bare OverflowError or --dt."""
+    assert main(shlex.split(f"solve-family {line} --t-max 1")) == 2
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
+
+
 @pytest.mark.parametrize("sigma", ["1e-80", "1e100"])
 def test_a_metric_at_an_extreme_scale_is_not_singular(sigma, capsys):
     """g = diag(1e160, 1e160, 1, 1) and diag(1e-200, 1e-200, 1, 1) are well

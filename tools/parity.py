@@ -6,8 +6,8 @@ Runs every seed-1 request of the three benchmark workloads (taken from
 ``perfbench/workloads.py`` next to this directory, which is only
 imported), the canned examples (``examples list``, then each name
 bare, with ``--out`` as CSV and with ``--out`` as JSON), a fixed list of
-successful runs, most of hundreds of rows, written as CSV (``LONG_RUNS``)
-and a fixed list of command lines that hit a validation or numerical
+successful runs, most of hundreds of rows, written as CSV or JSON
+(``LONG_RUNS``) and a fixed list of command lines that hit a validation or numerical
 failure (``FAILURES``: exit 1 or 2) against the ``src/`` of each tree.  Each
 tree runs in its own subprocess, which calls ``biconf.cli.main(argv)``
 in-process for one request after another inside a fresh working
@@ -49,14 +49,18 @@ FIELDS = ("code", "stdout", "stderr", "out")
 BAD_CONFIG = ("bad.cfg", b"tol 1e-6\n")
 NOT_UTF8_CONFIG = ("latin1.cfg", b"tol = 1e-6  # \xb5\n")
 
-# successful runs, most of hundreds of rows whose output columns repeat a
-# few distinct values, written as CSV and to stdout: Einstein residuals,
-# an FD gap that depends on (x1, x3) only, a trajectory with -0.0
-# rho_prime cells and empty sigma cells, the Ricci-flat profile with
+# successful runs, most of hundreds of rows, written to stdout and as CSV
+# or JSON.  Output columns that repeat a few distinct values: Einstein
+# residuals, an FD gap that depends on (x1, x3) only, a trajectory with
+# -0.0 rho_prime cells and empty sigma cells, the Ricci-flat profile with
 # its sparse FD residual column, fields that fold to a sum divided by
 # 3 and to a linear sum (in the residual run, two hyperbolic planes of
 # curvature -1/16), and two trajectories whose residual cells are empty
-# from sample 517 to the end and at every sample
+# from sample 517 to the end and at every sample.  Then, as JSON, runs
+# whose mostly distinct columns take the bulk float writer in both
+# layouts and its per-cell fallback: a warped trajectory of 2e3 steps, a
+# blow-up member whose rho climbs to the cap (exponent-form cells) and a
+# grid with an x2 axis of +-1e-300
 LONG_RUNS = [
     ["residual", "--sigma", "(1 + x1^2 + x2^2)/2", "--rho", "(1 + x3^2 + x4^2)/2", "--A", "1",
      "--grid", "x1=-0.4:0.4:6,x2=-0.4:0.4:6,x3=-0.4:0.4:6,x4=-0.4:0.4:6", "--out", "out.csv"],
@@ -75,6 +79,13 @@ LONG_RUNS = [
      "--out", "out.csv"],
     ["solve-family", "--alpha", "-1", "--beta", "-1", "--dt", "1e-3", "--t-max", "0.5",
      "--out", "out.csv"],
+    ["solve-warped", "--alpha0", "1", "--gamma0", "0.5", "--delta0", "0.2", "--C", "1",
+     "--dt", "1e-3", "--t-max", "2", "--format", "json", "--out", "out.json"],
+    ["solve-family", "--alpha", "1", "--beta", "-1", "--dt", "1e-4", "--t-max", "2",
+     "--format", "json", "--out", "out.json"],
+    ["residual", "--sigma", "(1 + x1^2 + x2^2)/2", "--rho", "(1 + x3^2 + x4^2)/2", "--A", "1",
+     "--grid", "x1=-0.4:0.4:6,x2=-1e-300:1e-300:5,x3=-0.4:0.4:6,x4=-0.4:0.4:6",
+     "--format", "json", "--out", "out.json"],
 ]
 
 # command lines that fail validation (exit 1) or numerically (exit 2); the
