@@ -459,9 +459,10 @@ def _near_integer(v: np.ndarray) -> np.ndarray:
 def _rounded(values: np.ndarray, shortest: bool) -> tuple:
     """(m, x, written) for a flat float array: the digits of ``%.17g`` or,
     if ``shortest``, of repr, as the integer m in [1e16, 1e17) (0 for
-    zero) and the decimal exponent x of its first digit, and the mask of the values whose digits are certain.  The others are
-    non-finite values, subnormals, magnitudes outside [1e-280, 1e280], and
-    values whose digits a rounding error of 1e-7 could change.
+    zero) and the decimal exponent x of its first digit, and the mask of
+    the values whose digits are certain.  The others are non-finite
+    values, subnormals, magnitudes outside [1e-280, 1e280], and values
+    whose digits a rounding error of 1e-7 could change.
 
     |v| 10^(16 - X) = d + f lies in [1e16, 1e17), X = floor(log10|v|).
     ``%.17g`` rounds it to d or d + 1.  repr takes the shortest digits
