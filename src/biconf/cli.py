@@ -18,10 +18,13 @@ once per process and never changed; settings from a ``--config`` file or
 BICONF_TOL become the defaults of a freshly built copy.  A ``--config`` file
 of ``key = value`` lines names flags (``t_max`` or ``t-max``) and goes
 through their own converters and choices; keys of another subcommand
-are ignored, other keys are errors.  Flags override the config file,
-which overrides BICONF_TOL (tolerance only), which overrides the
-parser's defaults.  CSV output is deterministic: fixed headers,
-17-significant-digit floats, LF endings.
+are ignored, other keys and a key given twice are errors.  Flags
+override the config file, which overrides BICONF_TOL (tolerance only),
+which overrides the parser's defaults.  CSV output is deterministic:
+fixed headers, 17-significant-digit floats, LF endings.  A slice of
+output whose every column is a grid axis or a column of few distinct
+values is one join over its cells in column order, and so are the grid
+stdout lines; the bytes are those of formatting each cell.
 """
 
 from __future__ import annotations
@@ -127,7 +130,7 @@ _BOOL_WORDS = {
 
 
 def _read_config_file(path: str) -> dict:
-    values = {}
+    values, first = {}, {}  # key -> value, and the line that gives it
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -138,7 +141,11 @@ def _read_config_file(path: str) -> dict:
                     raise UsageError(f"{path}:{lineno}: expected key = value")
                 key, value = line.split("=", 1)
                 key = key.strip().replace("-", "_")
-                values[key] = value.strip()
+                if key in first:
+                    raise UsageError(
+                        f"{path}:{lineno}: config key {key!r} is given twice (first on line {first[key]})"
+                    )
+                values[key], first[key] = value.strip(), lineno
     except (OSError, UnicodeDecodeError) as exc:
         reason = exc.strerror if isinstance(exc, OSError) else exc
         raise UsageError(f"cannot read config file {path}: {reason}") from None
@@ -311,9 +318,6 @@ class _Axis:
             self.texts[fmt] = np.array(list(map(fmt, self.values.tolist())), dtype=object)
         return self.texts[fmt]
 
-    def cells(self, fmt) -> list:
-        return self.text(fmt)[self.codes].tolist()
-
     def words(self, fmt) -> np.ndarray:
         """The cells as rows of ``_words``, each axis value encoded once."""
         key = (fmt, CELL_WORDS)
@@ -351,6 +355,22 @@ def _distinct_cells(values: np.ndarray, fmt, empty=None, blank: str = ""):
     if empty is not None:
         codes[empty] = len(keys)
     return texts, codes
+
+
+def _joined(pieces: list[str], columns, n: int) -> str:
+    """The text of ``n`` records: for each column j, ``pieces[j]`` and the
+    row's cell, then the last piece.  A column is a (texts, codes) pair,
+    whose row k holds ``texts[codes[k]]``, or a list of its n cells.  Each
+    text is joined to its pieces once, by an object-array add, and the
+    records are one join over the (n, k) matrix of cells."""
+    cells = np.empty((n, len(columns)), dtype=object)
+    for j, column in enumerate(columns):
+        texts, codes = column if isinstance(column, tuple) else (np.array(column, object), slice(None))
+        texts = pieces[j] + texts
+        if j == len(columns) - 1:
+            texts = texts + pieces[-1]
+        cells[:, j] = texts[codes]
+    return "".join(cells.ravel().tolist())
 
 
 # A cell of an output file has at most 24 characters
@@ -551,19 +571,20 @@ def _decimal_words(values: np.ndarray, shortest: bool) -> tuple[np.ndarray, np.n
     return cells.reshape(*values.shape, CELL_WORDS), written.reshape(values.shape)
 
 
-def _slice_text(part, record: str, template: np.ndarray, starts: list[int], fmt, blank: str,
+def _slice_text(part, pieces: list[str], template: np.ndarray, starts: list[int], fmt, blank: str,
                 shortest: bool) -> bytes:
-    """The text of one slice (``_slices``): ``record`` % each row's cells,
-    where a cell is ``fmt`` of its value or ``blank`` where it is empty.
-    A grid axis looks its cells up and a column with few distinct values
-    formats each once (``_distinct_cells``); when every column is one of
-    those, the rows are formatted as strings.  Else the rows are a matrix
-    of ``template``, the record as 64-bit words with a field of
-    CELL_WORDS zero words at each of ``starts`` (but for a CSV
-    separator), into which each cell's bytes are or-ed; with the NULs
-    deleted its bytes are the text.  The other float columns go through
-    ``_decimal_words``, DECIMAL_BLOCK cells at a time, and the cells it
-    leaves unwritten are formatted one by one."""
+    """The text of one slice (``_slices``): each row's record, ``pieces[j]``
+    before cell j and the last piece after the last cell, where a cell is
+    ``fmt`` of its value or ``blank`` where it is empty.  A grid axis
+    looks its cells up and a column with few distinct values formats each
+    once (``_distinct_cells``); when every column is one of those, the
+    slice is one join over its cells in column order (``_joined``), with
+    the same bytes.  Else the rows are a matrix of ``template``, the
+    record as 64-bit words with a field of CELL_WORDS zero words at each
+    of ``starts`` (but for a CSV separator), into which each cell's bytes
+    are or-ed; with the NULs deleted its bytes are the text.  The other
+    float columns go through ``_decimal_words``, DECIMAL_BLOCK cells at a
+    time, and the cells it leaves unwritten are formatted one by one."""
     looked_up, bulk = [], []
     for values, empty in part:
         if isinstance(values, _Axis):
@@ -572,10 +593,11 @@ def _slice_text(part, record: str, template: np.ndarray, starts: list[int], fmt,
         looked_up.append(_distinct_cells(values, fmt, empty, blank))
         if looked_up[-1] is None:
             bulk.append((len(looked_up) - 1, values, empty))
+    n = len(part[0][0])
     if not bulk:
-        cells = [c.cells(fmt) if isinstance(c, _Axis) else c[0][c[1]].tolist() for c in looked_up]
-        return "".join(map(record.__mod__, zip(*cells))).encode("utf-8")
-    rows = np.empty((len(part[0][0]), len(template)), np.uint64)
+        columns = [(c.text(fmt), c.codes) if isinstance(c, _Axis) else c for c in looked_up]
+        return _joined(pieces, columns, n).encode("utf-8")
+    rows = np.empty((n, len(template)), np.uint64)
     rows[:] = template
     fields = [rows[:, start:start + CELL_WORDS] for start in starts]
     for field, cells in zip(fields, looked_up):
@@ -608,11 +630,11 @@ def _write_csv(path: str, header: list[str], columns, empty=None) -> None:
     seps = [b","] * (len(header) - 1) + [b"\n"]
     template = np.frombuffer(b"".join(sep.rjust(8 * CELL_WORDS, b"\0") for sep in seps), np.uint64)
     starts = list(range(0, CELL_WORDS * len(header), CELL_WORDS))
-    record = ",".join(["%s"] * len(header)) + "\n"
+    pieces = [""] + [sep.decode() for sep in seps]
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode("utf-8"))
         for part in _slices(columns, empty):
-            fh.write(_slice_text(part, record, template, starts, _fmt, "", False))
+            fh.write(_slice_text(part, pieces, template, starts, _fmt, "", False))
 
 
 def _write_json(path: str, key: str, header: list[str], columns, summary: dict, empty=None) -> None:
@@ -627,11 +649,11 @@ def _write_json(path: str, key: str, header: list[str], columns, summary: dict, 
         starts.append(len(template) // 8)
         template += bytes(8 * CELL_WORDS)
     template = np.frombuffer(template + b"\n    }\0\0", np.uint64)
-    record = "".join(piece + "%s" for piece in pieces) + "\n    }"
+    pieces.append("\n    }")
     with open(path, "wb") as fh:
         fh.write(f"{{\n  {json.dumps(key)}: [".encode("utf-8"))
         for k, part in enumerate(_slices(columns, empty)):
-            text = _slice_text(part, record, template, starts, json.dumps, "null", True)
+            text = _slice_text(part, pieces, template, starts, json.dumps, "null", True)
             fh.write(memoryview(text)[1:] if k == 0 else text)  # the first record follows "[" with no comma
         fh.write(b"]" if len(columns[0]) == 0 else b"\n  ]")
         fh.write((',\n  "summary": ' + json.dumps(summary, indent=2).replace("\n", "\n  ") + "\n}\n").encode("utf-8"))
@@ -737,7 +759,7 @@ def _grid_scan(args: argparse.Namespace, label: str, evaluate) -> tuple[list, fl
     maximum.  The first point that fails raises its error after the lines
     of the points before it."""
     axes = [_Axis(values) for values in _parse_grid(args.grid)]
-    line = f"x=(%s, %s, %s, %s)  {label} = "
+    line = ["x=(", ", ", ", ", ", ", f")  {label} = ", "\n"]
     codes, blocks = [], []
     grid_max = 0.0
 
@@ -751,10 +773,9 @@ def _grid_scan(args: argparse.Namespace, label: str, evaluate) -> tuple[list, fl
         blocks.append(values)
         top = values[:, -1].tolist()
         grid_max = max(grid_max, *top)
-        distinct = _distinct_cells(values[:, -1], "%.6e".__mod__)
-        field, top = ("%.6e", top) if distinct is None else ("%s", distinct[0][distinct[1]].tolist())
-        shown = [axis.at(c).cells(_fmt) for axis, c in zip(axes, code.T)] + [top]
-        print("\n".join(map((line + field).__mod__, zip(*shown))))
+        shown = [(axis.text(_fmt), c) for axis, c in zip(axes, code.T)]
+        shown.append(_distinct_cells(values[:, -1], "%.6e".__mod__) or list(map("%.6e".__mod__, top)))
+        print(_joined(line, shown, len(code)), end="")
     columns = [axis.at(c) for axis, c in zip(axes, np.concatenate(codes).T)]
     return columns + list(np.concatenate(blocks).T), grid_max
 

@@ -926,6 +926,34 @@ def test_config_key_may_use_the_dashed_flag_name(tmp_path):
     assert (args.t_max, args.fd_every) == (3.0, 2)
 
 
+@pytest.mark.parametrize(
+    "command,text,key",
+    [
+        ("residual", "tol = 1e-6\ntol = 1e-3\n", "tol"),
+        ("solve-family", "t_max = 2\nt-max = 3\n", "t_max"),
+        ("residual", "alpha = 1\nalpha = 2\n", "alpha"),
+    ],
+    ids=["same-key", "dashed-and-underscored", "other-subcommand"],
+)
+def test_config_key_given_twice_exits_1(command, text, key, tmp_path, capsys):
+    """A key given twice is an error, never last-wins: also when its two
+    lines spell it with _ and -, and when it is a key of another
+    subcommand, which would be ignored."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# settings\n" + text)
+    assert main([command, "--config", str(cfg)]) == 1
+    assert _single_error_line(capsys) == (
+        f"error: {cfg}:3: config key {key!r} is given twice (first on line 2)\n"
+    )
+
+
+def test_config_file_of_distinct_keys_resolves_as_before(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("t_max = 2\ndt = 0.01\nfd-every = 3\nalpha = 1\nbeta = -1\ntol = 1e-3\n")
+    args = resolve_args(["solve-family", "--config", str(cfg)])
+    assert (args.t_max, args.dt, args.fd_every, args.alpha, args.beta) == (2.0, 0.01, 3, 1.0, -1.0)
+
+
 @pytest.mark.parametrize("line", ["name = s2xs2", "command = verify", "config = other.cfg"])
 def test_config_rejects_keys_that_name_no_option(line, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"

@@ -315,3 +315,31 @@ def test_writers_hold_one_slice_of_text_at_a_time(fmt, tmp_path):
     bound = 2_000_000
     assert path.stat().st_size > 5 * bound
     assert peak < bound
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_lookup_slices_hold_one_slice_of_text_at_a_time(fmt, tmp_path):
+    """A 10^5-row, 6-column table of values drawn from five floats, one
+    column half empty: every slice takes the lookup-only join, and the
+    traced peak stays under 1 MB while the file is several MB."""
+    n = 10**5
+    rng = np.random.default_rng(0)
+    pool = np.array([0.0, -0.0, 1.1102230246251565e-16, -2.6051300096648806e-17,
+                     0.30000000000000004])
+    columns = [rng.choice(pool, size=n) for _ in range(6)]
+    empty = [None] * 5 + [rng.random(n) < 0.5]
+    header = ["t", "a", "b", "c", "d", "e"]
+    path = tmp_path / f"few.{fmt}"
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        if fmt == "csv":
+            _write_csv(str(path), header, columns, empty)
+        else:
+            _write_json(str(path), "samples", header, columns, {}, empty)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    bound = 1_000_000
+    assert path.stat().st_size > 5 * bound
+    assert peak < bound

@@ -45,9 +45,12 @@ SEED = 1
 FIELDS = ("code", "stdout", "stderr", "out")
 
 # config files, written into the working directory of each tree: one
-# with a line that is not ``key = value``, one that is not UTF-8
+# with a line that is not ``key = value``, one that is not UTF-8, one
+# that gives a key twice
 BAD_CONFIG = ("bad.cfg", b"tol 1e-6\n")
 NOT_UTF8_CONFIG = ("latin1.cfg", b"tol = 1e-6  # \xb5\n")
+TWICE_CONFIG = ("twice.cfg", b"tol = 1e-6\ntol = 1e-3\n")
+CONFIGS = (BAD_CONFIG, NOT_UTF8_CONFIG, TWICE_CONFIG)
 
 # successful runs, most of hundreds of rows, written to stdout and as CSV
 # or JSON.  Output columns that repeat a few distinct values: Einstein
@@ -60,7 +63,9 @@ NOT_UTF8_CONFIG = ("latin1.cfg", b"tol = 1e-6  # \xb5\n")
 # whose mostly distinct columns take the bulk float writer in both
 # layouts and its per-cell fallback: a warped trajectory of 2e3 steps, a
 # blow-up member whose rho climbs to the cap (exponent-form cells) and a
-# grid with an x2 axis of +-1e-300
+# grid with an x2 axis of +-1e-300.  Last, a flat pair's verify grid as
+# JSON: its maxima are all 0, so every slice of the file and of the
+# stdout lines is lookup-only
 LONG_RUNS = [
     ["residual", "--sigma", "(1 + x1^2 + x2^2)/2", "--rho", "(1 + x3^2 + x4^2)/2", "--A", "1",
      "--grid", "x1=-0.4:0.4:6,x2=-0.4:0.4:6,x3=-0.4:0.4:6,x4=-0.4:0.4:6", "--out", "out.csv"],
@@ -86,10 +91,14 @@ LONG_RUNS = [
     ["residual", "--sigma", "(1 + x1^2 + x2^2)/2", "--rho", "(1 + x3^2 + x4^2)/2", "--A", "1",
      "--grid", "x1=-0.4:0.4:6,x2=-1e-300:1e-300:5,x3=-0.4:0.4:6,x4=-0.4:0.4:6",
      "--format", "json", "--out", "out.json"],
+    ["verify", "--sigma", "1", "--rho", "1",
+     "--grid", "x1=-0.4:0.4:5,x2=-0.4:0.4:5,x3=-0.4:0.4:5,x4=-0.4:0.4:5",
+     "--format", "json", "--out", "out.json"],
 ]
 
 # command lines that fail validation (exit 1) or numerically (exit 2); the
-# last three overflow in the family's constants beta^3 and b^2
+# three before the last overflow in the family's constants beta^3 and b^2,
+# and the last reads a config file that gives a key twice
 FAILURES = [
     line.split()
     for line in (
@@ -109,6 +118,7 @@ FAILURES = [
         "solve-family --alpha -1 --beta 1e200 --dt 0.1 --t-max 1",
         "solve-family --alpha 1 --beta -1e103 --dt 1e-3 --t-max 1",
         "solve-family --alpha -1 --beta 1 --b 1e300 --dt 0.1 --t-max 1",
+        f"examples --config {TWICE_CONFIG[0]}",
     )
 ]
 
@@ -221,7 +231,7 @@ def main(argv=None) -> int:
         dirs = [os.path.join(tmp, side) for side in ("old", "new")]
         for d in dirs:
             os.mkdir(d)
-            for name, data in (BAD_CONFIG, NOT_UTF8_CONFIG):
+            for name, data in CONFIGS:
                 Path(d, name).write_bytes(data)
         procs = [
             start(tree, argv_file, d, args.numeric is not None)
