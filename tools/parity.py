@@ -50,7 +50,6 @@ FIELDS = ("code", "stdout", "stderr", "out")
 BAD_CONFIG = ("bad.cfg", b"tol 1e-6\n")
 NOT_UTF8_CONFIG = ("latin1.cfg", b"tol = 1e-6  # \xb5\n")
 TWICE_CONFIG = ("twice.cfg", b"tol = 1e-6\ntol = 1e-3\n")
-CONFIGS = (BAD_CONFIG, NOT_UTF8_CONFIG, TWICE_CONFIG)
 
 # successful runs, most of hundreds of rows, written to stdout and as CSV
 # or JSON.  Output columns that repeat a few distinct values: Einstein
@@ -231,7 +230,7 @@ def main(argv=None) -> int:
         dirs = [os.path.join(tmp, side) for side in ("old", "new")]
         for d in dirs:
             os.mkdir(d)
-            for name, data in CONFIGS:
+            for name, data in (BAD_CONFIG, NOT_UTF8_CONFIG, TWICE_CONFIG):
                 Path(d, name).write_bytes(data)
         procs = [
             start(tree, argv_file, d, args.numeric is not None)
